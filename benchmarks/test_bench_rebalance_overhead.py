@@ -26,7 +26,6 @@ walks** per rebalance than the PR 4 baseline, with identical decisions.
 """
 
 import time
-from pathlib import Path
 
 import pytest
 
@@ -289,10 +288,9 @@ def test_obs_overhead(report):
            f"{median - 1.0:+.1%} (budget {OBS_BUDGET - 1.0:.0%})")
 
     # Snapshot artifacts for CI: the scrape file and the flight log.
-    OUT = Path(__file__).parent / "out"
-    OUT.mkdir(exist_ok=True)
-    obs.export_prometheus(OUT / "obs_overhead.prom")
-    obs.export_jsonl(OUT / "obs_overhead.jsonl")
+    report.out_dir.mkdir(parents=True, exist_ok=True)
+    obs.export_prometheus(report.out_dir / "obs_overhead.prom")
+    obs.export_jsonl(report.out_dir / "obs_overhead.jsonl")
 
     # The stack saw the whole storm...
     assert events_total.total() == on["events"]

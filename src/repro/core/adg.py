@@ -20,12 +20,20 @@ estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..errors import ADGError
 from .delta import ChangeDelta
 
 __all__ = ["Activity", "ADG"]
+
+#: ``(first id, end id, external preds)`` — a contiguous id range of one
+#: projected subtree and the predecessors it was projected against.
+Extent = Tuple[int, int, Tuple[int, ...]]
+
+
+class _ShapeMismatch(Exception):
+    """A replayed projection emitted something the graph does not hold."""
 
 
 @dataclass(slots=True)
@@ -86,6 +94,18 @@ class ADG:
         # planning layer can re-read actual times without re-walking the
         # tracking machines (see ``repro.core.planning.engine``).
         self._sources: Dict[int, Tuple[Any, float]] = {}
+        # Layout of the walk that built this graph (see begin_machine):
+        # machine index -> (first id, end id, preds, ids of the
+        # activities built from the machine's own spans, free slots).
+        # The slots are the ``(skeleton, extent)`` of each child
+        # projected from estimates that no started child has taken over,
+        # in emission order (None: none was projected).  ``_open`` stacks
+        # the machines being projected right now, as
+        # [index, first id, preds, own ids, slots].
+        self._layouts: Dict[int, Tuple[int, int, Tuple[int, ...], List[int], Any]] = {}
+        self._open: List[list] = []
+        # End of the id range being replayed, else None (see replay).
+        self._replay_end: Optional[int] = None
 
     @property
     def rev(self) -> int:
@@ -133,6 +153,8 @@ class ADG:
         also guarantees acyclicity.
         """
         preds = tuple(preds)
+        if self._replay_end is not None:
+            return self._replay_add(name, duration, preds, start, role)
         for p in preds:
             if p not in self._activities:
                 raise ADGError(f"predecessor {p} does not exist")
@@ -195,10 +217,14 @@ class ADG:
 
         *source* only needs ``start`` / ``end`` attributes (duck-typed;
         in practice a :class:`~repro.core.statemachines.base.MuscleSpan`).
-        The planning engine's patch path re-reads every attached source
-        to refresh actual times without re-walking the machines.
+        The planning engine's patch path re-reads attached sources to
+        refresh actual times without re-walking the machines.  Inside a
+        machine's projection (:meth:`begin_machine`) the activity is
+        also recorded as built from that machine's own span.
         """
         self._sources[aid] = (source, float(est_duration))
+        if self._open:
+            self._open[-1][3].append(aid)
 
     def span_sources(self) -> Dict[int, Tuple[Any, float]]:
         """The attached provenance map (live reference, do not mutate).
@@ -208,6 +234,110 @@ class ADG:
         their times were read from.
         """
         return self._sources
+
+    # -- layout: machine extents and estimated child slots ---------------------------
+
+    @property
+    def next_id(self) -> int:
+        """The id the next :meth:`add` returns."""
+        return self._next_id
+
+    def begin_machine(self, index: int, preds: Iterable[int]) -> None:
+        """Machine *index* starts projecting its subtree against *preds*.
+
+        Projection hands every machine a contiguous id range; recording
+        it — with the predecessors it was projected against and the
+        estimated child slots inside it (:meth:`note_slot`) — is what
+        lets a later event re-project *one* machine over the ids it
+        already occupies (:meth:`replay`) instead of re-walking them all.
+        """
+        self._open.append([index, self._next_id, tuple(preds), [], None])
+
+    def end_machine(self) -> None:
+        """The innermost open machine finished projecting."""
+        index, first, preds, owned, slots = self._open.pop()
+        self._layouts[index] = (first, self._next_id, preds, owned, slots)
+
+    def note_slot(self, skel: Any, first: int, preds: Iterable[int]) -> None:
+        """Ids ``[first, next id)`` estimate a child of the innermost
+        open machine that has not started: the range the child's own
+        projection takes over once it does (:meth:`take_slot`)."""
+        entry = self._open[-1]
+        if entry[4] is None:
+            entry[4] = []
+        entry[4].append((skel, (first, self._next_id, tuple(preds))))
+
+    def extent_of(self, index: int) -> Optional[Extent]:
+        """The id range machine *index*'s subtree occupies, if projected."""
+        layout = self._layouts.get(index)
+        return layout[:3] if layout is not None else None
+
+    def take_slot(self, parent_index: int, skel: Any) -> Optional[Extent]:
+        """Claim *parent_index*'s first free slot estimating *skel*.
+
+        Parents emit started children before estimated ones of the same
+        sub-skeleton, so the first free slot is where a fresh walk puts
+        the next child to start.  ``None`` when no such slot is left.
+        """
+        slots = self._layouts[parent_index][4]
+        for k, (slot_skel, extent) in enumerate(slots or ()):
+            if slot_skel is skel:
+                del slots[k]
+                return extent
+        return None
+
+    def source_ids_of(self, indices: Iterable[int]) -> List[int]:
+        """Ids of the activities built from the given machines' own spans
+        (machines this graph does not hold contribute nothing)."""
+        ids: List[int] = []
+        for index in indices:
+            layout = self._layouts.get(index)
+            if layout is not None:
+                ids.extend(layout[3])
+        return ids
+
+    def replay(self, extent: Extent, emit: Callable[[Iterable[int]], Any]) -> bool:
+        """Re-run a projection over the ids it already occupies.
+
+        While ``emit(preds)`` runs, :meth:`add` allocates nothing: it
+        checks that the next id of *extent* already holds an activity of
+        that name, role and predecessors (and, for one that has not
+        started, that estimated duration) and hands the id back.
+        Sources, extents and slots are re-recorded as on a walk; times
+        are left to :func:`~repro.core.statemachines.base.
+        refresh_from_sources`.  Returns False — the graph no longer
+        matches what a fresh walk would build, discard it — on the first
+        difference or when the extent is not used up exactly.
+        """
+        first, end, preds = extent
+        self._next_id, self._replay_end = first, end
+        try:
+            emit(preds)
+            return self._next_id == end
+        except _ShapeMismatch:
+            return False
+        finally:
+            self._next_id, self._replay_end = len(self._activities), None
+            del self._open[:]
+
+    def _replay_add(
+        self,
+        name: str,
+        duration: float,
+        preds: Tuple[int, ...],
+        start: Optional[float],
+        role: str,
+    ) -> int:
+        aid = self._next_id
+        if aid >= self._replay_end:
+            raise _ShapeMismatch
+        act = self._activities[aid]
+        if act.name != name or act.role != role or act.preds != preds:
+            raise _ShapeMismatch
+        if start is None and (act.start is not None or act.duration != duration):
+            raise _ShapeMismatch
+        self._next_id = aid + 1
+        return aid
 
     # -- changelog ----------------------------------------------------------------
 

@@ -34,10 +34,14 @@ Since the delta pipeline, cache *misses* are incremental too:
 
 * **projection patching** — when the machine changelog
   (:meth:`~repro.core.statemachines.MachineRegistry.delta_since`)
-  certifies that only span times changed since the previous live
-  projection, the previous ADG is refreshed in place from its span
-  sources instead of re-walking every machine
-  (``count_projection_patch``);
+  holds nothing structural since the previous live projection, the
+  previous ADG is kept: machines the delta lists as attached (a started
+  child, a split that landed the estimated cardinality, a nested
+  completion) re-run their own ``project()`` against a checking cursor
+  over the ids they already occupy
+  (:func:`~repro.core.statemachines.base.rebind`), and the spans the
+  window's events moved are re-read in place — instead of re-walking
+  every machine (``count_projection_patch``);
 * **delta re-pinning** — the pinned-actuals base advances to a new
   ``now`` by re-pinning only the delta-touched activities
   (:func:`~repro.core.schedule.pin_actuals_delta`,
@@ -77,7 +81,7 @@ from ..schedule import (
     schedule_pending,
 )
 from ..statemachines import MachineRegistry
-from ..statemachines.base import refresh_from_sources
+from ..statemachines.base import rebind, refresh_from_sources
 from .cache import PlanCache
 from .compile import (
     CompiledProjection,
@@ -123,11 +127,11 @@ class PlanEngine:
         every key is namespaced by this engine's id.  ``None`` creates a
         private cache.
     patching:
-        Enable the delta pipeline: when the machine changelog certifies
-        that only span times changed since the previous live projection
-        (and the estimator version is unchanged), the previous ADG is
-        patched in place (``count_projection_patch``) instead of
-        re-walked, and pinned-actuals bases advance by delta re-pin
+        Enable the delta pipeline: when the machine changelog holds
+        nothing structural since the previous live projection (and the
+        estimator version is unchanged), the previous ADG is patched in
+        place (``count_projection_patch``) instead of re-walked, and
+        pinned-actuals bases advance by delta re-pin
         (``count_pin_patch``).  Patched answers are bit-for-bit equal to
         full re-walks — pinned by the plan-engine property harness —
         so this flag exists for benchmarking the delta pipeline against
@@ -233,15 +237,17 @@ class PlanEngine:
 
         On a miss, the **patch path** runs first: when the machine
         changelog (:meth:`~repro.core.statemachines.MachineRegistry.
-        delta_since`) certifies that everything since the previous
-        projection was span-only — actual times landing on activities
-        that were already projected — and the estimator version is
-        unchanged, the previous ADG is refreshed in place from its span
-        sources (:func:`~repro.core.statemachines.base.
-        refresh_from_sources`) instead of re-walking every machine.  Any
-        structural change (new machines, cardinalities, condition
-        outcomes, a finished root, changed estimates) falls back to the
-        classic full walk.
+        delta_since`) holds nothing structural since the previous
+        projection and the estimator version is unchanged, the previous
+        ADG is kept.  Attached machines are bound over the ids a fresh
+        walk would hand them (:func:`~repro.core.statemachines.base.
+        rebind`), then the spans of the touched and attached machines
+        are re-read in place (:func:`~repro.core.statemachines.base.
+        refresh_from_sources`) — no machine is re-walked, no table
+        recompiled.  A structural change (a new or finished root, a
+        cardinality other than the projected one, condition outcomes),
+        changed estimates or a bind that finds another shape fall back
+        to the full walk.
         """
         roots_key = (
             None if roots is None else tuple(m.index for m in roots)
@@ -255,7 +261,7 @@ class PlanEngine:
             key = ("proj", token)
             adg = self._cached_projection(key)
             if adg is None:
-                adg = self._patch_projection(roots_key, rev, est_version)
+                adg = self._patch_projection(roots_key, rev, est_version, now)
                 if adg is None:
                     adg, _terminals = self.machines.project_roots(now, roots)
                     self.cache.count_projection_pass()
@@ -277,14 +283,17 @@ class PlanEngine:
             return adg
 
     def _patch_projection(
-        self, roots_key: Tuple, rev: int, est_version: int
+        self, roots_key: Tuple, rev: int, est_version: int, now: float
     ) -> Optional[ADG]:
         """Patch the previous projection for *roots_key*, or ``None``.
 
         ``None`` means "no sound patch exists — do the full walk": no
         previous projection, changed estimates, a structural delta, a
-        compacted changelog window, or a previous ADG some caller mutated
-        behind the engine's back.
+        compacted changelog window, a previous ADG some caller mutated
+        behind the engine's back, or an attached machine whose projection
+        does not fit the ids held for it (:func:`~repro.core.
+        statemachines.base.rebind`) — another shape than estimated, no
+        free slot.
         """
         if not self.patching:
             return None
@@ -298,12 +307,14 @@ class PlanEngine:
         delta = self.machines.delta_since(prev_rev)
         if delta is None or delta.structural:
             return None
-        if not delta.empty:
-            # Something span-touched: re-read every span source.  A
-            # window of pure no-ops (fan-out markers bump the revision
-            # but touch nothing) skips even that — the old graph already
-            # *is* what a fresh walk would build.
-            refresh_from_sources(adg)
+        for index in delta.attached:
+            if not rebind(adg, self.machines.machine(index), now):
+                return None
+        # Re-read the spans of the machines whose events moved them.  A
+        # window of pure no-ops (fan-out markers bump the revision but
+        # touch nothing) reads none — the old graph already *is* what a
+        # fresh walk would build.
+        refresh_from_sources(adg, delta.touched + delta.attached)
         self.cache.count_projection_patch()
         return adg
 
@@ -696,13 +707,8 @@ class PlanEngine:
             # misses the deadline skip their frontier pass.  The bound
             # is a true lower bound on the greedy WCT, so the first
             # feasible LP — the answer — is unchanged.
-            base = self._pinned_compiled(adg, now, table)
-            duration = table.duration
-            pp = base.pp
-            pending_work = sum(
-                d
-                for i in range(table.n)
-                if pp[i] != -1 and (d := duration[i]) > _EPS
+            pending_work = self._pinned_compiled(adg, now, table).pending_work(
+                table
             )
         for lp in range(max(1, start_lp), upper + 1):
             if (

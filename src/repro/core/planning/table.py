@@ -272,6 +272,7 @@ class CompiledPinnedBase:
         "busy",
         "ready_items",
         "to_schedule",
+        "_pending_work",
     )
 
     def __init__(self, now, ends, pp, state, busy, ready_items, to_schedule):
@@ -282,6 +283,26 @@ class CompiledPinnedBase:
         self.busy = busy  # heapified worker-release times (running only)
         self.ready_items = ready_items  # [(ready_time, aid)] frontier
         self.to_schedule = to_schedule
+        self._pending_work: Optional[float] = None
+
+    def pending_work(self, table: "PlanTable") -> float:
+        """Summed duration of the unpinned, worker-occupying activities of
+        *table* (the one this base was pinned from, at the revision it
+        was pinned at) — the work bound of the minimal-LP scans, computed
+        once per base and shared by every scan at its ``(graph, now)``.
+        """
+        work = self._pending_work
+        if work is None:
+            duration = table.duration
+            pp = self.pp
+            work = self._pending_work = sum(
+                d
+                for i in range(table.n)
+                # Zero-length activities never occupy a worker — exclude
+                # them, they can run at unbounded concurrency.
+                if pp[i] != -1 and (d := duration[i]) > _EPS
+            )
+        return work
 
 
 class CompiledSchedule:
@@ -898,15 +919,7 @@ def compiled_minimal_lp(
         base = compiled_pin(table, now)
     if prio is None:
         _cp, prio = compiled_critical_path(table)
-    duration = table.duration
-    pp = base.pp
-    pending_work = sum(
-        d
-        for i in range(table.n)
-        # Zero-length activities never occupy a worker — exclude them,
-        # they can run at unbounded concurrency.
-        if pp[i] != -1 and (d := duration[i]) > _EPS
-    )
+    pending_work = base.pending_work(table)
     for lp in range(max(1, start_lp), upper + 1):
         if now + pending_work / lp > deadline + _EPS:
             continue  # work bound: no lp-worker greedy schedule can fit

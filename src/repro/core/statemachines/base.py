@@ -19,19 +19,20 @@ event history.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterable, List, Optional
 
 from ...errors import StateMachineError
 from ...events.types import Event, When, Where
 from ...skeletons.base import Skeleton
 from ..adg import ADG
 from ..estimator import EstimatorRegistry
+from ..projection import project_skeleton
 
-__all__ = ["TrackingMachine", "MuscleSpan", "refresh_from_sources"]
+__all__ = ["TrackingMachine", "MuscleSpan", "refresh_from_sources", "rebind"]
 
 
-def refresh_from_sources(adg: ADG) -> int:
-    """Re-apply every span source of *adg*; returns how many changed.
+def refresh_from_sources(adg: ADG, machines: Optional[Iterable[int]] = None) -> int:
+    """Re-apply span sources of *adg*; returns how many activities changed.
 
     This is the projection **patch**: for each activity built from a
     :class:`MuscleSpan` (via :meth:`MuscleSpan.add_to`), re-derive
@@ -43,9 +44,17 @@ def refresh_from_sources(adg: ADG) -> int:
     re-walk would build.  Activities without a source (unexplored future
     structure projected straight from estimates) are untouched by
     construction: their times derive from estimates alone.
+
+    *machines* narrows the refresh to the spans those machine indices
+    own (a machine's events move its own spans only, so the changelog's
+    touched and attached machines are all a patch needs to re-read);
+    ``None`` re-reads every source.
     """
+    sources = adg.span_sources()
+    aids = sources if machines is None else adg.source_ids_of(machines)
     changed = 0
-    for aid, (span, est_duration) in adg.span_sources().items():
+    for aid in aids:
+        span, est_duration = sources[aid]
         if span.finished:
             start, end, duration = span.start, span.end, span.end - span.start
         elif span.started:
@@ -55,6 +64,27 @@ def refresh_from_sources(adg: ADG) -> int:
         if adg.update_activity(aid, start, end, duration):
             changed += 1
     return changed
+
+
+def rebind(adg: ADG, machine: "TrackingMachine", now: float) -> bool:
+    """Re-project *machine* over the ids a fresh walk would hand it.
+
+    A machine *adg* already holds replays its own extent; a newly
+    attached child takes the slot its parent estimated for it.  Either
+    way ``machine.project`` itself runs, against the checking cursor of
+    :meth:`~repro.core.adg.ADG.replay`, so the graph ends up with the
+    machine's spans attached as sources exactly where a fresh walk puts
+    them.  False means the shapes differ (the caller re-walks); a machine
+    under a root *adg* does not project is not part of it, hence True.
+    """
+    extent = adg.extent_of(machine.index)
+    if extent is None:
+        if adg.extent_of(machine.parent_index) is None:
+            return True
+        extent = adg.take_slot(machine.parent_index, machine.skel)
+        if extent is None:
+            return False
+    return adg.replay(extent, lambda preds: machine.project(adg, list(preds), now))
 
 
 class MuscleSpan:
@@ -199,8 +229,29 @@ class TrackingMachine:
         preds: List[int],
         now: float,
     ) -> List[int]:
-        """Append this instance's activities to *adg*; return terminals."""
+        """Append this instance's activities to *adg*; return terminals.
+
+        Brackets the kind-specific :meth:`_project` so *adg* records the
+        id range this machine's subtree occupies (see
+        :meth:`~repro.core.adg.ADG.begin_machine`).
+        """
+        adg.begin_machine(self.index, preds)
+        terminals = self._project(adg, preds, now)
+        adg.end_machine()
+        return terminals
+
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         raise NotImplementedError
+
+    def _project_estimate(
+        self, skel: Skeleton, adg: ADG, preds: List[int]
+    ) -> List[int]:
+        """Project a child that has not started from its estimates,
+        recording the ids as the slot the child binds to once it does."""
+        first = adg.next_id
+        terminals = project_skeleton(skel, adg, preds, self.estimators)
+        adg.note_slot(skel, first, preds)
+        return terminals
 
     # -- helpers --------------------------------------------------------------------
 

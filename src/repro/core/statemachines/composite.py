@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import List
 
 from ..adg import ADG
-from ..projection import project_skeleton
 from .base import TrackingMachine
 
 __all__ = ["FarmMachine", "PipeMachine"]
@@ -21,10 +20,10 @@ class FarmMachine(TrackingMachine):
 
     kind = "farm"
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         if self.children:
             return self.children[0].project(adg, preds, now)
-        return project_skeleton(self.skel.subskel, adg, preds, self.estimators)
+        return self._project_estimate(self.skel.subskel, adg, preds)
 
 
 class PipeMachine(TrackingMachine):
@@ -32,7 +31,7 @@ class PipeMachine(TrackingMachine):
 
     kind = "pipe"
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         # A single value flows through the stages in order, so child
         # machines attach in stage order.
         current = list(preds)
@@ -40,5 +39,5 @@ class PipeMachine(TrackingMachine):
             if k < len(self.children):
                 current = self.children[k].project(adg, current, now)
             else:
-                current = project_skeleton(stage, adg, current, self.estimators)
+                current = self._project_estimate(stage, adg, current)
         return current

@@ -36,7 +36,7 @@ class IfMachine(TrackingMachine):
         self.cond_span.result = bool(event.extra.get("cond_result"))
         self._observe_span(self.skel.condition, self.cond_span)
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
         cond = self.skel.condition
         cid = self.cond_span.add_to(adg, cond.name, est.t(cond), preds, role="condition")
@@ -49,4 +49,4 @@ class IfMachine(TrackingMachine):
         branch = self.skel.true_skel if self.cond_span.result else self.skel.false_skel
         if self.children:
             return self.children[0].project(adg, [cid], now)
-        return project_skeleton(branch, adg, [cid], est)
+        return self._project_estimate(branch, adg, [cid])

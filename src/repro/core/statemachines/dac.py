@@ -119,7 +119,7 @@ class DacMachine(TrackingMachine):
 
     # -- projection ------------------------------------------------------------------
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
         cond = self.skel.condition
         cid = self.cond_span.add_to(adg, cond.name, est.t(cond), preds, role="condition")
@@ -133,7 +133,7 @@ class DacMachine(TrackingMachine):
             n = self.split_span.card
             if n is None:
                 n = est.card_int(self.skel.split)
-            node_children = [c for c in self.children if isinstance(c, DacMachine)]
+            node_children = [c for c in self.children if c.skel is self.skel]
             terminals: List[int] = []
             for child in node_children[:n]:
                 terminals.extend(child.project(adg, [split_id], now))
@@ -144,19 +144,18 @@ class DacMachine(TrackingMachine):
                 cond_id = adg.add(cond.name, est.t(cond), [split_id], role="condition")
                 terminals.extend(
                     _project_future(self.skel, adg, [cond_id], est, child_remaining)
-                    if child_remaining > 0
-                    else project_skeleton(self.skel.subskel, adg, [cond_id], est)
                 )
+                adg.note_slot(self.skel, cond_id, [split_id])
             merge_id = self.merge_span.add_to(
                 adg, self.skel.merge.name, est.t(self.skel.merge), terminals,
                 role="merge",
             )
             return [merge_id]
         # Leaf: the nested skeleton.
-        leaf_children = [c for c in self.children if not isinstance(c, DacMachine)]
+        leaf_children = [c for c in self.children if c.skel is not self.skel]
         if leaf_children:
             return leaf_children[0].project(adg, [cid], now)
-        return project_skeleton(self.skel.subskel, adg, [cid], est)
+        return self._project_estimate(self.skel.subskel, adg, [cid])
 
 
 def _project_future(

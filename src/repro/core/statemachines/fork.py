@@ -15,7 +15,6 @@ from typing import Dict, List
 
 from ...events.types import Event
 from ..adg import ADG
-from ..projection import project_skeleton
 from .base import MuscleSpan, TrackingMachine
 
 __all__ = ["ForkMachine"]
@@ -48,7 +47,7 @@ class ForkMachine(TrackingMachine):
         self.merge_span.close(event)
         self._observe_span(self.skel.merge, self.merge_span)
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
         split_id = self.split_span.add_to(
             adg, self.skel.split.name, est.t(self.skel.split), preds, role="split"
@@ -64,7 +63,7 @@ class ForkMachine(TrackingMachine):
             if queue:
                 terminals.extend(queue.pop(0).project(adg, [split_id], now))
             else:
-                terminals.extend(project_skeleton(sub, adg, [split_id], est))
+                terminals.extend(self._project_estimate(sub, adg, [split_id]))
         merge_id = self.merge_span.add_to(
             adg, self.skel.merge.name, est.t(self.skel.merge), terminals, role="merge"
         )

@@ -52,7 +52,7 @@ class WhileMachine(TrackingMachine):
 
     # -- projection -----------------------------------------------------------
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
         cond = self.skel.condition
         current = list(preds)
@@ -65,7 +65,9 @@ class WhileMachine(TrackingMachine):
                 if body_idx < len(self.children):
                     current = self.children[body_idx].project(adg, current, now)
                 else:
-                    current = project_skeleton(self.skel.subskel, adg, current, est)
+                    current = self._project_estimate(
+                        self.skel.subskel, adg, current
+                    )
                 body_idx += 1
             elif span.result is False:
                 ended = True
@@ -98,11 +100,10 @@ class ForMachine(TrackingMachine):
 
     kind = "for"
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
-        est = self.estimators
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         current = list(preds)
         for child in self.children:
             current = child.project(adg, current, now)
         for _ in range(self.skel.times - len(self.children)):
-            current = project_skeleton(self.skel.subskel, adg, current, est)
+            current = self._project_estimate(self.skel.subskel, adg, current)
         return current

@@ -51,6 +51,9 @@ MACHINE_TYPES: Dict[str, Type[TrackingMachine]] = {
 #: requires the ``extensions`` opt-in.
 UNSUPPORTED_KINDS = frozenset({"if", "fork"})
 
+# What one event does to a projection (MachineRegistry._classify).
+_NOOP, _SPAN, _REBIND, _STRUCTURAL = range(4)
+
 
 class MachineRegistry(Listener):
     """Event listener that maintains one tracking machine per instance."""
@@ -63,11 +66,14 @@ class MachineRegistry(Listener):
         self.roots: List[TrackingMachine] = []
         self._rev = 0
         # Changelog (see delta_since): revision of the last *structural*
-        # event, plus the last span-only touch revision per machine —
-        # inherently coalesced to one entry per machine, so memory stays
-        # O(machines) for arbitrarily long executions.
+        # event, plus the last span-touch and last re-bind revision per
+        # machine — inherently coalesced to one entry per machine, so
+        # memory stays O(machines) for arbitrarily long executions.
+        # ``_attached`` keeps insertion order: a machine created inside a
+        # window sits after its parent.
         self._structural_rev = 0
         self._span_touched: Dict[int, int] = {}
+        self._attached: Dict[int, int] = {}
         self._floor_rev = 0
 
     @property
@@ -102,55 +108,78 @@ class MachineRegistry(Listener):
                 self._consume_locked(event)
 
     def _consume_locked(self, event: Event) -> None:
-        machine = self._machines.get(event.index)
+        index = event.index
+        machine = self._machines.get(index)
         created = machine is None
         if created:
             machine = self._create(event)
+        # Classified before the machine consumes the event: a split
+        # cardinality is compared with the estimate projections used so
+        # far, which observing it moves.
+        change = self._classify(machine, event)
+        if created and change != _STRUCTURAL:
+            # A child takes over the slot its parent estimated for it; a
+            # new root changes the projected root set.
+            change = _REBIND if machine.parent is not None else _STRUCTURAL
         machine.on_event(event)
-        self._rev += 1
-        if created or self._is_structural(machine, event):
-            self._structural_rev = self._rev
-        elif self._touches_span(machine, event):
-            self._span_touched[event.index] = self._rev
+        self._rev = rev = self._rev + 1
+        if change == _STRUCTURAL:
+            self._structural_rev = rev
+        elif change != _NOOP:
+            self._span_touched[index] = rev
+            if change == _REBIND:
+                self._attached[index] = rev
 
     # -- event classification (changelog) -----------------------------------
 
-    @staticmethod
-    def _is_structural(machine: TrackingMachine, event: Event) -> bool:
-        """True when *event* may reshape a projection of this execution.
+    def _classify(self, machine: TrackingMachine, event: Event) -> int:
+        """What *event* does to a projection that already holds *machine*.
 
-        Span-only events land actual times on spans that already existed
-        (and were therefore already projected with provenance); anything
-        else — machine creation (handled by the caller), split
-        cardinalities, condition outcomes, a While's growing condition
-        list, a finishing root — can change the *set* of projected
-        activities or their dependencies, so the changelog flags it and
-        the planning layer re-walks.
+        ``_SPAN``: an actual time lands on a span that already existed
+        (and was therefore projected with provenance) — the planning
+        layer re-reads it.  ``_REBIND``: besides that, state the
+        machine's own projection reads moved in a way that keeps the
+        shape when the projection guessed right; the delta lists the
+        machine as attached and the planning layer replays its extent to
+        prove it.  ``_STRUCTURAL``: the *set* of projected activities or
+        their dependencies changed, the planning layer re-walks.
         """
-        if event.where is Where.NESTED:
+        where = event.where
+        if where is Where.NESTED:
             # Control markers carry the parent's index and no machine has
             # a NESTED handler: pure no-ops for projection state.
-            return False
+            return _NOOP
         if event.when is When.BEFORE:
             # BEFORE events at most set the start of a pre-existing span
             # — except While, whose condition spans are *appended* per
             # evaluation (the new span replaces an estimate-only
             # activity, which carries no patchable source).
-            return machine.kind == "while" and event.where is Where.CONDITION
+            if where is Where.CONDITION and machine.kind == "while":
+                return _STRUCTURAL
+            return _SPAN
         # AFTER events:
-        if event.where is Where.MERGE:
-            return False  # closes a fixed span; the machine finishes later
-        if event.where is Where.SKELETON and machine.parent_index is not None:
-            # A nested completion closes its span; parents project
-            # children unconditionally, so the shape is unchanged.  A
-            # finishing *root* changes the projected root set instead.
-            return machine.kind != "seq"
-        return True
-
-    @staticmethod
-    def _touches_span(machine: TrackingMachine, event: Event) -> bool:
-        """True when a non-structural *event* changed some span's times."""
-        return event.where is not Where.NESTED
+        if where is Where.MERGE:
+            return _SPAN  # closes a fixed span; the machine finishes later
+        if where is Where.SKELETON:
+            if machine.parent_index is None:
+                return _STRUCTURAL  # the projected root set changes
+            # Parents project children whether finished or not, so a
+            # nested completion keeps the shape — unless the machine's
+            # projection reads ``finished`` (While does); Seq's is its
+            # one span.
+            return _SPAN if machine.kind == "seq" else _REBIND
+        if where is Where.SPLIT:
+            # Projections fan out by the actual cardinality once it is
+            # known and by the estimate before (Fork by its branches).
+            card = event.extra.get("fs_card")
+            if card is None or machine.kind == "fork":
+                return _REBIND
+            split = machine.skel.split
+            estimators = self.estimators
+            if estimators.has_card(split) and estimators.card_int(split) == card:
+                return _REBIND
+        # Another fan-out than projected, a condition outcome.
+        return _STRUCTURAL
 
     # -- changelog ------------------------------------------------------------
 
@@ -160,17 +189,20 @@ class MachineRegistry(Listener):
         ``None`` (window older than the compaction floor, or *rev* from
         the future) and ``structural=True`` both mean "re-walk";
         ``structural=False`` lists the machine indices whose spans gained
-        actual times — exactly the activities a projection patch must
-        refresh.
+        actual times (``touched``) — exactly the activities a projection
+        patch must refresh — and those whose subtree it must re-bind
+        first (``attached``, see :class:`~repro.core.delta.ChangeDelta`).
         """
         with self.lock:
             if rev < self._floor_rev or rev > self._rev:
                 return None
-            structural = self._structural_rev > rev
-            touched = () if structural else tuple(
+            if self._structural_rev > rev:
+                return ChangeDelta(rev, self._rev, True)
+            touched = tuple(
                 sorted(i for i, r in self._span_touched.items() if r > rev)
             )
-            return ChangeDelta(rev, self._rev, structural, touched)
+            attached = tuple(i for i, r in self._attached.items() if r > rev)
+            return ChangeDelta(rev, self._rev, False, touched, attached)
 
     def compact_changelog(self, before_rev: int) -> None:
         """Drop changelog detail at or below *before_rev*.
@@ -189,11 +221,14 @@ class MachineRegistry(Listener):
                 for i, r in self._span_touched.items()
                 if r > self._floor_rev
             }
+            self._attached = {
+                i: r for i, r in self._attached.items() if r > self._floor_rev
+            }
 
     def changelog_size(self) -> int:
-        """Number of per-machine changelog entries currently retained."""
+        """Number of machines with changelog entries currently retained."""
         with self.lock:
-            return len(self._span_touched)
+            return len(self._span_touched.keys() | self._attached.keys())
 
     # -- machine management ---------------------------------------------------
 
@@ -257,5 +292,6 @@ class MachineRegistry(Listener):
             self._machines.clear()
             self.roots.clear()
             self._span_touched.clear()
+            self._attached.clear()
             self._rev += 1
             self._structural_rev = self._rev

@@ -33,7 +33,7 @@ class SeqMachine(TrackingMachine):
         self.span.close(event)
         self._observe_span(self.skel.execute, self.span)
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         muscle = self.skel.execute
         est = self.estimators.t(muscle)
         aid = self.span.add_to(adg, muscle.name, est, preds, role="execute")

@@ -11,7 +11,6 @@ from typing import List
 
 from ...events.types import Event
 from ..adg import ADG
-from ..projection import project_skeleton
 from .base import MuscleSpan, TrackingMachine
 
 __all__ = ["MapMachine"]
@@ -52,7 +51,7 @@ class MapMachine(TrackingMachine):
 
     # -- projection -----------------------------------------------------------
 
-    def project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
+    def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
         split_id = self.split_span.add_to(
             adg, self.skel.split.name, est.t(self.skel.split), preds, role="split"
@@ -68,7 +67,7 @@ class MapMachine(TrackingMachine):
             terminals.extend(child.project(adg, [split_id], now))
         for _ in range(max(0, n - len(self.children))):
             terminals.extend(
-                project_skeleton(self.skel.subskel, adg, [split_id], est)
+                self._project_estimate(self.skel.subskel, adg, [split_id])
             )
         merge_id = self.merge_span.add_to(
             adg, self.skel.merge.name, est.t(self.skel.merge), terminals, role="merge"

@@ -31,6 +31,7 @@ from tests.core.test_plan_engine import (
     _PatchPathChecker,
     assert_pinned_equal,
     warm_map_analyzer,
+    warm_nested_map_analyzer,
 )
 
 
@@ -52,6 +53,8 @@ class TestChangeDelta:
         assert empty.empty and not empty
         touched = ChangeDelta(1, 3, structural=False, touched=(4,))
         assert not touched.empty and touched
+        attached = ChangeDelta(1, 3, structural=False, attached=(4,))
+        assert not attached.empty and attached
         structural = ChangeDelta(1, 2, structural=True)
         assert not structural.empty and structural
 
@@ -131,8 +134,10 @@ class _ChangelogProbe(Listener):
 
 
 class TestRegistryChangelog:
-    def run_map(self, width=4):
+    def run_map(self, width=4, warm_card=None):
         program, analyzer = warm_map_analyzer(width=width, work_t=1.0)
+        if warm_card is not None:
+            analyzer.estimators.initialize_card(program.split, warm_card)
         platform = timed_sim()
         probe = _ChangelogProbe(analyzer)
         platform.add_listener(analyzer)
@@ -145,30 +150,60 @@ class TestRegistryChangelog:
         by_label = {}
         for label, delta in probe.samples:
             by_label.setdefault(label, []).append(delta)
-        # Machine creation (the map's first event) and split cardinality
-        # are structural; the BEFORE-SPLIT on the already-created machine
-        # only starts a fixed span.
+        # A new root changes the projected root set: structural.  The
+        # BEFORE-SPLIT on the already-created machine only starts a
+        # fixed span.
         assert all(d.structural for d in by_label["map@b"])
-        assert all(d.structural for d in by_label["map@as"])
         assert all(
-            not d.structural and d.touched for d in by_label["map@bs"]
+            not d.structural and d.touched and not d.attached
+            for d in by_label["map@bs"]
         )
-        # A nested seq's BEFORE is its machine's first event (creation =
-        # structural); its AFTER is the archetypal span-only touch.
-        assert all(d.structural for d in by_label["seq@b"])
+        # The split lands the cardinality the projection estimated (4):
+        # the map is listed for a replay of its extent, not for a walk.
+        root = analyzer.machines.roots[0].index
+        assert [
+            (d.structural, d.touched, d.attached) for d in by_label["map@as"]
+        ] == [(False, (root,), (root,))]
+        # A nested seq's BEFORE is its machine's first event: the child
+        # is attached (it takes over the slot estimated for it); its
+        # AFTER is the archetypal span-only touch.
+        assert len(by_label["seq@b"]) == 4
+        for d in by_label["seq@b"]:
+            assert not d.structural and len(d.attached) == 1
+            assert d.touched == d.attached != (root,)
         assert all(
-            not d.structural and d.touched for d in by_label["seq@a"]
+            not d.structural and d.touched and not d.attached
+            for d in by_label["seq@a"]
         )
         # Fan-out control markers are projection no-ops: no touch at all.
-        assert all(
-            not d.structural and not d.touched for d in by_label["map@bn"]
-        )
+        assert all(d.empty for d in by_label["map@bn"])
         # The merge muscle closing is span-only; the root finishing is not.
         assert all(
             not d.structural and d.touched for d in by_label["map@bm"]
         )
         assert all(not d.structural for d in by_label["map@am"])
         assert all(d.structural for d in by_label["map@a"])
+
+    def test_split_of_another_cardinality_is_structural(self):
+        analyzer, probe = self.run_map(width=4, warm_card=6.0)
+        (delta,) = [d for label, d in probe.samples if label == "map@as"]
+        assert delta.structural and not delta.attached
+
+    def test_nested_map_creation_and_completion_are_attached(self):
+        program, analyzer = warm_nested_map_analyzer(2, 2)
+        platform = timed_sim()
+        probe = _ChangelogProbe(analyzer)
+        platform.add_listener(analyzer)
+        platform.add_listener(probe)
+        run(program, 3, platform)
+        root = analyzer.machines.roots[0]
+        inner = [child.index for child in root.children]
+        assert len(inner) == 2
+        created = [d for _label, d in probe.samples if set(d.attached) & set(inner)]
+        # Each inner map is listed three times and never forces a walk:
+        # created (map@b), split as estimated (map@as), completed (map@a).
+        assert sorted(d.attached[0] for d in created) == sorted(inner * 3)
+        assert not any(d.structural for d in created)
 
     def test_while_condition_before_is_structural(self):
         from repro.skeletons import Condition, While

@@ -94,6 +94,28 @@ def warm_map_analyzer(width=3, qos=None, cache=None, work_t=1.0, plan_compiled=T
     return program, analyzer
 
 
+def warm_nested_map_analyzer(outer, inner):
+    """An *outer* x *inner* two-level map whose estimates already equal
+    what the simulator will observe (1.0 per muscle, exact cardinalities),
+    so no observation moves the estimator version."""
+    program = Map(
+        Split(lambda v, w=outer: [v] * w, name="osplit"),
+        map_program(inner),
+        Merge(lambda rs: rs[0], name="omerge"),
+    )
+    analyzer = ExecutionAnalyzer(qos=QoS.wall_clock(60.0), skeleton=program)
+    names = ("osplit", "omerge", "split", "work", "merge")
+    analyzer.initialize_estimates(
+        program,
+        snapshot_from_names(
+            program,
+            times={name: 1.0 for name in names},
+            cards={"osplit": float(outer), "split": float(inner)},
+        ),
+    )
+    return program, analyzer
+
+
 # ---------------------------------------------------------------------------
 # version stamps
 
@@ -308,6 +330,22 @@ def assert_adg_content_equal(patched: ADG, fresh: ADG) -> None:
         )
 
 
+def assert_adg_layout_equal(patched: ADG, fresh: ADG) -> None:
+    """Span provenance and walk layout equality: every activity reads its
+    times from the span a fresh walk attaches (a wrongly bound source
+    fails here, at the bind, not when its times move), and machines and
+    free child slots sit on the same ids."""
+    assert patched.span_sources() == fresh.span_sources()
+
+    def layouts(adg):
+        return {
+            index: layout[:4] + (layout[4] or [],)
+            for index, layout in adg._layouts.items()
+        }
+
+    assert layouts(patched) == layouts(fresh)
+
+
 def assert_pinned_equal(base, full) -> None:
     assert base.now == full.now
     assert base.entries == full.entries
@@ -385,6 +423,7 @@ class _PatchPathChecker(Listener):
             adg = engine.projection(now, roots)
             fresh, _terminals = analyzer.machines.project_roots(now, roots)
             assert_adg_content_equal(adg, fresh)
+            assert_adg_layout_equal(adg, fresh)
             # Drive the pinned base (and its delta re-pin across nows)
             # through the engine, then compare with a full pinning pass.
             engine.limited(adg, now, 2)
@@ -475,6 +514,43 @@ class TestPatchPathEquivalence:
         assert stats.projection_patches >= 1
         assert stats.pin_patches >= 1
         assert stats.projection_passes >= 1  # structural points still walk
+
+    def test_converged_nested_map_walks_once(self):
+        """Deterministic non-vacuity of the bind path: on a warm,
+        converged 5x10 nested map every machine that starts takes over
+        the slot estimated for it and every split lands the estimated
+        cardinality, so the first live walk and its table are the only
+        ones; every later analysis point is a patch."""
+        program, analyzer = warm_nested_map_analyzer(5, 10)
+        platform = timed_sim()
+        checker = _PatchPathChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        run(program, 3, platform)
+        stats = analyzer.plan.cache.stats
+        assert checker.checked >= 60
+        assert stats.projection_passes == 1
+        assert stats.table_compiles == 1
+        assert stats.projection_patches == checker.checked - 1
+        assert stats.table_patches >= 60 and stats.pin_patches >= 60
+
+    def test_split_wider_than_estimated_falls_back_to_the_walk(self):
+        """Warm |fs| = 4 against an actual split of 6: the cardinality
+        reshapes the projection, so that window takes the full walk (and
+        the estimate moves with it); answers stay equal throughout."""
+        program, analyzer = warm_nested_map_analyzer(2, 6)
+        inner_split = program.subskel.split
+        analyzer.estimators.initialize_card(inner_split, 4.0)
+        platform = timed_sim()
+        checker = _PatchPathChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        run(program, 3, platform)
+        stats = analyzer.plan.cache.stats
+        assert checker.checked >= 20
+        # The first live walk, then one per inner split at least.
+        assert stats.projection_passes >= 3
+        assert stats.projection_patches >= 1
 
     def test_patching_off_never_patches_and_answers_agree(self):
         program, analyzer = warm_map_analyzer(

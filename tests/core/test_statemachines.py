@@ -252,3 +252,37 @@ class TestDacMachine:
         self.root.project(adg, [], now=0.5)
         # running cond + split + 2*(cond+leaf) + merge = 7
         assert len(adg) == 7
+
+    def test_leaf_running_a_nested_dac_projects_its_machine(self):
+        # The leaf's nested skeleton may itself be a D&C: its machine is
+        # told from this node's recursion children by the skeleton it
+        # runs, so the leaf projects it live instead of from estimates.
+        inner = DivideAndConquer(
+            lambda v: False,
+            Split(lambda v: [v], name="ifs"),
+            Seq(Execute(lambda v: v, name="innerleaf")),
+            Merge(sum, name="ifm"),
+        )
+        outer = DivideAndConquer(
+            lambda v: False, Split(lambda v: [v], name="ofs"), inner,
+            Merge(sum, name="ofm"),
+        )
+        reg = EstimatorRegistry(rho=0.5)
+        for m in outer.muscles():
+            reg.time_estimator(m).initialize(1.0)
+        for cards in (outer, inner):
+            reg.card_estimator(cards.condition).initialize(0)
+            reg.card_estimator(cards.split).initialize(1)
+        root = DacMachine(outer, 0, None, reg)
+        root.on_event(ev(outer, 0, When.BEFORE, Where.CONDITION, 0.0, depth=0))
+        root.on_event(
+            ev(outer, 0, When.AFTER, Where.CONDITION, 0.1, depth=0, cond_result=False)
+        )
+        nested = DacMachine(inner, 1, 0, reg)
+        root.attach_child(nested, ev(inner, 1, When.BEFORE, Where.SKELETON, 0.2, parent=0))
+        nested.on_event(ev(inner, 1, When.BEFORE, Where.CONDITION, 0.25, depth=0))
+        adg = ADG()
+        root.project(adg, [], now=0.5)
+        # outer cond (finished), inner cond (running), inner leaf
+        assert [a.status for a in adg.activities] == ["finished", "running", "pending"]
+        assert adg.extent_of(1) == (1, 3, (0,))
