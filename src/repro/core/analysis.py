@@ -32,7 +32,7 @@ events); leave it ``None`` for the classic whole-platform behaviour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import StateMachineError
 from ..events.batch import ANALYSIS_POINT_WHERE
@@ -58,6 +58,9 @@ __all__ = ["AnalysisReport", "ExecutionAnalyzer", "ANALYSIS_WHERE", "is_analysis
 ANALYSIS_WHERE = ANALYSIS_POINT_WHERE
 
 
+_UNSET = object()
+
+
 def is_analysis_point(event: Event) -> bool:
     """True when *event* is one of the paper's analysis points."""
     return event.when is When.AFTER and event.where in ANALYSIS_WHERE
@@ -76,7 +79,9 @@ class AnalysisReport:
     ``adg`` may advance underneath it — a later analysis can patch the
     same object in place instead of building a fresh one — so a stale
     report re-queried after newer events answers from the newer actuals
-    (its cached plans were already retired by the revision bump).
+    (its cached plans were already retired by the revision bump).  An
+    analyzer hands the *same* report back for as long as nothing it was
+    derived from moved (see :meth:`ExecutionAnalyzer.analyze`).
     """
 
     time: float
@@ -91,6 +96,11 @@ class AnalysisReport:
     #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull cached plans
     #: instead of re-running schedules from scratch.
     engine: Optional[PlanEngine] = field(default=None, repr=False, compare=False)
+    #: ``(cap, start_lp) -> minimal LP`` answers of the engine for the
+    #: graph revision in ``_minimal_rev``: a report the analyzer serves
+    #: again answers the arbiter's scan without entering the engine.
+    _minimal: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _minimal_rev: int = field(default=-1, init=False, repr=False, compare=False)
 
     @property
     def remaining_best_effort(self) -> float:
@@ -125,10 +135,21 @@ class AnalysisReport:
         """
         if self.deadline is None:
             return None
-        if self.engine is not None:
-            return self.engine.minimal_lp(
-                self.adg, self.time, self.deadline, cap=cap, start_lp=start_lp
-            )
+        engine = self.engine
+        if engine is not None:
+            rev = self.adg.rev
+            if rev != self._minimal_rev:
+                self._minimal = {}
+                self._minimal_rev = rev
+            key = (cap, start_lp)
+            answer = self._minimal.get(key, _UNSET)
+            if answer is _UNSET:
+                answer = engine.minimal_lp(
+                    self.adg, self.time, self.deadline, cap=cap, start_lp=start_lp
+                )
+                if engine.cache.maxsize:  # 0 is the from-scratch baseline
+                    self._minimal[key] = answer
+            return answer
         found = minimal_lp_greedy(
             self.adg, self.time, self.deadline, max_lp=cap, start_lp=start_lp
         )
@@ -201,6 +222,8 @@ class ExecutionAnalyzer(Listener):
             compiled=plan_compiled,
         )
         self.exec_start: Dict[int, float] = {}  # root index -> start time
+        # (key, report, report.adg.rev when built): the last report, see analyze.
+        self._last_report: Optional[Tuple[Tuple, AnalysisReport, int]] = None
         if skeleton is not None:
             self.validate(skeleton)
 
@@ -294,7 +317,37 @@ class ExecutionAnalyzer(Listener):
         not emitted any event yet (tasks queued, no worker reached them)
         is analyzed *structurally* instead — scenario 2's initialization,
         extended to the pre-start window.
+
+        A report is a pure function of ``(machines.rev,
+        estimators.version, now, current_lp)``, so the last one is kept
+        and the *same object* returned while that key repeats — what a
+        global planner pays for an execution that did not move since
+        the previous rebalance at this instant.  The revision is read
+        before anything is projected, so a hit is never older than the
+        revision the caller could see.  Explicit *roots*, a
+        ``PlanCache(maxsize=0)`` (the from-scratch baseline) and a
+        served graph mutated behind the engine all bypass the slot.
         """
+        memo_key = None
+        if roots is None and self.plan.cache.maxsize:
+            memo_key = (
+                self.machines.rev, self.estimators.version, now, current_lp
+            )
+            last = self._last_report
+            if (
+                last is not None
+                and last[0] == memo_key
+                and last[1].adg.rev == last[2]
+            ):
+                return last[1]
+        report = self._analyze(now, current_lp, roots)
+        if memo_key is not None and report is not None:
+            self._last_report = (memo_key, report, report.adg.rev)
+        return report
+
+    def _analyze(
+        self, now: float, current_lp: Optional[int], roots: Optional[List]
+    ) -> Optional[AnalysisReport]:
         roots = roots if roots is not None else self.unfinished_roots()
         if not roots and not self.machines.roots:
             return self._structural_report(now, current_lp)

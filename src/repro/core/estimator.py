@@ -123,6 +123,9 @@ class EstimatorRegistry:
         self._time: Dict[int, HistoryEstimator] = {}
         self._card: Dict[int, HistoryEstimator] = {}
         self._version = 0
+        # skeleton -> [version at which ready_for last answered True,
+        # muscles whose t(m) it needs, muscles whose |m| it needs].
+        self._readiness: Dict[Skeleton, list] = {}
         self._lock = threading.Lock()
 
     @property
@@ -275,13 +278,30 @@ class EstimatorRegistry:
         least once" gate: the first ADG analysis of a cold run can only
         happen once every muscle has an observation (scenario 1's first
         analysis at ≈7.6 s, right after the first merge).
+
+        A positive answer is remembered per ``(version, skeleton)``:
+        asking again before any estimate moved is one dict lookup.  A
+        negative one is asked anew each time — an estimator initialized
+        directly (``time_estimator(m).initialize(x)``) becomes ready
+        without moving the version — but over the muscles the skeleton
+        needs, flattened once, instead of two walks of its tree.
         """
-        for muscle in skel.muscles():
-            if not self.has_time(muscle):
-                return False
-        for muscle in self.required_cards(skel):
-            if not self.has_card(muscle):
-                return False
+        entry = self._readiness.get(skel)
+        if entry is None:
+            if len(self._readiness) >= 32:
+                self._readiness.clear()  # bounds what the memo keeps alive
+            entry = self._readiness[skel] = [
+                None, tuple(skel.muscles()), tuple(self.required_cards(skel))
+            ]
+        version = self._version
+        if entry[0] == version:
+            return True
+        for needed, estimators in ((entry[1], self._time), (entry[2], self._card)):
+            for muscle in needed:
+                est = estimators.get(muscle.uid)  # atomic: no lock needed
+                if est is None or not est.ready:
+                    return False
+        entry[0] = version
         return True
 
     def missing_for(self, skel: Skeleton) -> list:

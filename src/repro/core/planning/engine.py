@@ -45,7 +45,9 @@ Since the delta pipeline, cache *misses* are incremental too:
 * **delta re-pinning** — the pinned-actuals base advances to a new
   ``now`` by re-pinning only the delta-touched activities
   (:func:`~repro.core.schedule.pin_actuals_delta`,
-  ``count_pin_patch``);
+  ``count_pin_patch``), and the compiled critical-path priority table
+  advances over the same changelog window
+  (:func:`~repro.core.planning.table.compiled_critical_path_delta`);
 * **quantized-now buckets** — with ``PlanCache(now_quantum=q)`` live
   schedules are computed and keyed at the bucket floor, so real-clock
   rebalances inside one bucket share plans at a decision skew bounded
@@ -94,6 +96,7 @@ from .table import (
     PlanTable,
     compiled_best_effort,
     compiled_critical_path,
+    compiled_critical_path_delta,
     compiled_pin,
     compiled_pin_delta,
     compiled_schedule_pending,
@@ -104,6 +107,16 @@ __all__ = ["PlanEngine"]
 _EPS = 1e-9
 
 _engine_ids = itertools.count(1)
+
+
+def _hold(entries: Dict[int, Tuple], adg: ADG, value) -> None:
+    """Record *value* as the latest built for *adg* at its revision
+    (keyed by identity, held weakly), shedding the entries of collected
+    graphs once the map has grown."""
+    entries[id(adg)] = (weakref.ref(adg), adg.rev, value)
+    if len(entries) > 64:
+        for key in [k for k, entry in entries.items() if entry[0]() is None]:
+            del entries[key]
 
 
 class PlanEngine:
@@ -184,6 +197,10 @@ class PlanEngine:
         self._cpin_prev: Dict[
             int, Tuple[weakref.ref, int, CompiledPinnedBase]
         ] = {}
+        # id(adg) -> (weakref, adg rev, (cp, prio)): the priority table
+        # each live graph was last scheduled with, advanced across
+        # revisions like the pinned base.
+        self._ccp_prev: Dict[int, Tuple[weakref.ref, int, Tuple]] = {}
         # Lazy identity of the skeleton's structure (stable for the
         # engine's lifetime) and the estimate values the structural memo
         # keys on, re-derived only when the estimator version moves.
@@ -440,17 +457,47 @@ class PlanEngine:
         return table
 
     def _critical_path_compiled(self, adg: ADG, table: PlanTable) -> Tuple:
-        """``(cp array, prio heap entries)`` for *table*, cached per rev."""
+        """``(cp array, prio heap entries)`` for *table*, cached per rev.
+
+        A miss on a live graph first tries the **delta**: the pair this
+        engine last built for the same ADG object is advanced across the
+        changelog window by :func:`~repro.core.planning.table.
+        compiled_critical_path_delta`, which recomputes only the rows
+        the window touched and the predecessors a changed value reaches.
+        """
         token = self._token_of(adg)
         key = ("ccp", token) if token is not None else None
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        pair = compiled_critical_path(table)
+        live = key is not None and type(adg) is not CompiledProjection
+        pair = self._patch_critical_path(adg, table) if live else None
+        if pair is None:
+            pair = compiled_critical_path(table)
         if key is not None:
             self.cache.put(key, pair)
+        if live:
+            with self._lock:
+                _hold(self._ccp_prev, adg, pair)
         return pair
+
+    def _patch_critical_path(self, adg: ADG, table: PlanTable) -> Optional[Tuple]:
+        if not self.patching:
+            return None
+        with self._lock:
+            entry = self._ccp_prev.get(id(adg))
+        if entry is None or entry[0]() is not adg:
+            return None
+        _ref, prev_rev, prev_pair = entry
+        if prev_rev == adg.rev:
+            return prev_pair  # evicted from the store, still current
+        delta = adg.delta_since(prev_rev)
+        if delta is None or delta.structural:
+            return None
+        # Like the delta re-pin, this reads the table _table_for already
+        # refreshed from the same window.
+        return compiled_critical_path_delta(table, prev_pair, delta.touched)
 
     def _pinned_compiled(
         self, adg: ADG, now: float, table: PlanTable
@@ -485,13 +532,19 @@ class PlanEngine:
         if key is not None:
             self.cache.put(key, base)
             with self._lock:
-                self._cpin_prev[id(adg)] = (weakref.ref(adg), adg.rev, base)
-                if len(self._cpin_prev) > 64:
-                    self._cpin_prev = {
-                        k: entry
-                        for k, entry in self._cpin_prev.items()
-                        if entry[0]() is not None
-                    }
+                _hold(self._cpin_prev, adg, base)
+                lagging = self._ccp_prev.get(id(adg))
+            if (
+                self.patching
+                and lagging is not None
+                and lagging[0]() is adg
+                and lagging[1] != adg.rev
+            ):
+                # The priority table advances over the same changelog
+                # window: take it across before the window is compacted
+                # away (a minimal-LP scan pins before its first frontier
+                # pass asks for priorities).
+                self._critical_path_compiled(adg, table)
             adg.compact_changelog(adg.rev if self.patching else 0)
         return base
 
@@ -585,13 +638,7 @@ class PlanEngine:
         if key is not None:
             self.cache.put(key, base)
             with self._lock:
-                self._pin_prev[id(adg)] = (weakref.ref(adg), adg.rev, base)
-                if len(self._pin_prev) > 64:
-                    self._pin_prev = {
-                        k: entry
-                        for k, entry in self._pin_prev.items()
-                        if entry[0]() is not None
-                    }
+                _hold(self._pin_prev, adg, base)
             adg.compact_changelog(adg.rev if self.patching else 0)
         return base
 

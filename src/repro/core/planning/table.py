@@ -28,6 +28,9 @@ Every scheduler pass then runs as index arithmetic over these columns:
 
 * :func:`compiled_critical_path` — the priority table, one reversed
   array sweep (plus a prebuilt heap-entry list shared by every LP);
+  :func:`compiled_critical_path_delta` carries it across a
+  non-structural window, recomputing the touched rows and whatever a
+  changed value reaches;
 * :func:`compiled_pin` / :func:`compiled_pin_delta` — pass 1, pinning
   actuals into plain ``array`` columns (the delta variant advances a
   previous base to a new *now* via C-speed array copies, touching only
@@ -54,6 +57,7 @@ from __future__ import annotations
 import heapq
 import operator
 from array import array
+from itertools import compress, repeat
 from math import nan
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -67,7 +71,7 @@ from ..schedule import (
 
 try:  # optional accelerator; every user keeps a pure-stdlib fallback
     import numpy as _np
-except ImportError:  # pragma: no cover - numpy is present in CI
+except ImportError:  # exercised by CI's numpy-free tier-1 leg
     _np = None
 
 __all__ = [
@@ -75,6 +79,7 @@ __all__ = [
     "CompiledPinnedBase",
     "CompiledSchedule",
     "compiled_critical_path",
+    "compiled_critical_path_delta",
     "compiled_pin",
     "compiled_pin_delta",
     "compiled_best_effort",
@@ -83,6 +88,19 @@ __all__ = [
 ]
 
 _EPS = 1e-9
+
+#: Table size from which :meth:`CompiledSchedule.peak` goes through numpy.
+#: Measured on a 2-CPU host (CPython 3.11, numpy 2.4) over every analysis
+#: point's best-effort schedule, cropped at *now*, of two-level maps on the
+#: virtual clock.  In a tight loop ``_np_peak`` costs 21 / 23 / 25 / 29 us
+#: at 24 / 112 / 222 / 442 rows (seven array calls, nearly flat) and the
+#: pure-Python sweep 6 / 21 / 38 / 73 us (it grows with the unfinished
+#: rows): they cross near 128 rows.  Inside a service storm, between other
+#: work, numpy's fixed cost doubles (40-57 us per call at every size from
+#: 23 to 222 rows) while the sweep costs 11 / 19 / 32 / 50 us at 23 / 68 /
+#: 130 / 222 rows: there they cross just above 222 rows.  The gate follows
+#: the second measurement, the one the planner lives in.
+_NP_PEAK_MIN_ROWS = 256
 
 #: state byte -> ScheduledActivity.status string (index = state)
 _STATUS = ("pending", "running", "finished")
@@ -121,7 +139,11 @@ class PlanTable:
         "succ1",
         "succ_ptr",
         "succ_ext",
+        "_work",
     )
+
+    def __init__(self) -> None:
+        self._work: Optional[array] = None  # see work_column
 
     @classmethod
     def compile(cls, adg: ADG) -> Optional["PlanTable"]:
@@ -222,16 +244,32 @@ class PlanTable:
         end = self.end
         duration = self.duration
         state = self.state
+        work = self._work
         for aid in touched:
             act = adg.activity(aid)
             s = act.start
             e = act.end
             start[aid] = nan if s is None else s
             end[aid] = nan if e is None else e
-            duration[aid] = act.duration
+            duration[aid] = d = act.duration
+            if work is not None:
+                work[aid] = d if d > _EPS else 0.0
             state[aid] = (
                 FINISHED if e is not None else RUNNING if s is not None else PENDING
             )
+
+    def work_column(self) -> array:
+        """``duration`` with the zero-length entries (``<= _EPS``, which
+        never occupy a worker) stored as ``0.0`` — the column the
+        minimal-LP work bound sums.  Built on first use, then kept
+        current by :meth:`refresh`.
+        """
+        work = self._work
+        if work is None:
+            work = self._work = array(
+                "d", [d if d > _EPS else 0.0 for d in self.duration]
+            )
+        return work
 
     def preds_of(self, i: int) -> Tuple[int, ...]:
         """Predecessor ids of *i* (test/debug helper, not the hot path)."""
@@ -293,14 +331,14 @@ class CompiledPinnedBase:
         """
         work = self._pending_work
         if work is None:
-            duration = table.duration
-            pp = self.pp
+            # The unpinned rows' work, summed left to right at C speed.
+            # Zero-length activities can run at unbounded concurrency;
+            # the work column holds them as 0.0, and adding +0.0 leaves
+            # every partial sum what the sum over the others alone gives.
             work = self._pending_work = sum(
-                d
-                for i in range(table.n)
-                # Zero-length activities never occupy a worker — exclude
-                # them, they can run at unbounded concurrency.
-                if pp[i] != -1 and (d := duration[i]) > _EPS
+                compress(
+                    table.work_column(), map(operator.ne, self.pp, repeat(-1))
+                )
             )
         return work
 
@@ -386,15 +424,21 @@ class CompiledSchedule:
     def peak(self, from_time: Optional[float] = None) -> int:
         """Maximum concurrency (optionally only from *from_time* onwards).
 
-        When the step function itself was never asked for, the peak is
-        computed directly from the start/end columns (same filtering,
-        grouping and crop rules as :func:`~repro.core.schedule.
-        concurrency_timeline` — the value is identical); a memoized
-        timeline is reused for free.
+        From :data:`_NP_PEAK_MIN_ROWS` rows on, when the step function
+        itself was never asked for, the peak is computed directly from
+        the start/end columns with numpy (same filtering, grouping and
+        crop rules as :func:`~repro.core.schedule.concurrency_timeline`
+        — the value is identical); below it numpy's fixed cost loses to
+        the pure-Python sweep, and a memoized timeline is reused for
+        free at any size.
         """
         cached = self._peaks.get(from_time)
         if cached is None:
-            if _np is not None and from_time not in self._timelines:
+            if (
+                _np is not None
+                and len(self._starts) >= _NP_PEAK_MIN_ROWS
+                and from_time not in self._timelines
+            ):
                 cached = _np_peak(self._starts, self._ends, from_time)
             else:
                 cached = peak_concurrency(self.timeline(from_time))
@@ -498,6 +542,79 @@ def compiled_critical_path(table: PlanTable) -> Tuple[array, list]:
     # negation is exact, so the entries equal the comprehension's bit for
     # bit.
     prio = list(zip(map(operator.neg, cp), range(n)))
+    return cp, prio
+
+
+def compiled_critical_path_delta(
+    table: PlanTable, prev: Tuple[array, list], touched: Iterable[int]
+) -> Tuple[array, list]:
+    """Advance a previous ``(cp, prio)`` pair across a non-structural
+    window — the priority twin of :func:`compiled_pin_delta`.
+
+    A row's value reads its own duration and state and its successors'
+    values, so only the *touched* rows can change by themselves, and a
+    changed row can only change its predecessors (in practice the
+    finished prefix above a completing activity).  Rows are recomputed
+    in descending id order — each after everything it reads is final,
+    each with the float operations of the full sweep — and a row whose
+    value stays put stops the propagation.  *prev* is not mutated; the
+    result equals :func:`compiled_critical_path` on the refreshed table
+    bit for bit (same certificate as the delta re-pin).
+    """
+    cp = array("d", prev[0])
+    prio = list(prev[1])
+    duration = table.duration
+    state = table.state
+    nsucc = table.nsucc
+    succ0 = table.succ0
+    succ1 = table.succ1
+    succ_ptr = table.succ_ptr
+    succ_ext = table.succ_ext
+    npred = table.npred
+    pred0 = table.pred0
+    pred1 = table.pred1
+    pred_ptr = table.pred_ptr
+    pred_ext = table.pred_ext
+    heappush = heapq.heappush
+    heappop = heapq.heappop
+
+    queued = set(touched)
+    heap = [-aid for aid in queued]  # max-heap of row ids
+    heapq.heapify(heap)
+    while heap:
+        i = -heappop(heap)
+        c = nsucc[i]
+        best = 0.0
+        if c:
+            best = cp[succ0[i]]
+            if c >= 2:
+                if c == 2:
+                    v = cp[succ1[i]]
+                    if v > best:
+                        best = v
+                else:
+                    for s in succ_ext[succ_ptr[i]:succ_ptr[i + 1]]:
+                        v = cp[s]
+                        if v > best:
+                            best = v
+        if state[i] != FINISHED:
+            best += duration[i]
+        if best == cp[i]:
+            continue
+        cp[i] = best
+        prio[i] = (-best, i)
+        c = npred[i]
+        if c:
+            if c == 1:
+                preds = (pred0[i],)
+            elif c == 2:
+                preds = (pred0[i], pred1[i])
+            else:
+                preds = pred_ext[pred_ptr[i]:pred_ptr[i + 1]]
+            for p in preds:
+                if p not in queued:
+                    queued.add(p)
+                    heappush(heap, -p)
     return cp, prio
 
 

@@ -174,6 +174,11 @@ class LPArbiter:
         #: passed over); the two aging clocks share one record so no
         #: update site can desynchronize them.
         self._starved: Dict[int, Tuple[int, float]] = {}
+        #: execution id -> (analyzer, cap, weight, priority): the
+        #: scheduling class, resolved at an execution's first rebalance.
+        self._classes: Dict[
+            int, Tuple[ExecutionAnalyzer, Optional[int], float, int]
+        ] = {}
         self._lock = threading.Lock()
 
     # -- arbitration ------------------------------------------------------------
@@ -227,6 +232,7 @@ class LPArbiter:
                     return None
             if not analyzers:
                 self._starved.clear()
+                self._classes.clear()
                 self.platform.set_shares({})
                 return None
             self._last = now
@@ -240,6 +246,8 @@ class LPArbiter:
             return outcome
 
     # -- per-execution scheduling class -----------------------------------------
+    # Fixed for an execution's lifetime (the service stamps it at submit
+    # time), so _allocate resolves it once per execution, not per rebalance.
 
     @staticmethod
     def _qos_cap(analyzer: ExecutionAnalyzer) -> Optional[int]:
@@ -301,10 +309,17 @@ class LPArbiter:
         caps: Dict[int, Optional[int]] = {}
         weights: Dict[int, float] = {}
         priorities: Dict[int, int] = {}
+        classes = self._classes
         for eid, analyzer in analyzers.items():
-            caps[eid] = self._qos_cap(analyzer)
-            weights[eid] = self._weight_of(analyzer)
-            priorities[eid] = self._priority_of(analyzer)
+            resolved = classes.get(eid)
+            if resolved is None or resolved[0] is not analyzer:
+                resolved = classes[eid] = (
+                    analyzer,
+                    self._qos_cap(analyzer),
+                    self._weight_of(analyzer),
+                    self._priority_of(analyzer),
+                )
+            _analyzer, caps[eid], weights[eid], priorities[eid] = resolved
             report = analyzer.analyze(now)
             if report is None:
                 cold.append(eid)
@@ -390,6 +405,9 @@ class LPArbiter:
         for eid in list(self._starved):
             if eid not in analyzers:
                 del self._starved[eid]
+        if len(classes) > len(analyzers):
+            for eid in [eid for eid in classes if eid not in analyzers]:
+                del classes[eid]
 
         total = min(self.capacity, sum(shares.values()))
         return Rebalance(

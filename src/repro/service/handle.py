@@ -162,10 +162,14 @@ class ExecutionHandle:
         with self._lock:
             self._cancelled = True
 
-    def _mark_finished(self, finished_at: float) -> None:
-        """Stamp the finish time and release result() waiters."""
+    def _stamp_finished(self, finished_at: float) -> None:
+        """Stamp the finish time (first stamp wins)."""
         if self.finished_at is None:
             self.finished_at = finished_at
+
+    def _mark_finished(self, finished_at: float) -> None:
+        """Stamp the finish time and release result() waiters."""
+        self._stamp_finished(finished_at)
         self._finalized.set()
 
     # -- consumption ------------------------------------------------------------

@@ -624,11 +624,24 @@ class SkeletonService:
             span.finish(status="ok" if status == "completed" else status)
 
     def _on_done(self, handle: ExecutionHandle) -> None:
-        # Stamp completion before anything that can block: result() waiters
-        # wake before done-callbacks run and then block on the handle's
-        # finalization event, so it must be set without first contending
-        # for the service lock.
-        handle._mark_finished(self.platform.now())
+        # Stamp completion and settle the stats before anything that can
+        # block: result() waiters wake before done-callbacks run and then
+        # block on the handle's finalization event, so it must be set
+        # without first contending for the service lock — but not before
+        # ``stats`` (its own lock; needs only ``finished_at``) holds this
+        # execution, or ``result()`` returns ahead of ``stats.completed``.
+        handle._stamp_finished(self.platform.now())
+        exc = handle.future.exception(timeout=0)
+        if exc is None:
+            outcome = "completed"
+        elif isinstance(exc, ExecutionCancelledError):
+            outcome = "cancelled"
+        else:
+            outcome = "failed"
+        self.stats.record_finished(
+            handle.tenant, outcome, handle.finished_at, handle.goal_met()
+        )
+        handle._mark_finished(handle.finished_at)
         with self._lock:
             record = self._live.pop(handle.execution_id, None)
             if record is None:
@@ -637,16 +650,6 @@ class SkeletonService:
             if record.checkpointer is not None:
                 self.platform.bus.remove_listener(record.checkpointer)
             self.tenants.finished(handle.tenant)
-            exc = handle.future.exception(timeout=0)
-            if exc is None:
-                outcome = "completed"
-            elif isinstance(exc, ExecutionCancelledError):
-                outcome = "cancelled"
-            else:
-                outcome = "failed"
-            self.stats.record_finished(
-                handle.tenant, outcome, handle.finished_at, handle.goal_met()
-            )
             self._finish_exec_span(handle.execution_id, outcome)
             if self._exec_duration is not None and handle.started_at is not None:
                 self._exec_duration.observe(

@@ -14,6 +14,7 @@ from repro import (
 )
 from repro.core.analysis import ExecutionAnalyzer, is_analysis_point
 from repro.errors import StateMachineError
+from repro.events.bus import Listener
 from repro.events.types import When, Where
 from repro.runtime.costmodel import ConstantCostModel
 from repro.runtime.interpreter import submit
@@ -203,3 +204,159 @@ class TestStructuralPreStartAnalysis:
         # and report phantom pending work.
         assert analyzer.finished
         assert analyzer.analyze(platform.now()) is None
+
+
+class TestReportMemo:
+    """``analyze`` is a pure function of ``(machines.rev,
+    estimators.version, now, current_lp)``: while that key repeats the
+    analyzer hands back the *same* report; anything that moves the key,
+    or a graph mutated behind the engine, makes a fresh one."""
+
+    def live_analyzer(self, plan_cache=None):
+        """A warm analyzer stopped mid-run, right after the split."""
+        from repro.core.persistence import snapshot_from_names
+
+        platform = timed_platform()
+        program = timed_map(width=4)
+        analyzer = ExecutionAnalyzer(
+            qos=QoS.wall_clock(100.0), skeleton=program, plan_cache=plan_cache
+        )
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(
+                program, times={"fs": 1.0, "fe": 1.0, "fm": 1.0}, cards={"fs": 4}
+            ),
+        )
+        stopped = []
+
+        class UntilSplit(Listener):
+            def accepts(self, event):
+                return not stopped
+
+            def on_event(self, event):
+                analyzer.observe(event)
+                if is_analysis_point(event) and event.where is Where.SPLIT:
+                    stopped.append(platform.now())
+                return event.value
+
+        platform.add_listener(UntilSplit())
+        future = submit(program, 1, platform)
+        future.get()
+        assert stopped and analyzer.unfinished_roots()
+        return analyzer, program, stopped[0]
+
+    def test_same_object_while_nothing_moved(self):
+        analyzer, _program, now = self.live_analyzer()
+        first = analyzer.analyze(now)
+        assert first is not None
+        assert analyzer.analyze(now) is first
+        assert first.minimal_lp(cap=8) == first.minimal_lp(cap=8) == 1
+
+    def test_structural_report_is_memoized_too(self):
+        _program, analyzer = TestStructuralPreStartAnalysis().warm_analyzer(
+            qos=QoS.wall_clock(10.0)
+        )
+        first = analyzer.analyze(3.0)
+        assert first is not None and analyzer.analyze(3.0) is first
+        assert analyzer.analyze(4.0).deadline == 14.0
+
+    def test_fresh_after_now_or_current_lp_moves(self):
+        analyzer, _program, now = self.live_analyzer()
+        first = analyzer.analyze(now)
+        later = analyzer.analyze(now + 0.5)
+        assert later is not first and later.time == now + 0.5
+        at_two = analyzer.analyze(now + 0.5, current_lp=2)
+        assert at_two is not later and at_two.wct_current_lp is not None
+        assert analyzer.analyze(now + 0.5, current_lp=2) is at_two
+
+    def test_fresh_after_an_event(self):
+        from repro.events.types import Event
+
+        analyzer, program, now = self.live_analyzer()
+        first = analyzer.analyze(now)
+        root = analyzer.machines.roots[0]
+        rev = analyzer.machines.rev
+        # A control marker: bumps the revision, touches no span.
+        analyzer.observe(
+            Event(
+                skeleton=program,
+                kind=program.kind,
+                when=When.BEFORE,
+                where=Where.NESTED,
+                index=root.index,
+                parent_index=None,
+                value=None,
+                timestamp=now,
+            )
+        )
+        assert analyzer.machines.rev == rev + 1
+        second = analyzer.analyze(now)
+        assert second is not first
+        assert second.wct_best_effort == first.wct_best_effort
+
+    def test_fresh_after_the_estimator_version_moves(self):
+        analyzer, program, now = self.live_analyzer()
+        first = analyzer.analyze(now)
+        leaf = next(m for m in program.muscles() if m.name == "fe")
+        analyzer.estimators.initialize_time(leaf, 3.0)
+        second = analyzer.analyze(now)
+        assert second is not first
+        assert second.wct_best_effort > first.wct_best_effort
+
+    def test_fresh_after_the_served_graph_was_mutated(self):
+        analyzer, _program, now = self.live_analyzer()
+        first = analyzer.analyze(now)
+        answer = first.minimal_lp(cap=8)
+        first.adg.touch()  # mutated behind the engine, like _cached_projection
+        second = analyzer.analyze(now)
+        assert second is not first and second.adg is not first.adg
+        # The held-over report does not answer from its retired revision.
+        assert first.minimal_lp(cap=8) == answer
+        assert first._minimal_rev == first.adg.rev
+
+    def test_explicit_roots_bypass_the_slot(self):
+        analyzer, _program, now = self.live_analyzer()
+        roots = analyzer.unfinished_roots()
+        first = analyzer.analyze(now, roots=roots)
+        assert first is not None
+        assert analyzer.analyze(now, roots=roots) is not first
+        assert analyzer.analyze(now) is not first
+
+    def test_disabled_cache_is_the_from_scratch_baseline(self):
+        from repro.core.planning import PlanCache
+
+        cache = PlanCache(maxsize=0)
+        analyzer, _program, now = self.live_analyzer(plan_cache=cache)
+        first = analyzer.analyze(now)
+        passes = cache.stats.schedule_passes
+        assert analyzer.analyze(now) is not first
+        assert cache.stats.schedule_passes > passes
+        first.minimal_lp(cap=8)
+        passes = cache.stats.schedule_passes
+        first.minimal_lp(cap=8)
+        assert cache.stats.schedule_passes > passes
+
+    def test_readiness_gate_is_memoized_per_version(self):
+        analyzer, program, _now = self.live_analyzer()
+        est = analyzer.estimators
+        assert est.ready_for(program)
+        walks = []
+        original = program.muscles
+        program.muscles = lambda: walks.append(1) or original()
+        assert est.ready_for(program) and not walks  # no tree walk again
+        leaf = next(m for m in original() if m.name == "fe")
+        est.initialize_time(leaf, 2.0)  # version moves: asked anew, still flat
+        assert est.ready_for(program) and not walks
+
+    def test_direct_estimator_initialize_is_seen_without_a_version_bump(self):
+        program = timed_map(width=4)
+        analyzer = ExecutionAnalyzer(skeleton=program)
+        est = analyzer.estimators
+        assert not est.ready_for(program)
+        version = est.version
+        for muscle in program.muscles():
+            est.time_estimator(muscle).initialize(1.0)
+        est.card_estimator(program.split).initialize(4.0)
+        assert est.version == version
+        assert est.ready_for(program)
+        assert analyzer.analyze(0.0) is not None

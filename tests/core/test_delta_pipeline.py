@@ -16,7 +16,14 @@ from repro.core.adg import ADG
 from repro.core.analysis import ExecutionAnalyzer, is_analysis_point
 from repro.core.delta import ChangeDelta
 from repro.core.estimator import EstimatorRegistry
-from repro.core.planning import PlanCache
+from repro.core.planning import PlanCache, PlanTable
+from repro.core.planning import engine as engine_module
+from repro.core.planning.table import (
+    compiled_critical_path,
+    compiled_critical_path_delta,
+    compiled_minimal_lp,
+    compiled_pin,
+)
 from repro.core.schedule import (
     limited_lp_schedule,
     pin_actuals,
@@ -369,6 +376,139 @@ class TestPinActualsDelta:
         patched = pin_actuals_delta(adg, 6.0, base, touched=tuple(times))
         assert_pinned_equal(patched, pin_actuals(adg, 6.0))
         assert patched.to_schedule == 0
+
+
+# ---------------------------------------------------------------------------
+# compiled_critical_path_delta and the engine's carried priority table
+
+
+class TestCriticalPathDelta:
+    def advance(self, adg, table, pair, rev):
+        """Refresh *table* over the window since *rev*, delta the pair."""
+        delta = adg.delta_since(rev)
+        assert delta is not None and not delta.structural
+        table.refresh(adg, delta.touched)
+        advanced = compiled_critical_path_delta(table, pair, delta.touched)
+        fresh = compiled_critical_path(table)
+        assert advanced[0] == fresh[0] and advanced[1] == fresh[1]
+        return advanced
+
+    def test_transitions_match_the_full_sweep(self):
+        adg, (a, b, c, d, e, f) = staged_adg()
+        table = PlanTable.compile(adg)
+        pair = compiled_critical_path(table)
+        before = (list(pair[0]), list(pair[1]))
+        rev = adg.rev
+        # d starts (no value moves), then c finishes: c's duration leaves
+        # the chain and the change climbs through the finished a.
+        adg.update_activity(d, 3.0, None, 1.5)
+        advanced = self.advance(adg, table, pair, rev)
+        assert list(advanced[0]) == before[0]
+        rev = adg.rev
+        adg.update_activity(c, 1.0, 3.5, 2.5)
+        advanced = self.advance(adg, table, advanced, rev)
+        assert advanced[0][c] == advanced[0][e] and advanced[0][a] < before[0][a]
+        # The input pair is never mutated (it may still be cached).
+        assert (list(pair[0]), list(pair[1])) == before
+
+    def test_everything_finishing_drains_to_zero(self):
+        adg, ids = staged_adg()
+        table = PlanTable.compile(adg)
+        pair = compiled_critical_path(table)
+        rev = adg.rev
+        times = {ids[2]: (1.0, 3.0), ids[3]: (3.0, 4.5), ids[4]: (3.0, 4.0),
+                 ids[5]: (4.5, 5.0)}
+        for aid, (s, e) in times.items():
+            adg.update_activity(aid, s, e, e - s)
+        advanced = self.advance(adg, table, pair, rev)
+        assert list(advanced[0]) == [0.0] * len(adg)
+
+    def test_changed_estimate_of_a_running_row_propagates(self):
+        adg, (a, b, c, d, e, f) = staged_adg()
+        table = PlanTable.compile(adg)
+        pair = compiled_critical_path(table)
+        rev = adg.rev
+        adg.update_activity(c, 1.0, None, 7.0)  # running, longer than thought
+        advanced = self.advance(adg, table, pair, rev)
+        assert advanced[0][c] == 7.0 + advanced[0][e]
+        assert advanced[0][a] == advanced[0][c]
+
+    def test_pending_work_equals_the_per_row_sum(self):
+        """The C-speed work bound (compress over the zeroed work column)
+        is the per-row sum bit for bit, zero-length rows included, and
+        follows the table through a refresh."""
+        adg, (a, b, c, d, e, f) = staged_adg()
+        zero = adg.add("zero", 0.0, preds=[f])
+        tiny = adg.add("tiny", 1e-12, preds=[f])
+        table = PlanTable.compile(adg)
+
+        def per_row(base):
+            return sum(
+                table.duration[i]
+                for i in range(table.n)
+                if base.pp[i] != -1 and table.duration[i] > 1e-9
+            )
+
+        base = compiled_pin(table, 2.0)
+        assert base.pending_work(table) == per_row(base) == 1.5 + 1.0 + 0.5
+        assert table.work_column()[zero] == table.work_column()[tiny] == 0.0
+        rev = adg.rev
+        adg.update_activity(d, None, None, 0.1)
+        adg.update_activity(e, None, None, 0.2)
+        adg.update_activity(f, None, None, 1e-10)
+        table.refresh(adg, adg.delta_since(rev).touched)
+        base = compiled_pin(table, 2.0)
+        assert base.pending_work(table) == per_row(base) == 0.1 + 0.2
+        found = compiled_minimal_lp(table, 2.0, 100.0)
+        assert found is not None and found[0] == 1
+
+    def test_engine_carries_the_table_across_a_whole_run(self, monkeypatch):
+        """Arbiter order — analyze, then ``minimal_lp`` (which pins, and
+        compacts the changelog, *before* its first frontier pass asks
+        for priorities): on a converged nested map the one full sweep is
+        the first; every later revision is a delta."""
+        sweeps, deltas = [], []
+        full, delta = (
+            engine_module.compiled_critical_path,
+            engine_module.compiled_critical_path_delta,
+        )
+        monkeypatch.setattr(
+            engine_module,
+            "compiled_critical_path",
+            lambda table: sweeps.append(1) or full(table),
+        )
+        monkeypatch.setattr(
+            engine_module,
+            "compiled_critical_path_delta",
+            lambda table, prev, touched: deltas.append(len(tuple(touched)))
+            or delta(table, prev, touched),
+        )
+        program, analyzer = warm_nested_map_analyzer(5, 10)
+        platform = timed_sim()
+        answers = []
+
+        class ArbiterLike(Listener):
+            def on_event(self, event):
+                if is_analysis_point(event):
+                    report = analyzer.analyze(platform.now())
+                    if report is not None:
+                        answers.append(report.minimal_lp(cap=8))
+                        table = analyzer.plan._table_for(report.adg)
+                        pair = analyzer.plan._critical_path_compiled(
+                            report.adg, table
+                        )
+                        fresh = full(table)
+                        assert pair[0] == fresh[0] and pair[1] == fresh[1]
+                return event.value
+
+        platform.add_listener(analyzer)
+        platform.add_listener(ArbiterLike())
+        run(program, 3, platform)
+        assert len(answers) >= 60 and all(a is not None for a in answers)
+        assert len(sweeps) == 1
+        assert len(deltas) >= 60
+        # A window touches the rows of the muscle that moved, not the table.
+        assert max(deltas) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -441,7 +441,13 @@ class _PatchPathChecker(Listener):
                     engine.limited(adg, now, 2),
                     limited_lp_schedule(adg, now, 2),
                 )
-                cp, _prio = engine._critical_path_compiled(adg, table)
+                # The (possibly delta-advanced) priority table against
+                # a fresh sweep of the same table, and against the dict
+                # twin.
+                cp, prio = engine._critical_path_compiled(adg, table)
+                fresh_cp, fresh_prio = compiled_critical_path(table)
+                assert cp == fresh_cp
+                assert prio == fresh_prio
                 ref_cp = remaining_critical_path(adg)
                 assert list(cp) == [ref_cp[i] for i in range(len(adg))]
             assert_pinned_equal(engine._pinned(adg, now), pin_actuals(adg, now))
@@ -719,8 +725,10 @@ class TestSharedCache:
             _program, analyzer = warm_map_analyzer(
                 width=4, qos=QoS.wall_clock(6.0), cache=cache
             )
-            for _ in range(5):
-                report = analyzer.analyze(0.0, current_lp=2)
+            for i in range(6):
+                # Alternating current_lp keeps the analyzer's one-slot
+                # report memo missing, so every round reaches the store.
+                report = analyzer.analyze(0.0, current_lp=2 + i % 2)
                 assert report is not None
                 report.minimal_lp(cap=6)
             return cache.stats

@@ -1,0 +1,175 @@
+"""What a rebalance costs, counted — and what ``result()`` settles.
+
+Two properties of the service that wall-clock benches can only hint at:
+
+* **A rebalance pays for the execution that moved.**  On a 16-tenant
+  simulator storm (deterministic: virtual clock, fixed submission order)
+  the planner's work counters are exact constants, and the plan-cache
+  lookups of a rebalance are bounded by what the one moved execution
+  needs — not by how many executions are live, each of which used to be
+  re-analyzed from the top on every tick.
+* **``result()`` returns after the stats hold the execution.**  The
+  done-callback records the completion in ``ServiceStats`` *before* it
+  releases the handle's waiters (the ordering race behind the logged
+  ``test_stats_aggregate[threads]`` flake).
+"""
+
+import threading
+
+from repro import QoS, SimulatedPlatform, SkeletonService
+from repro.core.persistence import snapshot_from_names
+from repro.core.qos import Priority
+from repro.runtime.costmodel import ConstantCostModel
+from repro.skeletons import Execute, Map, Merge, Seq, Split
+from tests.conftest import sleepy_map_program, sleepy_map_snapshot
+
+TENANTS = 16
+CAPACITY = 8
+GOALS = (6.0, 12.0, 30.0, 90.0)
+WEIGHTS = (0.5, 1.0, 4.0)
+PRIORITIES = (Priority.BATCH, Priority.NORMAL, Priority.HIGH)
+
+
+def flat_map(width):
+    return Map(
+        Split(lambda v, w=width: [v + i for i in range(w)], name=f"split{width}"),
+        Seq(Execute(lambda v: v + 1, name="leaf")),
+        Merge(sum, name="sum"),
+    )
+
+
+def run_storm():
+    """16 warm tenants over four map widths, a rebalance on every tick.
+
+    Returns ``(per-rebalance rows, plan stats)``; a row is ``(trigger,
+    time, live executions, plan-cache lookups the rebalance made)``.
+    """
+    platform = SimulatedPlatform(
+        parallelism=1, cost_model=ConstantCostModel(1.0), max_parallelism=CAPACITY
+    )
+    service = SkeletonService(
+        platform=platform, capacity=CAPACITY, min_rebalance_interval=0.0
+    )
+    rows = []
+    seen = [0]
+
+    def on_rebalance(outcome, live_ids):
+        stats = service.plan_cache.stats
+        lookups = stats.hits + stats.misses
+        rows.append((outcome.trigger, outcome.time, len(live_ids), lookups - seen[0]))
+        seen[0] = lookups
+
+    service.arbiter.on_rebalance = on_rebalance
+    submitted = []
+    for i in range(TENANTS):
+        width = 2 + i % 4
+        program = flat_map(width)
+        qos = None
+        if i % 5:
+            qos = QoS.wall_clock(
+                GOALS[i % 4], weight=WEIGHTS[i % 3], priority=PRIORITIES[i % 3]
+            )
+        warm = snapshot_from_names(
+            program,
+            times={f"split{width}": 1.0, "leaf": 1.0, "sum": 1.0},
+            cards={f"split{width}": float(width)},
+        )
+        handle = service.submit(
+            program, i, qos=qos, tenant=f"tenant-{i}", warm_start=warm
+        )
+        submitted.append((handle, sum(i + k + 1 for k in range(width))))
+    for handle, expected in submitted:
+        assert handle.result(timeout=10.0) == expected
+    stats = service.plan_stats()
+    service.shutdown(wait=False)
+    return rows, stats
+
+
+class TestRebalanceCost:
+    def test_work_counters_are_the_parents_constants(self):
+        """Exact planner work of the storm, unchanged by the memo, the
+        carried priority table and the size-gated peak: those remove
+        lookups and sweeps, never a schedule or projection pass."""
+        _rows, stats = run_storm()
+        assert stats["schedule_passes"] == 473
+        assert stats["projection_passes"] == 20
+        assert stats["projection_patches"] == 158
+        assert stats["table_compiles"] == 16
+        assert stats["misses"] == 1231
+
+    def test_lookups_are_bounded_by_the_moved_execution(self):
+        rows, _stats = run_storm()
+        # Tick-driven rebalances at an instant the arbiter already
+        # rebalanced at: exactly one execution moved since (the tick's),
+        # and no clock advance re-times the others.
+        same_instant = [
+            row
+            for previous, row in zip(rows, rows[1:])
+            if not row[0].startswith(("admit", "done")) and row[1] == previous[1]
+        ]
+        assert len(same_instant) >= 80
+        crowded = [row for row in same_instant if row[2] >= 12]
+        assert len(crowded) >= 40
+        # One moved execution costs at most ~20 lookups (projection,
+        # best-effort, pin, priorities, the minimal-LP scan); re-analyzing
+        # every live one cost 31-54 at these live counts.
+        assert max(row[3] for row in same_instant) <= 24
+        # ... and it does not grow with the crowd.
+        sparse = [row[3] for row in same_instant if 5 <= row[2] < 12]
+        assert max(row[3] for row in crowded) <= max(sparse) + 2
+
+    def test_storm_is_deterministic(self):
+        first_rows, first = run_storm()
+        second_rows, second = run_storm()
+        assert first == second
+        assert [row[1:] for row in first_rows] == [row[1:] for row in second_rows]
+
+
+class TestResultSettlesStats:
+    def test_result_waits_for_the_stats_record(self):
+        """Hold ``stats.record_finished`` on a gate: ``result()`` must not
+        return while the completion is still missing from the stats."""
+        width, leaf = 2, 0.01
+        with SkeletonService(
+            backend="threads", capacity=2, min_rebalance_interval=0.0
+        ) as service:
+            entered = threading.Event()
+            gate = threading.Event()
+            record_finished = service.stats.record_finished
+
+            def held(*args, **kwargs):
+                entered.set()
+                assert gate.wait(timeout=10.0)
+                return record_finished(*args, **kwargs)
+
+            service.stats.record_finished = held
+            program = sleepy_map_program(width, leaf)
+            handle = service.submit(
+                program,
+                1,
+                qos=QoS.wall_clock(5.0),
+                tenant="t",
+                warm_start=sleepy_map_snapshot(program, width, leaf),
+            )
+            returned = threading.Event()
+            seen = {}
+
+            def consume():
+                seen["value"] = handle.result(timeout=10.0)
+                seen["completed"] = service.stats.completed
+                seen["goal_met"] = handle.goal_met()
+                returned.set()
+
+            consumer = threading.Thread(target=consume, daemon=True)
+            consumer.start()
+            assert entered.wait(timeout=10.0)  # the execution finished...
+            assert handle.future.done()
+            # ...but while its stats record is held, result() is too.
+            assert not returned.wait(timeout=0.2)
+            assert service.stats.completed == 0
+            gate.set()
+            assert returned.wait(timeout=10.0)
+            consumer.join(timeout=10.0)
+            assert not consumer.is_alive()
+            assert seen == {"value": width, "completed": 1, "goal_met": True}
+            assert service.drain(timeout=10.0)
