@@ -49,6 +49,9 @@ class Activity:
     #: free-form tag for rendering/tests: "split", "execute", "merge",
     #: "condition" — mirrors the muscle flavour.
     role: str = "execute"
+    #: uid of the muscle whose ``t(m)`` estimates this activity (``None``
+    #: on hand-built graphs: such an activity is never retimed).
+    muscle: Optional[int] = None
 
     @property
     def finished(self) -> bool:
@@ -94,6 +97,14 @@ class ADG:
         # planning layer can re-read actual times without re-walking the
         # tracking machines (see ``repro.core.planning.engine``).
         self._sources: Dict[int, Tuple[Any, float]] = {}
+        # muscle uid -> ids of the activities it times (see retime);
+        # written by walks only, a replay moves no activity to another
+        # muscle.
+        self._rows_of: Dict[int, List[int]] = {}
+        #: A walk picked an ``If`` branch by comparing estimated work:
+        #: the *shape* of this graph reads ``t(m)`` values, so a moved
+        #: estimate is answered by a fresh walk, not by :meth:`retime`.
+        self.shape_reads_times = False
         # Layout of the walk that built this graph (see begin_machine):
         # machine index -> (first id, end id, preds, ids of the
         # activities built from the machine's own spans, free slots).
@@ -145,16 +156,19 @@ class ADG:
         start: Optional[float] = None,
         end: Optional[float] = None,
         role: str = "execute",
+        muscle: Optional[int] = None,
     ) -> int:
         """Add an activity; returns its id.
 
         Predecessors must already exist (construction is topological by
         design — projection walks the program structure forward), which
-        also guarantees acyclicity.
+        also guarantees acyclicity.  Projections go through
+        :meth:`add_muscle`, which names the *muscle*; a hand-built
+        activity has none and :meth:`retime` leaves it alone.
         """
         preds = tuple(preds)
         if self._replay_end is not None:
-            return self._replay_add(name, duration, preds, start, role)
+            return self._replay_add(name, duration, preds, start, role, muscle)
         for p in preds:
             if p not in self._activities:
                 raise ADGError(f"predecessor {p} does not exist")
@@ -168,15 +182,69 @@ class ADG:
         self._next_id += 1
         act = Activity(
             id=aid, name=name, duration=float(duration), preds=preds,
-            start=start, end=end, role=role,
+            start=start, end=end, role=role, muscle=muscle,
         )
         self._activities[aid] = act
         self._succs[aid] = []
         for p in preds:
             self._succs[p].append(aid)
+        if muscle is not None:
+            self._rows_of.setdefault(muscle, []).append(aid)
         self._rev += 1
         self._structural_rev = self._rev
         return aid
+
+    def add_muscle(
+        self,
+        muscle: Any,
+        estimators: Any,
+        preds: Iterable[int] = (),
+        role: str = "execute",
+        span: Any = None,
+    ) -> int:
+        """Add one execution of *muscle*, timed by its estimate ``t(m)``.
+
+        The one place a projection derives a duration from an estimate:
+        name, duration and the muscle → activities index (:meth:`retime`)
+        all come from here.  *span* (duck-typed ``start`` / ``end``, in
+        practice a :class:`~repro.core.statemachines.base.MuscleSpan`)
+        lands the actual times known so far over the estimate and is
+        attached as the activity's source (:meth:`attach_source`).
+        """
+        est = estimators.t(muscle)
+        if span is None:
+            return self.add(muscle.name, est, preds, role=role, muscle=muscle.uid)
+        start, end = span.start, span.end
+        aid = self.add(
+            muscle.name, est if end is None else end - start, preds,
+            start=start, end=end, role=role, muscle=muscle.uid,
+        )
+        self.attach_source(aid, span, est)
+        return aid
+
+    def retime(self, muscle: int, t: float) -> int:
+        """``t(m)`` of the muscle with uid *muscle* moved to *t*: write it
+        through the activities it times; returns how many durations moved.
+
+        Unfinished activities take the new duration through
+        :meth:`update_activity`, so the changelog reports them touched
+        and everything downstream (table write-through, delta re-pin,
+        priority delta) engages as for a landed actual.  The estimate
+        recorded beside every span source of the muscle moves as well,
+        finished ones included — exactly what a fresh walk records — so
+        a later refresh of a running span keeps the new estimate.
+        """
+        t = float(t)
+        sources = self._sources
+        moved = 0
+        for aid in self._rows_of.get(muscle, ()):
+            entry = sources.get(aid)
+            if entry is not None:
+                sources[aid] = (entry[0], t)
+            act = self._activities[aid]
+            if act.end is None and self.update_activity(aid, act.start, None, t):
+                moved += 1
+        return moved
 
     def update_activity(
         self,
@@ -301,8 +369,8 @@ class ADG:
 
         While ``emit(preds)`` runs, :meth:`add` allocates nothing: it
         checks that the next id of *extent* already holds an activity of
-        that name, role and predecessors (and, for one that has not
-        started, that estimated duration) and hands the id back.
+        that name, role, muscle and predecessors (and, for one that has
+        not started, that estimated duration) and hands the id back.
         Sources, extents and slots are re-recorded as on a walk; times
         are left to :func:`~repro.core.statemachines.base.
         refresh_from_sources`.  Returns False — the graph no longer
@@ -327,12 +395,18 @@ class ADG:
         preds: Tuple[int, ...],
         start: Optional[float],
         role: str,
+        muscle: Optional[int],
     ) -> int:
         aid = self._next_id
         if aid >= self._replay_end:
             raise _ShapeMismatch
         act = self._activities[aid]
-        if act.name != name or act.role != role or act.preds != preds:
+        if (
+            act.name != name
+            or act.role != role
+            or act.muscle != muscle
+            or act.preds != preds
+        ):
             raise _ShapeMismatch
         if start is None and (act.start is not None or act.duration != duration):
             raise _ShapeMismatch

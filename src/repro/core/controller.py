@@ -201,12 +201,12 @@ class AutonomicController(Listener):
         self.analyzer.observe(event)
         # Analyze on muscle-completion analysis points.
         if is_analysis_point(event):
-            self._maybe_analyze(trigger=event.label)
+            self._maybe_analyze(event)
         return event.value
 
     # -- analysis ----------------------------------------------------------------------
 
-    def _maybe_analyze(self, trigger: str) -> None:
+    def _maybe_analyze(self, trigger: Event) -> None:
         if self.qos.wct is None:
             return  # nothing to plan for; max LP is enforced by clamping
         now = self.platform.now()
@@ -225,8 +225,13 @@ class AutonomicController(Listener):
             self._last_analysis = now
             self._plan_and_execute(report, trigger)
 
-    def _plan_and_execute(self, report: AnalysisReport, trigger: str) -> None:
-        """Plan against the deadline and apply the LP change (if any)."""
+    def _plan_and_execute(self, report: AnalysisReport, trigger: Event) -> None:
+        """Plan against the deadline and apply the LP change (if any).
+
+        *trigger* is the analysis point itself: its label is formatted
+        only here, for the recorded :class:`Decision` — most analysis
+        points of a cold or finished execution never get this far.
+        """
         deadline = report.deadline
         current_lp = report.current_lp
         lp_after = current_lp
@@ -262,7 +267,7 @@ class AutonomicController(Listener):
         self.decisions.append(
             Decision(
                 time=report.time,
-                trigger=trigger,
+                trigger=trigger.label,
                 lp_before=current_lp,
                 lp_after=lp_after,
                 wct_best_effort=report.wct_best_effort,

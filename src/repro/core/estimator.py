@@ -101,6 +101,12 @@ class HistoryEstimator:
         )
 
 
+def _whole(card: float) -> int:
+    """A cardinality estimate as a whole count (ceil, never negative) —
+    the one integer both ``card_int`` readings derive from."""
+    return max(0, math.ceil(card - 1e-9))
+
+
 class EstimatorRegistry:
     """Per-muscle estimators of ``t(m)`` and ``|m|`` for a program.
 
@@ -123,6 +129,12 @@ class EstimatorRegistry:
         self._time: Dict[int, HistoryEstimator] = {}
         self._card: Dict[int, HistoryEstimator] = {}
         self._version = 0
+        # Changelog beside the version (see changed_since): muscle uid ->
+        # version of its last t(m) value change, and the version of the
+        # last |m| change that moved an integer reading.  One entry per
+        # muscle, so it never needs compacting.
+        self._time_moved: Dict[int, int] = {}
+        self._shape_version = 0
         # skeleton -> [version at which ready_for last answered True,
         # muscles whose t(m) it needs, muscles whose |m| it needs].
         self._readiness: Dict[Skeleton, list] = {}
@@ -139,20 +151,48 @@ class EstimatorRegistry:
 
         *Value* change is literal: an observation that leaves the
         smoothed estimate bit-identical (a steady workload whose ``t(m)``
-        has converged) does **not** bump the stamp.  That keeps plans —
-        and, since the delta pipeline, patched projections — valid across
-        event storms that carry no new information, while any actual
-        drift still invalidates everything derived from the old values.
+        has converged) does **not** bump the stamp.  That keeps plans
+        valid across event storms that carry no new information, while
+        any actual drift still invalidates everything derived from the
+        old values.  *What* moved between two stamps is a separate
+        question, answered by :meth:`changed_since`: a live projection
+        survives a moved ``t(m)`` by retiming the rows that muscle feeds.
         """
         return self._version
 
-    def _bump(self) -> None:
-        with self._lock:
-            self._version += 1
-
-    def _bump_if_changed(self, before: Optional[float], after: float) -> None:
+    def _time_changed(self, muscle: Muscle, before: Optional[float], after: float) -> None:
         if before is None or before != after:
-            self._bump()
+            with self._lock:
+                self._version += 1
+                self._time_moved[muscle.uid] = self._version
+
+    def _card_changed(self, before: Optional[float], after: float) -> None:
+        if before is None or before != after:
+            with self._lock:
+                self._version += 1
+                if before is None or _whole(before) != _whole(after):
+                    self._shape_version = self._version
+
+    def changed_since(self, version: int) -> Optional[Dict[int, float]]:
+        """What moved after *version*: ``{muscle uid: current t(m)}`` of
+        the muscles whose time estimate changed value, or ``None`` when
+        the *shape* of projections may have moved.
+
+        Projections read ``|m|`` only through :meth:`card_int` /
+        :meth:`card_int_zero`, so a cardinality estimate that drifts
+        without either integer moving changes no projection and is not
+        reported at all; one that crosses an integer (or becomes ready)
+        answers ``None``.  O(muscles), and any number of readers may ask
+        about their own versions of one shared registry.
+        """
+        with self._lock:
+            if self._shape_version > version:
+                return None
+            return {
+                uid: self._time[uid].value
+                for uid, moved in self._time_moved.items()
+                if moved > version
+            }
 
     def _new_estimator(self) -> HistoryEstimator:
         if self._factory is not None:
@@ -188,7 +228,7 @@ class EstimatorRegistry:
         est = self.time_estimator(muscle)
         before = est.peek()
         value = est.update(duration)
-        self._bump_if_changed(before, value)
+        self._time_changed(muscle, before, value)
         return value
 
     def observe_card(self, muscle: Muscle, cardinality: float) -> float:
@@ -198,7 +238,7 @@ class EstimatorRegistry:
         est = self.card_estimator(muscle)
         before = est.peek()
         value = est.update(cardinality)
-        self._bump_if_changed(before, value)
+        self._card_changed(before, value)
         return value
 
     def initialize_time(self, muscle: Muscle, value: float) -> None:
@@ -206,14 +246,14 @@ class EstimatorRegistry:
         est = self.time_estimator(muscle)
         before = est.peek()
         est.initialize(value)
-        self._bump_if_changed(before, est.peek())
+        self._time_changed(muscle, before, est.peek())
 
     def initialize_card(self, muscle: Muscle, value: float) -> None:
         """Warm-start the ``|m|`` estimate of *muscle* (version-stamped)."""
         est = self.card_estimator(muscle)
         before = est.peek()
         est.initialize(value)
-        self._bump_if_changed(before, est.peek())
+        self._card_changed(before, est.peek())
 
     # -- queries -----------------------------------------------------------------
 
@@ -231,7 +271,7 @@ class EstimatorRegistry:
         Projections need whole sub-problem counts / iteration counts; the
         underlying estimate is a float blend of past observations.
         """
-        return max(1, math.ceil(self.card(muscle) - 1e-9))
+        return max(1, _whole(self.card(muscle)))
 
     def card_int_zero(self, muscle: Muscle) -> int:
         """``|m|`` rounded like :meth:`card_int` but allowing zero.
@@ -240,7 +280,7 @@ class EstimatorRegistry:
         be zero (a loop whose condition is false immediately; a D&C whose
         root is already a leaf).
         """
-        return max(0, math.ceil(self.card(muscle) - 1e-9))
+        return _whole(self.card(muscle))
 
     def has_time(self, muscle: Muscle) -> bool:
         with self._lock:

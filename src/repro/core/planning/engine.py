@@ -35,10 +35,11 @@ Since the delta pipeline, cache *misses* are incremental too:
 * **projection patching** — when the machine changelog
   (:meth:`~repro.core.statemachines.MachineRegistry.delta_since`)
   holds nothing structural since the previous live projection, the
-  previous ADG is kept: machines the delta lists as attached (a started
-  child, a split that landed the estimated cardinality, a nested
-  completion) re-run their own ``project()`` against a checking cursor
-  over the ids they already occupy
+  previous ADG is kept: a ``t(m)`` that moved retimes the rows that
+  muscle feeds (:meth:`~repro.core.adg.ADG.retime`), machines the delta
+  lists as attached (a started child, a split that landed the estimated
+  cardinality, a nested completion) re-run their own ``project()``
+  against a checking cursor over the ids they already occupy
   (:func:`~repro.core.statemachines.base.rebind`), and the spans the
   window's events moved are re-read in place — instead of re-walking
   every machine (``count_projection_patch``);
@@ -141,9 +142,9 @@ class PlanEngine:
         private cache.
     patching:
         Enable the delta pipeline: when the machine changelog holds
-        nothing structural since the previous live projection (and the
-        estimator version is unchanged), the previous ADG is patched in
-        place (``count_projection_patch``) instead of re-walked, and
+        nothing structural since the previous live projection (and no
+        ``|m|`` estimate crossed an integer), the previous ADG is patched
+        in place (``count_projection_patch``) instead of re-walked, and
         pinned-actuals bases advance by delta re-pin
         (``count_pin_patch``).  Patched answers are bit-for-bit equal to
         full re-walks — pinned by the plan-engine property harness —
@@ -255,16 +256,17 @@ class PlanEngine:
         On a miss, the **patch path** runs first: when the machine
         changelog (:meth:`~repro.core.statemachines.MachineRegistry.
         delta_since`) holds nothing structural since the previous
-        projection and the estimator version is unchanged, the previous
-        ADG is kept.  Attached machines are bound over the ids a fresh
-        walk would hand them (:func:`~repro.core.statemachines.base.
-        rebind`), then the spans of the touched and attached machines
-        are re-read in place (:func:`~repro.core.statemachines.base.
-        refresh_from_sources`) — no machine is re-walked, no table
-        recompiled.  A structural change (a new or finished root, a
-        cardinality other than the projected one, condition outcomes),
-        changed estimates or a bind that finds another shape fall back
-        to the full walk.
+        projection, the previous ADG is kept.  Muscles whose ``t(m)``
+        moved since then retime the rows they feed (:meth:`~repro.core.
+        adg.ADG.retime`), attached machines are bound over the ids a
+        fresh walk would hand them (:func:`~repro.core.statemachines.
+        base.rebind`), then the spans of the touched and attached
+        machines are re-read in place (:func:`~repro.core.
+        statemachines.base.refresh_from_sources`) — no machine is
+        re-walked, no table recompiled.  A structural change (a new or
+        finished root, a cardinality other than the projected one,
+        condition outcomes), a ``|m|`` estimate that crossed an integer
+        or a bind that finds another shape fall back to the full walk.
         """
         roots_key = (
             None if roots is None else tuple(m.index for m in roots)
@@ -305,12 +307,19 @@ class PlanEngine:
         """Patch the previous projection for *roots_key*, or ``None``.
 
         ``None`` means "no sound patch exists — do the full walk": no
-        previous projection, changed estimates, a structural delta, a
-        compacted changelog window, a previous ADG some caller mutated
-        behind the engine's back, or an attached machine whose projection
-        does not fit the ids held for it (:func:`~repro.core.
-        statemachines.base.rebind`) — another shape than estimated, no
-        free slot.
+        previous projection, a structural delta, a compacted changelog
+        window, a previous ADG some caller mutated behind the engine's
+        back, estimates whose move may reshape the graph (a ``|m|`` that
+        crossed an integer, an ``If`` branch picked by estimated work),
+        or an attached machine whose projection does not fit the ids
+        held for it (:func:`~repro.core.statemachines.base.rebind`) —
+        another shape than estimated, no free slot.
+
+        A moved ``t(m)`` alone is data, not shape: the estimator's
+        changelog (:meth:`~repro.core.estimator.EstimatorRegistry.
+        changed_since`) names the muscles, and :meth:`~repro.core.adg.
+        ADG.retime` writes each one's current estimate through the rows
+        it times — first, then the binds, then the span refresh.
         """
         if not self.patching:
             return None
@@ -319,11 +328,20 @@ class PlanEngine:
         if prev is None:
             return None
         prev_rev, prev_est_version, adg, adg_rev = prev
-        if prev_est_version != est_version or adg.rev != adg_rev:
+        if adg.rev != adg_rev:
             return None
         delta = self.machines.delta_since(prev_rev)
         if delta is None or delta.structural:
             return None
+        if prev_est_version != est_version:
+            moved = self.estimators.changed_since(prev_est_version)
+            if moved is None or (moved and adg.shape_reads_times):
+                return None
+            # Before the binds (a bind compares estimated durations) and
+            # before the refresh (a span that closed in this window ends
+            # with its actual duration, not the new estimate).
+            for muscle, t in moved.items():
+                adg.retime(muscle, t)
         for index in delta.attached:
             if not rebind(adg, self.machines.machine(index), now):
                 return None

@@ -31,7 +31,7 @@ from ..skeletons.smap import Map
 from .adg import ADG
 from .estimator import EstimatorRegistry
 
-__all__ = ["project_skeleton", "projected_wct", "estimated_total_work"]
+__all__ = ["project_skeleton", "heavier_branch", "projected_wct", "estimated_total_work"]
 
 
 def project_skeleton(
@@ -49,7 +49,7 @@ def project_skeleton(
     :meth:`EstimatorRegistry.ready_for`.
     """
     if isinstance(skel, Seq):
-        aid = adg.add(skel.execute.name, est.t(skel.execute), preds, role="execute")
+        aid = adg.add_muscle(skel.execute, est, preds, "execute")
         return [aid]
 
     if isinstance(skel, Farm):
@@ -73,42 +73,32 @@ def project_skeleton(
         n = est.card_int_zero(skel.condition)
         current = preds
         for _ in range(n):
-            cond = adg.add(
-                skel.condition.name, est.t(skel.condition), current, role="condition"
-            )
+            cond = adg.add_muscle(skel.condition, est, current, "condition")
             current = project_skeleton(skel.subskel, adg, [cond], est)
-        final = adg.add(
-            skel.condition.name, est.t(skel.condition), current, role="condition"
-        )
+        final = adg.add_muscle(skel.condition, est, current, "condition")
         return [final]
 
     if isinstance(skel, If):
         # Paper-unsupported pattern (ADG duplication); the extension
         # projects the branch with the larger estimated total work — a
         # conservative stand-in until the condition is observed.
-        cond = adg.add(
-            skel.condition.name, est.t(skel.condition), preds, role="condition"
-        )
-        branch = max(
-            (skel.true_skel, skel.false_skel),
-            key=lambda b: estimated_total_work(b, est),
-        )
-        return project_skeleton(branch, adg, [cond], est)
+        cond = adg.add_muscle(skel.condition, est, preds, "condition")
+        return project_skeleton(heavier_branch(skel, adg, est), adg, [cond], est)
 
     if isinstance(skel, Map):
-        split = adg.add(skel.split.name, est.t(skel.split), preds, role="split")
+        split = adg.add_muscle(skel.split, est, preds, "split")
         terminals: List[int] = []
         for _ in range(est.card_int(skel.split)):
             terminals.extend(project_skeleton(skel.subskel, adg, [split], est))
-        merge = adg.add(skel.merge.name, est.t(skel.merge), terminals, role="merge")
+        merge = adg.add_muscle(skel.merge, est, terminals, "merge")
         return [merge]
 
     if isinstance(skel, Fork):
-        split = adg.add(skel.split.name, est.t(skel.split), preds, role="split")
+        split = adg.add_muscle(skel.split, est, preds, "split")
         terminals = []
         for sub in skel.subskels:
             terminals.extend(project_skeleton(sub, adg, [split], est))
-        merge = adg.add(skel.merge.name, est.t(skel.merge), terminals, role="merge")
+        merge = adg.add_muscle(skel.merge, est, terminals, "merge")
         return [merge]
 
     if isinstance(skel, DivideAndConquer):
@@ -116,6 +106,22 @@ def project_skeleton(
         return _project_dac(skel, adg, preds, est, remaining_depth=depth)
 
     raise ADGError(f"cannot project skeleton type {type(skel).__name__}")
+
+
+def heavier_branch(skel: If, adg: ADG, est: EstimatorRegistry) -> Skeleton:
+    """The branch of *skel* to project before its condition is known:
+    the one with the larger estimated total work.
+
+    The only place a projection's *shape* is chosen from ``t(m)``
+    values rather than from ``|m|`` integers, so *adg* is marked
+    (:attr:`~repro.core.adg.ADG.shape_reads_times`): a moved estimate
+    re-walks such a graph instead of retiming it.
+    """
+    adg.shape_reads_times = True
+    return max(
+        (skel.true_skel, skel.false_skel),
+        key=lambda b: estimated_total_work(b, est),
+    )
 
 
 def _project_dac(
@@ -131,18 +137,16 @@ def _project_dac(
     with remaining depth 0 is a leaf (condition returns false → nested
     skeleton); deeper nodes divide into ``|fs|`` children.
     """
-    cond = adg.add(
-        skel.condition.name, est.t(skel.condition), preds, role="condition"
-    )
+    cond = adg.add_muscle(skel.condition, est, preds, "condition")
     if remaining_depth <= 0:
         return project_skeleton(skel.subskel, adg, [cond], est)
-    split = adg.add(skel.split.name, est.t(skel.split), [cond], role="split")
+    split = adg.add_muscle(skel.split, est, [cond], "split")
     terminals: List[int] = []
     for _ in range(est.card_int(skel.split)):
         terminals.extend(
             _project_dac(skel, adg, [split], est, remaining_depth - 1)
         )
-    merge = adg.add(skel.merge.name, est.t(skel.merge), terminals, role="merge")
+    merge = adg.add_muscle(skel.merge, est, terminals, "merge")
     return [merge]
 
 

@@ -19,7 +19,7 @@ event history.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from ...errors import StateMachineError
 from ...events.types import Event, When, Where
@@ -38,12 +38,14 @@ def refresh_from_sources(adg: ADG, machines: Optional[Iterable[int]] = None) -> 
     :class:`MuscleSpan` (via :meth:`MuscleSpan.add_to`), re-derive
     ``(start, end, duration)`` from the span's *current* state under the
     exact rules ``add_to`` used at build time.  Given an unchanged
-    structure and unchanged estimates — which the caller must have
-    verified through the machine-registry changelog and the estimator
-    version stamp — the patched graph is bit-for-bit the graph a full
-    re-walk would build.  Activities without a source (unexplored future
-    structure projected straight from estimates) are untouched by
-    construction: their times derive from estimates alone.
+    structure (the caller verified it through the machine-registry
+    changelog) and recorded estimates that are current — unchanged since
+    the walk, or written through by :meth:`~repro.core.adg.ADG.retime`
+    *before* this runs, so a span that closed in the same window ends
+    with its actual duration — the patched graph is bit-for-bit the
+    graph a full re-walk would build.  Activities without a source
+    (unexplored future structure projected straight from estimates) are
+    untouched by construction: their times derive from estimates alone.
 
     *machines* narrows the refresh to the spans those machine indices
     own (a machine's events move its own spans only, so the changelog's
@@ -127,12 +129,13 @@ class MuscleSpan:
     def add_to(
         self,
         adg: ADG,
-        name: str,
-        est_duration: float,
+        muscle,
+        estimators: EstimatorRegistry,
         preds: List[int],
         role: str,
     ) -> int:
-        """Append this span to *adg* (actual when known, estimate else).
+        """Append this execution of *muscle* to *adg* (actual when
+        known, ``t(m)`` else).
 
         The span is attached to the activity as its *source*
         (:meth:`~repro.core.adg.ADG.attach_source`): when a later event
@@ -140,19 +143,7 @@ class MuscleSpan:
         it to patch the projected activity in place instead of
         re-walking the machines (see :func:`refresh_from_sources`).
         """
-        if self.finished:
-            aid = adg.add(
-                name, self.end - self.start, preds,
-                start=self.start, end=self.end, role=role,
-            )
-        elif self.started:
-            aid = adg.add(
-                name, est_duration, preds, start=self.start, role=role
-            )
-        else:
-            aid = adg.add(name, est_duration, preds, role=role)
-        adg.attach_source(aid, self, est_duration)
-        return aid
+        return adg.add_muscle(muscle, estimators, preds, role, span=self)
 
 
 class TrackingMachine:
@@ -171,6 +162,21 @@ class TrackingMachine:
     )
 
     kind: str = "?"
+
+    #: ``(when, where) -> handle_<when>_<where>`` of this machine class,
+    #: resolved once per class instead of once per event.
+    _handlers: Dict[Tuple[When, Where], Callable[["TrackingMachine", Event], None]] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._handlers = {}
+        for when in When:
+            for where in Where:
+                handler = getattr(
+                    cls, f"handle_{when.name.lower()}_{where.name.lower()}", None
+                )
+                if handler is not None:
+                    cls._handlers[when, where] = handler
 
     def __init__(
         self,
@@ -211,14 +217,11 @@ class TrackingMachine:
         """Route *event* to the ``handle_<when>_<where>`` method."""
         if self.started_at is None:
             self.started_at = event.timestamp
-        handler = getattr(
-            self,
-            f"handle_{event.when.name.lower()}_{event.where.name.lower()}",
-            None,
-        )
+        when, where = event.when, event.where
+        handler = self._handlers.get((when, where))
         if handler is not None:
-            handler(event)
-        if event.when is When.AFTER and event.where is Where.SKELETON:
+            handler(self, event)
+        if when is When.AFTER and where is Where.SKELETON:
             self.finished_at = event.timestamp
 
     # -- projection ----------------------------------------------------------------

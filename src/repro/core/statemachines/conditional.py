@@ -13,7 +13,7 @@ from typing import List
 
 from ...events.types import Event
 from ..adg import ADG
-from ..projection import estimated_total_work, project_skeleton
+from ..projection import heavier_branch, project_skeleton
 from .base import MuscleSpan, TrackingMachine
 
 __all__ = ["IfMachine"]
@@ -39,13 +39,9 @@ class IfMachine(TrackingMachine):
     def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
         cond = self.skel.condition
-        cid = self.cond_span.add_to(adg, cond.name, est.t(cond), preds, role="condition")
+        cid = self.cond_span.add_to(adg, cond, est, preds, "condition")
         if self.cond_span.result is None:
-            branch = max(
-                (self.skel.true_skel, self.skel.false_skel),
-                key=lambda b: estimated_total_work(b, est),
-            )
-            return project_skeleton(branch, adg, [cid], est)
+            return project_skeleton(heavier_branch(self.skel, adg, est), adg, [cid], est)
         branch = self.skel.true_skel if self.cond_span.result else self.skel.false_skel
         if self.children:
             return self.children[0].project(adg, [cid], now)

@@ -122,14 +122,12 @@ class DacMachine(TrackingMachine):
     def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
         cond = self.skel.condition
-        cid = self.cond_span.add_to(adg, cond.name, est.t(cond), preds, role="condition")
+        cid = self.cond_span.add_to(adg, cond, est, preds, "condition")
         if self.cond_span.result is None:
             remaining = max(est.card_int_zero(cond) - self.depth, 0)
             return _project_future(self.skel, adg, [cid], est, remaining)
         if self.cond_span.result:
-            split_id = self.split_span.add_to(
-                adg, self.skel.split.name, est.t(self.skel.split), [cid], role="split"
-            )
+            split_id = self.split_span.add_to(adg, self.skel.split, est, [cid], "split")
             n = self.split_span.card
             if n is None:
                 n = est.card_int(self.skel.split)
@@ -141,15 +139,12 @@ class DacMachine(TrackingMachine):
                 est.card_int_zero(cond) - (self.depth + 1), 0
             )
             for _ in range(max(0, n - len(node_children))):
-                cond_id = adg.add(cond.name, est.t(cond), [split_id], role="condition")
+                cond_id = adg.add_muscle(cond, est, [split_id], "condition")
                 terminals.extend(
                     _project_future(self.skel, adg, [cond_id], est, child_remaining)
                 )
                 adg.note_slot(self.skel, cond_id, [split_id])
-            merge_id = self.merge_span.add_to(
-                adg, self.skel.merge.name, est.t(self.skel.merge), terminals,
-                role="merge",
-            )
+            merge_id = self.merge_span.add_to(adg, self.skel.merge, est, terminals, "merge")
             return [merge_id]
         # Leaf: the nested skeleton.
         leaf_children = [c for c in self.children if c.skel is not self.skel]
@@ -172,14 +167,12 @@ def _project_future(
     """
     if remaining_depth <= 0:
         return project_skeleton(skel.subskel, adg, preds, est)
-    split_id = adg.add(skel.split.name, est.t(skel.split), preds, role="split")
+    split_id = adg.add_muscle(skel.split, est, preds, "split")
     terminals: List[int] = []
     for _ in range(est.card_int(skel.split)):
-        cond_id = adg.add(
-            skel.condition.name, est.t(skel.condition), [split_id], role="condition"
-        )
+        cond_id = adg.add_muscle(skel.condition, est, [split_id], "condition")
         terminals.extend(
             _project_future(skel, adg, [cond_id], est, remaining_depth - 1)
         )
-    merge_id = adg.add(skel.merge.name, est.t(skel.merge), terminals, role="merge")
+    merge_id = adg.add_muscle(skel.merge, est, terminals, "merge")
     return [merge_id]

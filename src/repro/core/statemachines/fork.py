@@ -49,9 +49,7 @@ class ForkMachine(TrackingMachine):
 
     def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
-        split_id = self.split_span.add_to(
-            adg, self.skel.split.name, est.t(self.skel.split), preds, role="split"
-        )
+        split_id = self.split_span.add_to(adg, self.skel.split, est, preds, "split")
         # Assign child machines to branches by skeleton object, consuming
         # in arrival order within each skeleton.
         by_skel: Dict[int, List[TrackingMachine]] = {}
@@ -64,7 +62,5 @@ class ForkMachine(TrackingMachine):
                 terminals.extend(queue.pop(0).project(adg, [split_id], now))
             else:
                 terminals.extend(self._project_estimate(sub, adg, [split_id]))
-        merge_id = self.merge_span.add_to(
-            adg, self.skel.merge.name, est.t(self.skel.merge), terminals, role="merge"
-        )
+        merge_id = self.merge_span.add_to(adg, self.skel.merge, est, terminals, "merge")
         return [merge_id]

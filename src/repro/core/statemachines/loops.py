@@ -59,7 +59,7 @@ class WhileMachine(TrackingMachine):
         body_idx = 0
         ended = False
         for span in self.cond_spans:
-            cid = span.add_to(adg, cond.name, est.t(cond), current, role="condition")
+            cid = span.add_to(adg, cond, est, current, "condition")
             current = [cid]
             if span.result is True:
                 if body_idx < len(self.children):
@@ -88,10 +88,10 @@ class WhileMachine(TrackingMachine):
             return current  # the running evaluation is the final (false) one
         for k in range(remaining):
             if k > 0 or not running_cond:
-                cid = adg.add(cond.name, est.t(cond), current, role="condition")
+                cid = adg.add_muscle(cond, est, current, "condition")
                 current = [cid]
             current = project_skeleton(self.skel.subskel, adg, current, est)
-        final = adg.add(cond.name, est.t(cond), current, role="condition")
+        final = adg.add_muscle(cond, est, current, "condition")
         return [final]
 
 

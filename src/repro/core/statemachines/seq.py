@@ -34,7 +34,7 @@ class SeqMachine(TrackingMachine):
         self._observe_span(self.skel.execute, self.span)
 
     def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
-        muscle = self.skel.execute
-        est = self.estimators.t(muscle)
-        aid = self.span.add_to(adg, muscle.name, est, preds, role="execute")
+        aid = self.span.add_to(
+            adg, self.skel.execute, self.estimators, preds, "execute"
+        )
         return [aid]

@@ -53,9 +53,7 @@ class MapMachine(TrackingMachine):
 
     def _project(self, adg: ADG, preds: List[int], now: float) -> List[int]:
         est = self.estimators
-        split_id = self.split_span.add_to(
-            adg, self.skel.split.name, est.t(self.skel.split), preds, role="split"
-        )
+        split_id = self.split_span.add_to(adg, self.skel.split, est, preds, "split")
         # How many children will exist: the actual cardinality once the
         # split finished, the estimate before that.
         if self.split_span.card is not None:
@@ -69,7 +67,5 @@ class MapMachine(TrackingMachine):
             terminals.extend(
                 self._project_estimate(self.skel.subskel, adg, [split_id])
             )
-        merge_id = self.merge_span.add_to(
-            adg, self.skel.merge.name, est.t(self.skel.merge), terminals, role="merge"
-        )
+        merge_id = self.merge_span.add_to(adg, self.skel.merge, est, terminals, "merge")
         return [merge_id]

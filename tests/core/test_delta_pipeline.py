@@ -4,18 +4,20 @@ The end-to-end equivalence (patched projections == full walks at real
 analysis points) lives in ``test_plan_engine.py``; this module pins the
 pieces: the ADG / machine-registry changelogs and their compaction
 (ISSUE 5 satellite: O(activities) memory), the value-change estimator
-version, ``pin_actuals_delta``, the quantized ``now``-bucket plan-cache
-mode and its skew bound, and the patch path on the *real* thread/process
-backends.
+version and the estimator changelog beside it, ``ADG.retime`` and its
+place in the engine's patch (retime, bind, refresh), ``pin_actuals_delta``,
+the quantized ``now``-bucket plan-cache mode and its skew bound, and the
+patch path on the *real* thread/process backends.
 """
 
 import pytest
 
-from repro import PlatformSpec, SimulatedPlatform, run
+from repro import AutonomicController, PlatformSpec, SimulatedPlatform, run
 from repro.core.adg import ADG
 from repro.core.analysis import ExecutionAnalyzer, is_analysis_point
 from repro.core.delta import ChangeDelta
 from repro.core.estimator import EstimatorRegistry
+from repro.core.persistence import snapshot_from_names
 from repro.core.planning import PlanCache, PlanTable
 from repro.core.planning import engine as engine_module
 from repro.core.planning.table import (
@@ -29,14 +31,20 @@ from repro.core.schedule import (
     pin_actuals,
     pin_actuals_delta,
 )
+from repro.core.qos import QoS
+from repro.core.statemachines.base import MuscleSpan, refresh_from_sources
 from repro.events.bus import Listener
 from repro.runtime.costmodel import ConstantCostModel
 from repro.runtime.registry import make_platform
-from repro.skeletons import Execute, Seq
+from repro.skeletons import Condition, Execute, If, Pipe, Seq, While
+from repro.workloads import TweetCorpusGenerator
+from repro.workloads.wordcount import TwitterCountApp
 from tests.conftest import make_warm_snapshot, sleepy_map_program
 from tests.core.test_plan_engine import (
     _PatchPathChecker,
     assert_pinned_equal,
+    jittered_sim,
+    map_program,
     warm_map_analyzer,
     warm_nested_map_analyzer,
 )
@@ -321,6 +329,360 @@ class TestEstimatorValueVersion:
         assert est.version == v1
         est.initialize_time(work, 2.5)
         assert est.version == v1 + 1
+
+
+# ---------------------------------------------------------------------------
+# estimator changelog: what moved between two versions
+
+
+@pytest.mark.service_stress
+class TestEstimatorChangelog:
+    def muscles(self):
+        program = map_program(3)
+        by_name = {m.name: m for m in program.muscles()}
+        return by_name["split"], by_name["work"], by_name["merge"]
+
+    def test_time_moves_are_logged_per_muscle(self):
+        split, work, merge = self.muscles()
+        est = EstimatorRegistry()
+        est.initialize_time(work, 1.0)
+        est.initialize_time(merge, 0.5)
+        v0 = est.version
+        assert est.changed_since(v0) == {}
+        est.observe_time(work, 1.0)  # value-equal: nothing to report
+        assert est.version == v0 and est.changed_since(v0) == {}
+        est.observe_time(work, 2.0)
+        assert est.changed_since(v0) == {work.uid: 1.5}
+        v1 = est.version
+        est.initialize_time(merge, 0.25)
+        est.observe_time(work, 2.5)
+        # Coalesced: one entry per muscle, carrying the live value.
+        assert est.changed_since(v0) == {work.uid: 2.0, merge.uid: 0.25}
+        assert est.changed_since(v1) == {work.uid: 2.0, merge.uid: 0.25}
+        assert est.changed_since(est.version) == {}
+
+    def test_card_drift_is_shape_only_across_an_integer(self):
+        split, work, _merge = self.muscles()
+        est = EstimatorRegistry()
+        v0 = est.version
+        est.initialize_card(split, 2.2)  # becomes ready: shape
+        assert est.changed_since(v0) is None
+        v1 = est.version
+        est.initialize_card(split, 2.6)  # both readings stay 3
+        assert est.version > v1 and est.changed_since(v1) == {}
+        est.observe_card(split, 3)  # 2.8: still 3
+        assert est.changed_since(v1) == {}
+        v2 = est.version
+        est.observe_card(split, 4)  # 3.4: card_int 3 -> 4
+        assert est.changed_since(v2) is None
+        assert est.changed_since(v1) is None
+        assert est.changed_since(est.version) == {}
+
+    def test_zero_reading_is_part_of_the_shape(self):
+        """0.4 and 0.0 read the same ``card_int`` (1) but another
+        ``card_int_zero`` (1 vs 0): a While that stops iterating."""
+        cond = Condition(lambda v: False, name="again")
+        est = EstimatorRegistry()
+        est.initialize_card(cond, 0.4)
+        v0 = est.version
+        est.initialize_card(cond, 0.0)
+        assert est.card_int(cond) == 1 and est.card_int_zero(cond) == 0
+        assert est.changed_since(v0) is None
+
+    def test_restore_estimates_logs(self):
+        program, analyzer = warm_map_analyzer(width=3, work_t=1.0)
+        est = analyzer.estimators
+        work = next(m for m in program.muscles() if m.name == "work")
+        v0 = est.version
+        analyzer.initialize_estimates(
+            program, snapshot_from_names(program, times={"work": 4.0})
+        )
+        assert est.changed_since(v0) == {work.uid: 4.0}
+        analyzer.initialize_estimates(
+            program, snapshot_from_names(program, times={}, cards={"split": 5.0})
+        )
+        assert est.changed_since(v0) is None
+
+    def test_two_engines_read_one_registry_at_their_own_versions(self):
+        """The log is not consumed by a reader: two analyzers share one
+        registry; one projects at every analysis point, the other falls
+        five analyses behind and still retimes across its whole window."""
+        program, eager = warm_map_analyzer(width=8, work_t=1.0)
+        lazy = ExecutionAnalyzer(skeleton=program, estimators=eager.estimators)
+        platform = jittered_sim()
+        points = []
+
+        class Probe(Listener):
+            def on_event(self, event):
+                if is_analysis_point(event) and eager.unfinished_roots():
+                    points.append(len(points))
+                    for analyzer in (eager, lazy):
+                        if analyzer is lazy and points[-1] not in (1, 6):
+                            continue
+                        roots = analyzer.unfinished_roots()
+                        with analyzer.machines.lock:
+                            adg = analyzer.plan.projection(platform.now(), roots)
+                            fresh, _ = analyzer.machines.project_roots(
+                                platform.now(), roots
+                            )
+                        assert [(a.start, a.end, a.duration) for a in adg] == [
+                            (a.start, a.end, a.duration) for a in fresh
+                        ]
+                return event.value
+
+        for listener in (eager, lazy, Probe()):
+            platform.add_listener(listener)
+        run(program, 3, platform)
+        assert len(points) >= 8
+        assert eager.plan.cache.stats.projection_passes == 1
+        assert eager.plan.cache.stats.projection_patches == len(points) - 1
+        assert lazy.plan.cache.stats.projection_passes == 1
+        assert lazy.plan.cache.stats.projection_patches == 1
+
+
+# ---------------------------------------------------------------------------
+# ADG.retime
+
+
+@pytest.mark.service_stress
+class TestRetime:
+    def build(self):
+        """split finished, one work running, one pending, merge pending;
+        plus a hand-built activity no muscle times."""
+        program = map_program(2)
+        split, work, merge = (
+            next(m for m in program.muscles() if m.name == name)
+            for name in ("split", "work", "merge")
+        )
+        est = EstimatorRegistry()
+        for muscle, t in ((split, 0.5), (work, 1.0), (merge, 0.25)):
+            est.initialize_time(muscle, t)
+        done, running, pending = MuscleSpan(0.0), MuscleSpan(0.5), MuscleSpan()
+        done.end = 0.5
+        adg = ADG()
+        s = done.add_to(adg, split, est, [], "split")
+        w1 = running.add_to(adg, work, est, [s], "execute")
+        w2 = pending.add_to(adg, work, est, [s], "execute")
+        w3 = adg.add_muscle(work, est, [s], "execute")  # estimate only
+        m = adg.add_muscle(merge, est, [w1, w2, w3], "merge")
+        bare = adg.add("by hand", 1.0, preds=[m])
+        return adg, est, (split, work, merge), (s, w1, w2, w3, m, bare)
+
+    def test_unfinished_rows_take_the_estimate_and_are_touched(self):
+        adg, _est, (_split, work, _merge), (s, w1, w2, w3, m, bare) = self.build()
+        rev = adg.rev
+        assert adg.retime(work.uid, 1.5) == 3
+        assert [adg.activity(a).duration for a in (w1, w2, w3)] == [1.5] * 3
+        assert adg.activity(w1).start == 0.5 and adg.activity(w1).end is None
+        delta = adg.delta_since(rev)
+        assert not delta.structural and delta.touched == (w1, w2, w3)
+        # Source estimates move with the durations they back.
+        sources = adg.span_sources()
+        assert sources[w1][1] == sources[w2][1] == 1.5
+        assert w3 not in sources
+        # Other muscles and the hand-built row are left alone.
+        assert adg.activity(m).duration == 0.25
+        assert adg.activity(bare).duration == 1.0 and adg.activity(bare).muscle is None
+        # Same value again: nothing moves, nothing is touched.
+        rev = adg.rev
+        assert adg.retime(work.uid, 1.5) == 0 and adg.rev == rev
+
+    def test_finished_row_keeps_its_actual_but_its_source_estimate_moves(self):
+        adg, est, (split, _work, _merge), (s, *_rest) = self.build()
+        rev = adg.rev
+        assert adg.retime(split.uid, 0.75) == 0
+        assert adg.activity(s).duration == 0.5 and adg.rev == rev
+        # A fresh walk records the current estimate beside every source.
+        assert adg.span_sources()[s][1] == 0.75
+
+    def test_retime_then_refresh_lands_the_actual_of_a_span_that_closed(self):
+        adg, _est, (_split, work, _merge), (s, w1, w2, *_rest) = self.build()
+        running = adg.span_sources()[w1][0]
+        running.end = 2.0  # closes in the window its estimate moves
+        adg.retime(work.uid, 1.5)
+        refresh_from_sources(adg)
+        assert adg.activity(w1).duration == 1.5 and adg.activity(w1).end == 2.0
+        assert adg.activity(w2).duration == 1.5  # still pending: the estimate
+
+    def test_unknown_muscle_is_a_no_op(self):
+        adg, *_ = self.build()
+        rev = adg.rev
+        assert adg.retime(-1, 9.0) == 0 and adg.rev == rev
+
+    def test_replay_checks_the_muscle(self):
+        """Same name, role and predecessors, another muscle: the replayed
+        projection is not what the graph holds."""
+        est = EstimatorRegistry()
+        one, other = Execute(lambda v: v, name="f"), Execute(lambda v: v, name="f")
+        for muscle in (one, other):
+            est.initialize_time(muscle, 1.0)
+        adg = ADG()
+        adg.add_muscle(one, est, [], "execute")
+        assert adg.replay((0, 1, ()), lambda preds: adg.add_muscle(one, est, preds, "execute"))
+        assert not adg.replay(
+            (0, 1, ()), lambda preds: adg.add_muscle(other, est, preds, "execute")
+        )
+
+
+@pytest.mark.service_stress
+class TestRetimeInTheEngine:
+    def test_retime_then_bind_then_refresh(self, monkeypatch):
+        """A nested map under a moving cost: inner maps start (bind) in
+        windows in which ``t(m)`` of their muscles moved (retime) and
+        spans closed (refresh).  A bind compares estimated durations and
+        a closed span must end with its actual, so the order is retime,
+        bind, refresh — and then no window needs a walk."""
+        order = []
+        retime, bind, refresh = (
+            ADG.retime,
+            engine_module.rebind,
+            engine_module.refresh_from_sources,
+        )
+        monkeypatch.setattr(
+            ADG, "retime", lambda *a: order.append("t") or retime(*a)
+        )
+        monkeypatch.setattr(
+            engine_module, "rebind", lambda *a: order.append("b") or bind(*a)
+        )
+        monkeypatch.setattr(
+            engine_module,
+            "refresh_from_sources",
+            lambda *a: order.append("f") or refresh(*a),
+        )
+        # Two workers for four inner maps: the later ones start while
+        # earlier ones' muscles complete (a bind before the retime would
+        # find stale durations and cost two more walks here).
+        program, analyzer = warm_nested_map_analyzer(4, 3)
+        platform = jittered_sim(parallelism=2)
+        checker = _PatchPathChecker(analyzer, platform)
+        platform.add_listener(analyzer)
+        platform.add_listener(checker)
+        run(program, 3, platform)
+        stats = analyzer.plan.cache.stats
+        assert stats.projection_passes == 1 and stats.table_compiles == 1
+        assert stats.projection_patches == checker.checked - 1
+        # One window per patch: retimes ("t"), binds ("b"), the refresh.
+        windows = "".join(order).split("f")[:-1]
+        assert len(windows) == stats.projection_patches
+        assert all(w == "t" * w.count("t") + "b" * w.count("b") for w in windows)
+        assert any("t" in w and "b" in w for w in windows)
+
+    def test_card_drift_patches_within_an_integer_and_walks_across_one(self):
+        """A not-yet-started While projected from ``|fc|``: moving the
+        estimate inside one integer reading is a retime of zero rows,
+        crossing one reshapes the projection and walks."""
+        again = Condition(lambda v: False, name="again")
+        program = Pipe(map_program(6), While(again, Seq(Execute(lambda v: v, name="body"))))
+        analyzer = ExecutionAnalyzer(qos=QoS.wall_clock(60.0), skeleton=program)
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(
+                program,
+                times={n: 1.0 for n in ("split", "work", "merge", "again", "body")},
+                cards={"split": 6.0, "again": 2.2},
+            ),
+        )
+        est = analyzer.estimators
+        platform = timed_sim()
+        checker = _PatchPathChecker(analyzer, platform)
+        walks, sizes = [], []
+
+        class Nudge(Listener):
+            def on_event(self, event):
+                if is_analysis_point(event) and checker.checked in (2, 4):
+                    est.initialize_card(again, 2.6 if checker.checked == 2 else 3.2)
+                return event.value
+
+        class Record(Listener):
+            def on_event(self, event):
+                if is_analysis_point(event) and analyzer.ready():
+                    walks.append(analyzer.plan.cache.stats.projection_passes)
+                    sizes.append(
+                        len(analyzer.plan.projection(platform.now(), analyzer.unfinished_roots()))
+                    )
+                return event.value
+
+        for listener in (analyzer, Nudge(), checker, Record()):
+            platform.add_listener(listener)
+        run(program, 3, platform)
+        # 2.2 -> 2.6 at the third analysis: patched; 2.6 -> 3.2 at the
+        # fifth: one more (condition, body) pair, by a walk.
+        assert walks[:6] == [1, 1, 1, 1, 2, 2]
+        assert sizes[4] == sizes[3] + 2
+
+
+    def test_an_if_branch_picked_by_estimated_work_walks(self):
+        """The one place a projection's shape reads ``t(m)``: an
+        undecided If projects its heavier branch, so a moved estimate
+        can swap branches — such a graph is re-walked, never retimed."""
+        heavy = Seq(Execute(lambda v: v, name="heavy"))
+        light = Seq(Execute(lambda v: v, name="light"))
+        program = Pipe(map_program(6), If(lambda v: True, heavy, light))
+        analyzer = ExecutionAnalyzer(
+            qos=QoS.wall_clock(60.0), skeleton=program, extensions=True
+        )
+        times = {n: 1.0 for n in ("split", "work", "merge", "light")}
+        times[program.stages[1].condition.name] = 1.0
+        analyzer.initialize_estimates(
+            program,
+            snapshot_from_names(program, times={**times, "heavy": 2.0}, cards={"split": 6.0}),
+        )
+        platform = timed_sim()
+        checker = _PatchPathChecker(analyzer, platform)
+        names = []
+
+        class Nudge(Listener):
+            def on_event(self, event):
+                if is_analysis_point(event) and checker.checked == 2:
+                    analyzer.estimators.initialize_time(light.execute, 3.0)
+                return event.value
+
+        class Record(Listener):
+            def on_event(self, event):
+                if is_analysis_point(event) and analyzer.ready():
+                    adg = analyzer.plan.projection(
+                        platform.now(), analyzer.unfinished_roots()
+                    )
+                    names.append({a.name for a in adg} & {"heavy", "light"})
+                return event.value
+
+        for listener in (analyzer, Nudge(), checker, Record()):
+            platform.add_listener(listener)
+        run(program, 3, platform)
+        assert names[:4] == [{"heavy"}, {"heavy"}, {"light"}, {"light"}]
+        assert analyzer.plan.cache.stats.projection_passes >= 2
+
+
+@pytest.mark.service_stress
+class TestRetimeWorkCounters:
+    def run_twitter(self, patching):
+        app = TwitterCountApp()
+        corpus = TweetCorpusGenerator(seed=11).corpus(400)
+        platform = SimulatedPlatform(
+            parallelism=1, cost_model=app.cost_model(), max_parallelism=24
+        )
+        controller = AutonomicController(
+            platform, app.skeleton, qos=QoS.wall_clock(9.5, max_lp=24)
+        )
+        controller.analyzer.plan.patching = patching
+        assert run(app.skeleton, corpus, platform) == app.reference_count(corpus)
+        decisions = [
+            (d.time, d.trigger, d.lp_before, d.lp_after, d.action, d.wct_current_lp)
+            for d in controller.decisions
+        ]
+        return decisions, controller.analyzer.plan.cache.stats, platform.now()
+
+    def test_a_learning_twitter_run_walks_once(self):
+        """The paper's cold-start scenario: every muscle completion
+        moves a ``t(m)``, and the one walk is the first analysis."""
+        decisions, stats, makespan = self.run_twitter(patching=True)
+        walked, walked_stats, walked_makespan = self.run_twitter(patching=False)
+        assert len(decisions) >= 10 and decisions == walked
+        assert makespan == walked_makespan
+        assert stats.projection_passes == 1 and stats.table_compiles == 1
+        assert stats.projection_patches == len(decisions) - 1
+        assert walked_stats.projection_passes == len(decisions)
+        assert walked_stats.projection_patches == 0
 
 
 # ---------------------------------------------------------------------------

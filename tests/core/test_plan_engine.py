@@ -55,7 +55,7 @@ from repro.core.schedule import (
 )
 from repro.events.bus import Listener
 from repro.events.recorder import EventRecorder
-from repro.runtime.costmodel import ConstantCostModel
+from repro.runtime.costmodel import CallableCostModel, ConstantCostModel
 from repro.skeletons import Execute, Map, Merge, Seq, Split
 from tests.conftest import build_program, program_descriptions
 
@@ -64,6 +64,23 @@ def timed_sim(parallelism=3):
     platform = SimulatedPlatform(
         parallelism=parallelism,
         cost_model=ConstantCostModel(1.0),
+        max_parallelism=8,
+    )
+    platform.add_listener(EventRecorder())
+    return platform
+
+
+def _value_cost(_muscle, value):
+    key = sum(value) if isinstance(value, (list, tuple)) else value
+    return 1.0 + 0.05 * (key % 5)
+
+
+def jittered_sim(parallelism=3):
+    """``timed_sim`` with a value-dependent cost (1.0-1.2 s per muscle):
+    almost every observation moves its ``t(m)``, as on a real clock."""
+    platform = SimulatedPlatform(
+        parallelism=parallelism,
+        cost_model=CallableCostModel(_value_cost),
         max_parallelism=8,
     )
     platform.add_listener(EventRecorder())
@@ -429,6 +446,9 @@ class _PatchPathChecker(Listener):
             engine.limited(adg, now, 2)
             table = engine._table_for(adg)
             if table is not None:
+                # The written-through columns against a fresh compile of
+                # the fresh walk.
+                assert_tables_bit_equal(table, PlanTable.compile(fresh))
                 # Compiled passes against their dict twins on the same
                 # (possibly patched, delta-refreshed) graph — including
                 # the compiled delta re-pin, which `limited` above drove
@@ -476,11 +496,15 @@ class TestPatchPathEquivalence:
     (which runs with patching on by default); this class pins the
     projection/pinning layers directly and that patches actually fire."""
 
-    @given(program_descriptions)
-    def test_patched_projection_and_pins_equal_full_walks(self, desc):
+    @pytest.mark.parametrize("sim", [timed_sim, jittered_sim])
+    @given(desc=program_descriptions)
+    def test_patched_projection_and_pins_equal_full_walks(self, sim, desc):
+        """Every generated program twice: at constant cost (the estimates
+        converge, patches bind and refresh) and at a value-dependent one
+        (the estimates keep moving, patches retime as well)."""
         snapshot = _warm_snapshot_for(desc)
         program = build_program(desc)
-        platform = timed_sim()
+        platform = sim()
         analyzer = ExecutionAnalyzer(
             qos=QoS.wall_clock(30.0), skeleton=program, extensions=True
         )
@@ -540,14 +564,16 @@ class TestPatchPathEquivalence:
         assert stats.projection_patches == checker.checked - 1
         assert stats.table_patches >= 60 and stats.pin_patches >= 60
 
-    def test_split_wider_than_estimated_falls_back_to_the_walk(self):
+    @pytest.mark.parametrize("sim", [timed_sim, jittered_sim])
+    def test_split_wider_than_estimated_falls_back_to_the_walk(self, sim):
         """Warm |fs| = 4 against an actual split of 6: the cardinality
         reshapes the projection, so that window takes the full walk (and
-        the estimate moves with it); answers stay equal throughout."""
+        the estimate moves with it); answers stay equal throughout —
+        whether or not the time estimates move as well."""
         program, analyzer = warm_nested_map_analyzer(2, 6)
         inner_split = program.subskel.split
         analyzer.estimators.initialize_card(inner_split, 4.0)
-        platform = timed_sim()
+        platform = sim()
         checker = _PatchPathChecker(analyzer, platform)
         platform.add_listener(analyzer)
         platform.add_listener(checker)
