@@ -1,28 +1,24 @@
-"""Rebalance overhead: the delta pipeline vs caching vs from-scratch.
+"""Rebalance overhead: the default planner vs from-scratch.
 
 Every rebalance re-plans all live executions: project each live ADG,
 best-effort-schedule it, and scan limited-LP schedules for minimal
-deadline-meeting grants.  PR 4's :class:`~repro.core.planning.PlanEngine`
-made those answers *cacheable* (an execution with no new events reuses
-its plans), but every cache miss still re-walked all tracking machines
-and re-pinned from scratch.  The delta pipeline makes the misses
-incremental too: span-only event windows **patch** the previous
-projection in place and delta re-pin the schedule base, and the event
-spine batches fan-out markers through one bus transaction.
+deadline-meeting grants.  The :class:`~repro.core.planning.PlanEngine`
+makes those answers *cacheable* (an execution with no new events reuses
+its plans) and its misses incremental: span-only event windows **patch**
+the previous projection in place and delta re-pin the schedule base, and
+the event spine batches fan-out markers through one bus transaction.
 
 This bench drives an identical 16-tenant churn storm on the virtual-time
-simulator three times:
+simulator twice:
 
-* **from-scratch** — ``PlanCache(maxsize=0)``, patching off: every
-  lookup misses, every miss walks (the pre-PR-4 cost model);
-* **plan cache** — caching on, patching off (the PR 4 baseline);
-* **delta path** — caching *and* projection patching / delta re-pinning
-  (the full pipeline).
+* **from-scratch** — ``PlanCache(maxsize=0)``: nothing is stored and
+  nothing carried, so every lookup misses and every miss walks, compiles
+  and pins anew;
+* **default** — caching, projection patching and delta re-pinning (the
+  one runtime path).
 
-The storm is deterministic, so all three runs make bit-for-bit identical
-scheduling decisions; only the work to reach them differs.  The
-acceptance claim: the delta path does strictly fewer **full projection
-walks** per rebalance than the PR 4 baseline, with identical decisions.
+The storm is deterministic, so both runs make bit-for-bit identical
+scheduling decisions; only the work to reach them differs.
 """
 
 import time
@@ -69,7 +65,7 @@ def storm_qos(i):
     )
 
 
-def run_storm(plan_cache, plan_patching, observability=None):
+def run_storm(plan_cache, observability=None):
     """One deterministic churn storm; returns (results, metrics)."""
     platform = SimulatedPlatform(
         parallelism=1, cost_model=ConstantCostModel(1.0), max_parallelism=CAPACITY
@@ -78,7 +74,6 @@ def run_storm(plan_cache, plan_patching, observability=None):
         platform=platform,
         min_rebalance_interval=0.0,
         plan_cache=plan_cache,
-        plan_patching=plan_patching,
         observability=observability,
     )
     results = []
@@ -119,24 +114,17 @@ def per_rebalance(metrics, key):
 
 
 def test_rebalance_overhead(report):
-    scratch_results, scratch = run_storm(PlanCache(maxsize=0), plan_patching=False)
-    cached_results, cached = run_storm(PlanCache(), plan_patching=False)
-    delta_results, delta = run_storm(PlanCache(), plan_patching=True)
+    scratch_results, scratch = run_storm(PlanCache(maxsize=0))
+    default_results, default = run_storm(PlanCache())
 
-    # Identical decisions first: neither the cache nor the delta path may
-    # change the outcome of the storm, only the cost of reaching it.
-    assert cached_results == scratch_results
-    assert delta_results == scratch_results
-    assert cached["rebalances"] == scratch["rebalances"]
-    assert delta["rebalances"] == scratch["rebalances"]
+    # Identical decisions first: the cache and the delta path may change
+    # the cost of reaching the storm's outcome, never the outcome.
+    assert default_results == scratch_results
+    assert default["rebalances"] == scratch["rebalances"]
 
-    columns = [
-        ("from-scratch", scratch),
-        ("plan cache", cached),
-        ("delta path", delta),
-    ]
+    columns = [("from-scratch", scratch), ("default", default)]
 
-    report("Rebalance overhead: delta pipeline vs plan cache vs from-scratch")
+    report("Rebalance overhead: default planner vs from-scratch")
     report(f"storm: {WAVES} waves x {N_TENANTS} tenants on {CAPACITY} workers "
            f"(virtual-time simulator, identical decisions verified)")
     report("")
@@ -167,56 +155,47 @@ def test_rebalance_overhead(report):
     )
     row("projection patches", "projection_patches")
     row("pin delta re-pins", "pin_patches")
+    row("table compiles", "table_compiles")
+    row("table patches", "table_patches")
     report(
         f"{'cache hit rate':>26}"
         + "".join(f"{m['hit_rate']:>13.1%} " for _n, m in columns)
     )
-    report(
-        f"{'events (bus)':>26}" + "".join(f"{m['events']:>14}" for _n, m in columns)
-    )
-    report(
-        f"{'event batches':>26}"
-        + "".join(f"{m['batches']:>14}" for _n, m in columns)
-    )
-    report(
-        f"{'mean batch size':>26}"
-        + "".join(f"{m['batch_mean']:>14.2f}" for _n, m in columns)
-    )
-    report(
-        f"{'storm wall time (s)':>26}"
-        + "".join(f"{m['elapsed']:>14.3f}" for _n, m in columns)
-    )
+    row("events (bus)", "events")
+    row("event batches", "batches")
+    row("mean batch size", "batch_mean", "{:>14.2f}")
+    row("storm wall time (s)", "elapsed", "{:>14.3f}")
     report("")
     report(
         f"projection walks per rebalance: "
         f"{per_rebalance(scratch, 'projection_passes'):.2f} (from-scratch) -> "
-        f"{per_rebalance(cached, 'projection_passes'):.2f} (cache) -> "
-        f"{per_rebalance(delta, 'projection_passes'):.2f} (delta path, "
-        f"{delta['projection_patches']} patches)"
+        f"{per_rebalance(default, 'projection_passes'):.2f} (default, "
+        f"{default['projection_patches']} patches)"
     )
     report(
         f"schedule passes per rebalance: "
         f"{per_rebalance(scratch, 'schedule_passes'):.2f} -> "
-        f"{per_rebalance(cached, 'schedule_passes'):.2f} -> "
-        f"{per_rebalance(delta, 'schedule_passes'):.2f}"
+        f"{per_rebalance(default, 'schedule_passes'):.2f}"
     )
 
-    # PR 4's acceptance claims (cache vs from-scratch) still hold...
-    assert cached["schedule_passes"] < scratch["schedule_passes"]
-    assert cached["projection_passes"] < scratch["projection_passes"]
-    assert cached["hits"] > 0
-    # ...and the delta path's: strictly fewer *full* projection walks
-    # than the PR 4 cached baseline (misses patch instead of walking),
-    # at no extra schedule passes, with real patch/batch activity.
-    assert delta["projection_passes"] < cached["projection_passes"]
+    # The baseline is from scratch by the one switch: no patch of any
+    # kind, nothing served from the store.
+    assert scratch["projection_patches"] == 0
+    assert scratch["pin_patches"] == scratch["table_patches"] == 0
+    assert scratch["hits"] == 0
+    # The default path does strictly less of everything the baseline
+    # does, with real cache/patch/batch activity.
+    assert default["schedule_passes"] < scratch["schedule_passes"]
+    assert default["projection_passes"] < scratch["projection_passes"]
     assert (
-        per_rebalance(delta, "projection_passes")
-        < per_rebalance(cached, "projection_passes")
+        per_rebalance(default, "projection_passes")
+        < per_rebalance(scratch, "projection_passes")
     )
-    assert delta["projection_patches"] > 0
-    assert delta["pin_patches"] > 0
-    assert delta["schedule_passes"] <= cached["schedule_passes"]
-    assert delta["batches"] > 0 and delta["batch_mean"] >= 2.0
+    assert default["table_compiles"] < scratch["table_compiles"]
+    assert default["hits"] > 0
+    assert default["projection_patches"] > 0
+    assert default["pin_patches"] > 0
+    assert default["batches"] > 0 and default["batch_mean"] >= 2.0
 
 
 # -- observability overhead budget ---------------------------------------------
@@ -233,7 +212,7 @@ def _storm_with_obs():
     from repro.obs import Observability
 
     obs = Observability(sample_rate=1.0)
-    results, metrics = run_storm(PlanCache(), plan_patching=True, observability=obs)
+    results, metrics = run_storm(PlanCache(), observability=obs)
     return results, metrics, obs
 
 
@@ -243,13 +222,13 @@ def test_obs_overhead(report):
     # budget is asserted on the *best* pairwise ratio: any one clean
     # pair proves the stack fits the budget, while a genuine systematic
     # overhead above it fails every pair.
-    run_storm(PlanCache(), plan_patching=True)
+    run_storm(PlanCache())
     _storm_with_obs()
 
     off_runs, on_runs = [], []
     obs = None
     for _ in range(OBS_ROUNDS):
-        off_runs.append(run_storm(PlanCache(), plan_patching=True))
+        off_runs.append(run_storm(PlanCache()))
         *on_run, obs = _storm_with_obs()
         on_runs.append(tuple(on_run))
 

@@ -8,7 +8,8 @@ Here a 10x20 two-level map (222 activities) runs under one
 1.0-1.2 s per muscle against estimates warm at 1.1 s, so almost every
 muscle completion moves a ``t(m)``:
 
-* **walk** — ``patching=False``: every analysis re-walks the machines,
+* **walk** — ``PlanCache(maxsize=0)``, the from-scratch baseline:
+  nothing is stored or carried, so every analysis re-walks the machines,
   recompiles the table, pins from scratch and sweeps the critical path;
 * **retime** — the default: the moved muscle's rows are retimed in
   place and the rest of the delta pipeline engages as for a landed
@@ -24,6 +25,7 @@ import time
 
 from repro import AutonomicController, SimulatedPlatform, run
 from repro.core.persistence import snapshot_from_names
+from repro.core.planning import PlanCache
 from repro.core.qos import QoS
 from repro.runtime.costmodel import CallableCostModel
 from repro.skeletons import Execute, Map, Merge, Seq, Split
@@ -51,8 +53,9 @@ def program():
     )
 
 
-def managed_run(patching):
-    """One jittered run; ``(decisions, plan stats, wall seconds)``."""
+def managed_run(cache=None):
+    """One jittered run; ``(decisions, plan stats, wall seconds)``.
+    *cache* replaces the controller's default plan cache."""
     skel = program()
     platform = SimulatedPlatform(
         parallelism=2, cost_model=CallableCostModel(_cost), max_parallelism=16
@@ -68,7 +71,8 @@ def managed_run(patching):
             cards={"osplit": float(OUTER), "split": float(INNER)},
         ),
     )
-    controller.analyzer.plan.patching = patching
+    if cache is not None:
+        controller.analyzer.plan.cache = cache
     t0 = time.perf_counter()
     run(skel, 3, platform)
     wall = time.perf_counter() - t0
@@ -80,18 +84,24 @@ def managed_run(patching):
 
 
 def test_retime_jitter_overhead(benchmark, report):
-    walked, walk_stats, _ = managed_run(patching=False)
-    retimed, retime_stats, _ = managed_run(patching=True)
+    walked, walk_stats, _ = managed_run(PlanCache(maxsize=0))
+    retimed, retime_stats, _ = managed_run()
     assert len(retimed) >= ACTIVITIES and retimed == walked
     assert retime_stats.projection_passes == 1 and retime_stats.table_compiles == 1
-    assert walk_stats.projection_passes == len(walked)
+    assert walk_stats.projection_passes >= len(walked)
+    assert (
+        walk_stats.projection_patches
+        == walk_stats.pin_patches
+        == walk_stats.table_patches
+        == 0
+    )
 
     walk_s, retime_s = [], []
     for _ in range(ROUNDS):
-        walk_s.append(managed_run(patching=False)[2])
-        retime_s.append(managed_run(patching=True)[2])
+        walk_s.append(managed_run(PlanCache(maxsize=0))[2])
+        retime_s.append(managed_run()[2])
     speedup = statistics.median(walk_s) / statistics.median(retime_s)
-    benchmark.pedantic(managed_run, args=(True,), rounds=3, iterations=1)
+    benchmark.pedantic(managed_run, rounds=3, iterations=1)
 
     report("OVERHEAD — a jittered 10x20 map: re-walk vs retime per analysis")
     report()

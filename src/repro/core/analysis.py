@@ -183,17 +183,8 @@ class ExecutionAnalyzer(Listener):
         Backing store for the analyzer's :class:`~repro.core.planning.
         PlanEngine` (``self.plan``).  The service shares one cache across
         every live execution and the admission path; stand-alone
-        analyzers get a private one.
-    plan_patching:
-        Enable the engine's delta pipeline (patch the previous projection
-        and pinned base in place when the machine changelog allows it) —
-        on by default; off restores plain rev-keyed caching, which the
-        delta-path benchmark uses as its baseline.
-    plan_compiled:
-        Run the engine's scheduling passes over compiled
-        :class:`~repro.core.planning.table.PlanTable` flat arrays — on by
-        default; off restores the dict-based passes bit for bit (see
-        :class:`~repro.core.planning.PlanEngine`).
+        analyzers get a private one.  ``PlanCache(maxsize=0)`` is the
+        from-scratch baseline: nothing is reused between calls.
     """
 
     def __init__(
@@ -205,8 +196,6 @@ class ExecutionAnalyzer(Listener):
         estimators: Optional[EstimatorRegistry] = None,
         extensions: bool = False,
         plan_cache: Optional[PlanCache] = None,
-        plan_patching: bool = True,
-        plan_compiled: bool = True,
     ):
         self.qos = qos
         self.execution_id = execution_id
@@ -214,12 +203,7 @@ class ExecutionAnalyzer(Listener):
         self.estimators = estimators or EstimatorRegistry(rho=rho)
         self.machines = MachineRegistry(self.estimators, extensions=extensions)
         self.plan = PlanEngine(
-            self.machines,
-            self.estimators,
-            skeleton=skeleton,
-            cache=plan_cache,
-            patching=plan_patching,
-            compiled=plan_compiled,
+            self.machines, self.estimators, skeleton=skeleton, cache=plan_cache
         )
         self.exec_start: Dict[int, float] = {}  # root index -> start time
         # (key, report, report.adg.rev when built): the last report, see analyze.
@@ -369,8 +353,6 @@ class ExecutionAnalyzer(Listener):
         at most the (tiny) submit-to-first-task latency.
         """
         adg = self.plan.structural_plan()
-        if adg is None:
-            adg = self.plan.structural_projection()
         if adg is None or len(adg) == 0:
             return None
         deadline = None

@@ -1,18 +1,20 @@
-"""Incremental planning layer — cached schedule/LP/WCT computation.
+"""The planning layer — the one path every runtime plan takes.
 
-The paper's autonomic loop plans by repeatedly scheduling the ADG.  This
-package is the single seam all planning flows through:
+The paper's autonomic loop plans by repeatedly scheduling the ADG.  Here
+that is machines or skeleton → :class:`PlanTable` → compiled pin /
+critical path / frontier pass, and nothing else
+(:mod:`repro.core.schedule` keeps the same algorithms over ``Activity``
+dicts as the reference the tests compare against):
 
 * :class:`~repro.core.planning.engine.PlanEngine` — per-execution facade
   owning projection + scheduling behind explicit invalidation (ADG
   revision counters, estimator version stamps);
 * :class:`~repro.core.planning.cache.PlanCache` — the shared bounded
-  store with recompute accounting (the rebalance-overhead benchmark's
-  instrument);
+  store with recompute accounting; ``PlanCache(maxsize=0)`` is the
+  from-scratch baseline;
 * :class:`~repro.core.planning.table.PlanTable` — a projected ADG
   compiled once into struct-of-arrays form, over which the engine runs
-  every hot scheduling pass as index arithmetic (``compiled=True``,
-  the default);
+  every scheduling pass as index arithmetic;
 * :class:`~repro.core.planning.compile.ProjectionCompiler` — walks a
   skeleton structure and emits PlanTable columns *directly* (no
   ``Activity`` objects, no intermediate ADG), stamping repeated

@@ -8,13 +8,14 @@ registry and machine state.
 
 Keys embed monotonic version stamps — the ADG/machine revision and the
 estimator version — so stale entries are never *served*; they are merely
-garbage, and the LRU bound reclaims them.  ``maxsize=0`` disables storage
-entirely (every lookup misses).  Note that the projection *patch* path
-does not go through the store — the engine tracks its previous
-projection itself — so a true from-scratch baseline needs ``maxsize=0``
-**and** patching off (``PlanEngine(patching=False)`` /
-``SkeletonService(plan_patching=False)``), which is exactly how the
-rebalance-overhead benchmark builds its baseline.
+garbage, and the LRU bound reclaims them.
+
+``maxsize=0`` disables storage entirely (every lookup misses) **and is
+the from-scratch baseline by itself**: an engine over a cache that
+stores nothing carries nothing between calls either — no previous
+projection to patch, no table, no pinned base, no priority pair — so
+every analysis walks, compiles, pins and sweeps anew.  That is how the
+rebalance-overhead and retime benchmarks build their baselines.
 
 Besides hits and misses, the cache carries the planning layer's full
 recompute accounting — full projection walks versus in-place projection
@@ -91,16 +92,15 @@ class PlanCache:
       pass), versus structural plans served by the cross-engine
       ``(fingerprint, estimate values)`` shape memo without any walk.
 
-    The rebalance-overhead benchmark compares these between the full
-    delta path, a patch-disabled run, and a ``maxsize=0`` (from-scratch)
-    run of the same workload.
+    The rebalance-overhead benchmark compares these between the default
+    path and a ``maxsize=0`` (from-scratch) run of the same workload.
 
     Parameters
     ----------
     maxsize:
-        LRU bound on stored entries; ``0`` disables storage (pair with
-        ``patching=False`` on the engines for a true from-scratch run —
-        see the module docs).
+        LRU bound on stored entries; ``0`` disables storage and, with
+        it, everything the engines carry between calls — the
+        from-scratch baseline (see the module docs).
     now_quantum:
         When set, the planning engines floor every live ``now`` to this
         bucket width before keying and computing schedules (see module

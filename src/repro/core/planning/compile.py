@@ -37,7 +37,9 @@ projection.project_skeleton` would build — same names, roles, durations
 (the same ``t(m)`` reads), same predecessor/successor layout including
 duplicate edges and the ``<= 2``-degree inlining — pinned by the
 projection-twin property harness in ``tests/core/test_plan_engine.py``.
-The dict/Activity walk remains the ``compiled=False`` twin.
+The ``Activity`` walk remains as that harness's reference and as
+:meth:`PlanEngine.structural_projection`, for callers that want a graph
+to look at.
 """
 
 from __future__ import annotations

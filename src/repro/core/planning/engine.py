@@ -1,36 +1,33 @@
-"""The incremental planning engine — one seam under analyzer, admission
-and arbiter.
+"""The planning engine — one seam under analyzer, admission and arbiter.
 
-Before this layer existed, planning was smeared across four call sites:
-the analyzer drove :mod:`repro.core.schedule` from scratch on every
-analysis point, admission re-projected skeletons on every held-queue
-pass, and the arbiter's minimal-LP scans re-ran full list schedules (and
-an extra best-effort pass inside :func:`~repro.core.schedule.
-minimal_lp_greedy`) per execution per rebalance.  :class:`PlanEngine`
-owns all of it behind explicit invalidation:
+Every plan the runtime makes goes one way: machines or skeleton →
+:class:`~repro.core.planning.table.PlanTable` → compiled pin / critical
+path / frontier pass.  (:mod:`repro.core.schedule` holds the same
+algorithms over ``Activity`` dicts as the readable reference of the
+paper's §4; nothing here calls it.)  :class:`PlanEngine` owns that path
+behind explicit invalidation:
 
 * **projections** are cached on ``(machine revision, estimator
   version)`` — an execution that produced no events since the last
   rebalance reuses its projected ADG outright (projection walks machine
   state and estimates only; it is independent of *now*);
-* **structural projections** (pre-start analysis, admission gates) are
-  cached on the estimator version alone — and, with compilation on,
-  served as directly-compiled tables memoized *across engines* by
+* **structural plans** (pre-start analysis, admission gates) are
+  compiled straight from the skeleton and memoized *across engines* by
   ``(structural fingerprint, estimate values)``, so same-shape
-  submissions share one table without any walk (:meth:`PlanEngine.
-  structural_plan`);
+  submissions share one table without any walk
+  (:meth:`PlanEngine.structural_plan`);
 * **schedules** are cached on ``(adg revision, estimator version, lp,
   now)`` and recomputed *incrementally*: the pinned actuals
-  (:func:`~repro.core.schedule.pin_actuals`) and the critical-path
-  priority table (:func:`~repro.core.schedule.remaining_critical_path`)
-  are computed once per ``(revision, now)`` / per revision, and each LP
-  of a minimal-LP scan re-schedules only the pending frontier
-  (:func:`~repro.core.schedule.schedule_pending`);
-* **admission arithmetic** schedules structural ADGs at ``start=0.0``,
+  (``compiled_pin``) and the critical-path priorities
+  (``compiled_critical_path``) are computed once per ``(revision,
+  now)`` / per revision, and each LP of a minimal-LP scan re-schedules
+  only the pending frontier (``compiled_schedule_pending``, all three
+  in :mod:`repro.core.planning.table`);
+* **admission arithmetic** schedules structural plans at ``start=0.0``,
   which is *now*-independent — held-queue re-evaluations hit the cache
   until an estimate actually changes.
 
-Since the delta pipeline, cache *misses* are incremental too:
+Cache *misses* are incremental too — the delta pipeline:
 
 * **projection patching** — when the machine changelog
   (:meth:`~repro.core.statemachines.MachineRegistry.delta_since`)
@@ -43,23 +40,30 @@ Since the delta pipeline, cache *misses* are incremental too:
   (:func:`~repro.core.statemachines.base.rebind`), and the spans the
   window's events moved are re-read in place — instead of re-walking
   every machine (``count_projection_patch``);
-* **delta re-pinning** — the pinned-actuals base advances to a new
-  ``now`` by re-pinning only the delta-touched activities
-  (:func:`~repro.core.schedule.pin_actuals_delta`,
-  ``count_pin_patch``), and the compiled critical-path priority table
-  advances over the same changelog window
-  (:func:`~repro.core.planning.table.compiled_critical_path_delta`);
+* **carried state** — per live graph the engine keeps one record: its
+  table, its last pinned base and its last priority pair.  One place
+  (:meth:`PlanEngine._sync`) reads the ADG changelog: a non-structural
+  window is written through to the table (``count_table_patch``) and
+  its rows noted against the base and the pair, which the next miss
+  advances over exactly those rows (``compiled_pin_delta``,
+  ``count_pin_patch``; ``compiled_critical_path_delta``); a structural
+  window recompiles the table and drops both;
 * **quantized-now buckets** — with ``PlanCache(now_quantum=q)`` live
   schedules are computed and keyed at the bucket floor, so real-clock
   rebalances inside one bucket share plans at a decision skew bounded
   by ``q`` (off by default; exact timestamps preserve decisions bit
   for bit).
 
+**The from-scratch baseline** is ``PlanCache(maxsize=0)`` and nothing
+else: an engine over a cache that stores nothing carries nothing either
+— no previous projection, no table, no pinned base, no priority pair —
+so every call walks, compiles, pins and sweeps anew.
+
 Every answer is bit-for-bit equal to a from-scratch
-:mod:`repro.core.schedule` recompute at the same arguments (the
-incremental pieces are the same code the from-scratch path composes,
-and a patched graph equals the graph a full walk would rebuild), which
-the plan-cache property tests pin — quantized mode excepted, whose skew
+:mod:`repro.core.schedule` recompute at the same arguments (a patched
+graph equals the graph a full walk would rebuild, a compiled pass
+performs the reference pass's float operations in its order), which the
+plan-engine property tests pin — quantized mode excepted, whose skew
 bound is tested separately.
 """
 
@@ -68,21 +72,12 @@ from __future__ import annotations
 import itertools
 import threading
 import weakref
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ...skeletons.base import Skeleton
 from ..adg import ADG
 from ..estimator import EstimatorRegistry
 from ..projection import project_skeleton
-from ..schedule import (
-    PinnedPlanBase,
-    ScheduleResult,
-    best_effort_schedule,
-    pin_actuals,
-    pin_actuals_delta,
-    remaining_critical_path,
-    schedule_pending,
-)
 from ..statemachines import MachineRegistry
 from ..statemachines.base import rebind, refresh_from_sources
 from .cache import PlanCache
@@ -94,6 +89,7 @@ from .compile import (
 )
 from .table import (
     CompiledPinnedBase,
+    CompiledSchedule,
     PlanTable,
     compiled_best_effort,
     compiled_critical_path,
@@ -110,19 +106,35 @@ _EPS = 1e-9
 _engine_ids = itertools.count(1)
 
 
-def _hold(entries: Dict[int, Tuple], adg: ADG, value) -> None:
-    """Record *value* as the latest built for *adg* at its revision
-    (keyed by identity, held weakly), shedding the entries of collected
-    graphs once the map has grown."""
-    entries[id(adg)] = (weakref.ref(adg), adg.rev, value)
-    if len(entries) > 64:
-        for key in [k for k, entry in entries.items() if entry[0]() is None]:
-            del entries[key]
+class _Carried:
+    """What the engine carries between plan calls for one ADG.
+
+    Held by graph identity, weakly.  ``token`` is the version token of a
+    graph this engine built (``None``: a foreign graph — its table is
+    kept, nothing derived from it is cached or carried).  ``table`` is
+    synced to graph revision ``rev``; ``base`` and ``pair`` are the last
+    pinned base and ``(cp, prio)`` pair built for the graph, each with
+    the rows the table has had written through since (what the next
+    delta advances them over).
+    """
+
+    __slots__ = (
+        "ref", "token", "table", "rev", "base", "base_stale", "pair", "pair_stale"
+    )
+
+    def __init__(self, adg: ADG):
+        self.ref = weakref.ref(adg)
+        self.token: Optional[Tuple] = None
+        self.table: Optional[PlanTable] = None
+        self.rev = -1
+        self.base: Optional[CompiledPinnedBase] = None
+        self.base_stale: Set[int] = set()
+        self.pair: Optional[Tuple] = None
+        self.pair_stale: Set[int] = set()
 
 
 class PlanEngine:
-    """Cached schedule/LP/WCT computation for one execution (see module
-    docs).
+    """Cached schedule/LP/WCT computation for one execution (module docs).
 
     Parameters
     ----------
@@ -133,34 +145,14 @@ class PlanEngine:
         The execution's estimator registry (every cache key embeds its
         :attr:`~repro.core.estimator.EstimatorRegistry.version`).
     skeleton:
-        Optional program structure, enabling the structural projection
-        used by pre-start analysis and the admission gates.
+        Optional program structure, enabling the structural plan used by
+        pre-start analysis and the admission gates.
     cache:
         The backing :class:`~repro.core.planning.cache.PlanCache`.  May
         be shared across engines (the service shares one service-wide);
         every key is namespaced by this engine's id.  ``None`` creates a
-        private cache.
-    patching:
-        Enable the delta pipeline: when the machine changelog holds
-        nothing structural since the previous live projection (and no
-        ``|m|`` estimate crossed an integer), the previous ADG is patched
-        in place (``count_projection_patch``) instead of re-walked, and
-        pinned-actuals bases advance by delta re-pin
-        (``count_pin_patch``).  Patched answers are bit-for-bit equal to
-        full re-walks — pinned by the plan-engine property harness —
-        so this flag exists for benchmarking the delta pipeline against
-        the plain cached baseline, not for safety.
-    compiled:
-        Run the hot scheduling passes over :class:`~repro.core.planning.
-        table.PlanTable` flat arrays (default).  A projected ADG is
-        flattened once per revision (``count_table_compile``), kept
-        current by writing non-structural deltas through in place
-        (``count_table_patch``), and best-effort / pinning /
-        critical-path / limited-LP passes run as index arithmetic over
-        the table, sharing one pinned base and one priority list across
-        every LP of a minimal-LP scan.  Answers are bit-for-bit equal to
-        the dict path — pinned by the compiled-vs-dict property harness
-        — and ``compiled=False`` restores the dict path outright.
+        private cache.  ``PlanCache(maxsize=0)`` is the from-scratch
+        baseline: the engine then carries nothing between calls either.
     """
 
     def __init__(
@@ -169,39 +161,19 @@ class PlanEngine:
         estimators: EstimatorRegistry,
         skeleton: Optional[Skeleton] = None,
         cache: Optional[PlanCache] = None,
-        patching: bool = True,
-        compiled: bool = True,
     ):
         self.machines = machines
         self.estimators = estimators
         self.skeleton = skeleton
         self.cache = cache if cache is not None else PlanCache()
-        self.patching = patching
-        self.compiled = compiled
         self._uid = next(_engine_ids)
-        # id(adg) -> (weakref, version token) for ADGs this engine built;
-        # lets plan calls key correctly on any ADG they are handed back.
-        self._known: Dict[int, Tuple[weakref.ref, Tuple]] = {}
+        # id(adg) -> carried record of every graph plan calls were
+        # handed; empty for good over a cache that stores nothing.
+        self._carried: Dict[int, _Carried] = {}
         # roots_key -> (machines rev, estimator version, adg, adg rev at
         # build/patch): the previous live projection, i.e. the patch
         # candidate for the next one.
         self._live_prev: Dict[Tuple, Tuple[int, int, ADG, int]] = {}
-        # id(adg) -> (weakref, adg rev, pinned base) for delta re-pinning
-        # across rebalances (the base's `now` changes, the graph does not).
-        self._pin_prev: Dict[int, Tuple[weakref.ref, int, PinnedPlanBase]] = {}
-        # id(adg) -> (weakref, synced adg rev, table): the flattened
-        # array form of each projected ADG, kept current by writing
-        # non-structural deltas through in place.
-        self._tables: Dict[int, Tuple[weakref.ref, int, PlanTable]] = {}
-        # Compiled twin of _pin_prev (the two pin paths patch from their
-        # own previous bases, so flipping `compiled` never mixes types).
-        self._cpin_prev: Dict[
-            int, Tuple[weakref.ref, int, CompiledPinnedBase]
-        ] = {}
-        # id(adg) -> (weakref, adg rev, (cp, prio)): the priority table
-        # each live graph was last scheduled with, advanced across
-        # revisions like the pinned base.
-        self._ccp_prev: Dict[int, Tuple[weakref.ref, int, Tuple]] = {}
         # Lazy identity of the skeleton's structure (stable for the
         # engine's lifetime) and the estimate values the structural memo
         # keys on, re-derived only when the estimator version moves.
@@ -209,38 +181,82 @@ class PlanEngine:
         self._struct_vkey: Optional[Tuple[int, Tuple]] = None
         self._lock = threading.RLock()
 
-    # -- token bookkeeping --------------------------------------------------------
+    # -- carried state ---------------------------------------------------------------
 
-    def _remember(self, adg: ADG, token: Tuple) -> ADG:
+    def _record(self, adg: ADG) -> _Carried:
+        """The carried record of *adg*, created on first sight — and
+        kept, unless the cache stores nothing: then each call gets a
+        blank one (a graph never seen, no token) that nobody holds."""
         with self._lock:
-            if len(self._known) > 64:
-                self._known = {
-                    key: entry
-                    for key, entry in self._known.items()
-                    if entry[0]() is not None
-                }
-            self._known[id(adg)] = (weakref.ref(adg), token)
-        return adg
+            rec = self._carried.get(id(adg))
+            if rec is None or rec.ref() is not adg:
+                rec = _Carried(adg)
+                if self.cache.maxsize:
+                    if len(self._carried) > 64:
+                        self._carried = {
+                            key: held
+                            for key, held in self._carried.items()
+                            if held.ref() is not None
+                        }
+                    self._carried[id(adg)] = rec
+        return rec
 
-    def _token_of(self, adg: ADG) -> Optional[Tuple]:
-        """The version token of an ADG this engine built, else ``None``
-        (plans over foreign ADGs are computed but never cached).
+    def _remember(self, adg: ADG, token: Tuple) -> None:
+        """Stamp *adg* as built by this engine at version *token*."""
+        self._record(adg).token = token
 
+    def _sync(self, rec: _Carried, adg: ADG) -> None:
+        """Bring *rec* to *adg*'s revision — the one reader of the ADG
+        changelog.
+
+        A non-structural window is written through to the table in place
+        (``count_table_patch``) and its rows noted against the carried
+        base and pair; anything else — first sight, a structural change,
+        a window some caller compacted away — compiles afresh
+        (``count_table_compile``) and drops both.  The changelog of an
+        engine-built graph is then compacted up to here: the record now
+        holds all that a later delta needs.
+        """
+        if rec.rev == adg.rev:
+            return
+        delta = adg.delta_since(rec.rev) if rec.table is not None else None
+        if delta is None or delta.structural:
+            rec.table = PlanTable.compile(adg)
+            rec.base = rec.pair = None
+            self.cache.count_table_compile()
+        else:
+            rec.table.refresh(adg, delta.touched)
+            self.cache.count_table_patch()
+            if rec.base is not None:
+                rec.base_stale.update(delta.touched)
+            if rec.pair is not None:
+                rec.pair_stale.update(delta.touched)
+        rec.rev = adg.rev
+        if rec.token is not None:
+            adg.compact_changelog(adg.rev)
+
+    def _resolve(
+        self, adg: ADG
+    ) -> Tuple[Optional[Tuple], PlanTable, Optional[_Carried]]:
+        """``(version token, table, carried record)`` of *adg*.
+
+        The token keys every plan derived from the graph; ``None`` means
+        "compute, never cache" (a foreign graph, or nothing is carried).
         The ADG's own revision counter is folded in live, so mutating a
         projected ADG (``add``/``touch``) retires every plan derived
         from the old revision — the stale entries become LRU garbage.
-        A :class:`CompiledProjection` carries its own engine-independent
-        token (shape fingerprint + estimate values, revision frozen at
-        0), so schedules derived from a shared structural plan are
-        shared across engines too.
+        A :class:`CompiledProjection` *is* its table (immutable, no
+        record) and carries an engine-independent token (shape
+        fingerprint + estimate values, revision frozen at 0), so
+        schedules derived from a shared structural plan are shared
+        across engines too.
         """
         if type(adg) is CompiledProjection:
-            return adg.token + (0,)
-        with self._lock:
-            entry = self._known.get(id(adg))
-        if entry is not None and entry[0]() is adg:
-            return entry[1] + (adg.rev,)
-        return None
+            return adg.token + (0,), adg.table, None
+        rec = self._record(adg)
+        self._sync(rec, adg)
+        token = rec.token + (adg.rev,) if rec.token is not None else None
+        return token, rec.table, rec
 
     # -- projections ---------------------------------------------------------------
 
@@ -253,20 +269,15 @@ class PlanEngine:
         estimators.version, root set)`` and an execution with no new
         events reuses its ADG across rebalances.
 
-        On a miss, the **patch path** runs first: when the machine
-        changelog (:meth:`~repro.core.statemachines.MachineRegistry.
-        delta_since`) holds nothing structural since the previous
-        projection, the previous ADG is kept.  Muscles whose ``t(m)``
-        moved since then retime the rows they feed (:meth:`~repro.core.
-        adg.ADG.retime`), attached machines are bound over the ids a
-        fresh walk would hand them (:func:`~repro.core.statemachines.
-        base.rebind`), then the spans of the touched and attached
-        machines are re-read in place (:func:`~repro.core.
-        statemachines.base.refresh_from_sources`) — no machine is
-        re-walked, no table recompiled.  A structural change (a new or
-        finished root, a cardinality other than the projected one,
-        condition outcomes), a ``|m|`` estimate that crossed an integer
-        or a bind that finds another shape fall back to the full walk.
+        On a miss, the **patch path** runs first
+        (:meth:`_patch_projection`): when the machine changelog holds
+        nothing structural since the previous projection, the previous
+        ADG is kept and retimed, re-bound and refreshed in place — no
+        machine is re-walked, no table recompiled.  A structural change
+        (a new or finished root, a cardinality other than the projected
+        one, condition outcomes), a ``|m|`` estimate that crossed an
+        integer or a bind that finds another shape fall back to the
+        full walk.
         """
         roots_key = (
             None if roots is None else tuple(m.index for m in roots)
@@ -287,7 +298,8 @@ class PlanEngine:
                 self.cache.put(key, (adg, adg.rev))
                 self._remember(adg, token)
                 with self._lock:
-                    self._live_prev[roots_key] = (rev, est_version, adg, adg.rev)
+                    if self.cache.maxsize:  # else nothing is carried
+                        self._live_prev[roots_key] = (rev, est_version, adg, adg.rev)
                     while len(self._live_prev) > 4:
                         # Evict the stalest candidate (root sets that are
                         # gone never patch again); keeping the map tiny
@@ -297,7 +309,10 @@ class PlanEngine:
                             self._live_prev, key=lambda k: self._live_prev[k][0]
                         )
                         del self._live_prev[stalest]
-                    oldest = min(r for r, _v, _a, _ar in self._live_prev.values())
+                    oldest = min(
+                        (r for r, _v, _a, _ar in self._live_prev.values()),
+                        default=rev,
+                    )
                 self.machines.compact_changelog(oldest)
             return adg
 
@@ -307,13 +322,14 @@ class PlanEngine:
         """Patch the previous projection for *roots_key*, or ``None``.
 
         ``None`` means "no sound patch exists — do the full walk": no
-        previous projection, a structural delta, a compacted changelog
-        window, a previous ADG some caller mutated behind the engine's
-        back, estimates whose move may reshape the graph (a ``|m|`` that
-        crossed an integer, an ``If`` branch picked by estimated work),
-        or an attached machine whose projection does not fit the ids
-        held for it (:func:`~repro.core.statemachines.base.rebind`) —
-        another shape than estimated, no free slot.
+        previous projection (the first one, or nothing is carried), a
+        structural delta, a compacted changelog window, a previous ADG
+        some caller mutated behind the engine's back, estimates whose
+        move may reshape the graph (a ``|m|`` that crossed an integer,
+        an ``If`` branch picked by estimated work), or an attached
+        machine whose projection does not fit the ids held for it
+        (:func:`~repro.core.statemachines.base.rebind`) — another shape
+        than estimated, no free slot.
 
         A moved ``t(m)`` alone is data, not shape: the estimator's
         changelog (:meth:`~repro.core.estimator.EstimatorRegistry.
@@ -321,8 +337,6 @@ class PlanEngine:
         ADG.retime` writes each one's current estimate through the rows
         it times — first, then the binds, then the span refresh.
         """
-        if not self.patching:
-            return None
         with self._lock:
             prev = self._live_prev.get(roots_key)
         if prev is None:
@@ -370,7 +384,9 @@ class PlanEngine:
     def structural_projection(self) -> Optional[ADG]:
         """The skeleton's structural ADG (cached per estimator version).
 
-        ``None`` without a skeleton or while its estimates are cold.
+        The ``Activity`` form of :meth:`structural_plan`, for callers
+        that want a graph to look at; plans are made from the compiled
+        one.  ``None`` exactly when that is.
         """
         if self.skeleton is None or not self.estimators.ready_for(self.skeleton):
             return None
@@ -400,15 +416,9 @@ class PlanEngine:
         the plan's token is engine-independent, every schedule derived
         from it (``count_struct_memo_hit`` / ``count_struct_compile``).
 
-        ``None`` with compilation off, without a skeleton, or while its
-        estimates are cold — callers fall back to
-        :meth:`structural_projection`.
+        ``None`` without a skeleton or while its estimates are cold.
         """
-        if (
-            not self.compiled
-            or self.skeleton is None
-            or not self.estimators.ready_for(self.skeleton)
-        ):
+        if self.skeleton is None or not self.estimators.ready_for(self.skeleton):
             return None
         fp = self._struct_fp
         if fp is None:
@@ -431,289 +441,109 @@ class PlanEngine:
         self.cache.count_struct_compile()
         return self.cache.put(key, plan)
 
-    # -- compiled plan tables --------------------------------------------------------
-
-    def _table_for(self, adg: ADG) -> Optional[PlanTable]:
-        """The flat array form of *adg*, synced to its revision.
-
-        ``None`` routes the caller to the dict path: compilation is off,
-        or the ADG's ids are not dense (impossible for graphs built
-        through the public API, guarded anyway).  A held table whose
-        revision lags is advanced by writing the changelog window
-        through in place (``count_table_patch``) when the window is
-        non-structural, and recompiled from scratch otherwise
-        (``count_table_compile``).  A :class:`CompiledProjection` *is*
-        its table — immutable, no sync bookkeeping.
-        """
-        if not self.compiled:
-            return None
-        if type(adg) is CompiledProjection:
-            return adg.table
-        with self._lock:
-            entry = self._tables.get(id(adg))
-        if entry is not None and entry[0]() is adg:
-            ref, synced_rev, table = entry
-            if synced_rev == adg.rev:
-                return table
-            delta = adg.delta_since(synced_rev)
-            if delta is not None and not delta.structural:
-                table.refresh(adg, delta.touched)
-                self.cache.count_table_patch()
-                with self._lock:
-                    self._tables[id(adg)] = (ref, adg.rev, table)
-                return table
-        table = PlanTable.compile(adg)
-        if table is None:
-            return None
-        self.cache.count_table_compile()
-        with self._lock:
-            if len(self._tables) > 64:
-                self._tables = {
-                    k: e for k, e in self._tables.items() if e[0]() is not None
-                }
-            self._tables[id(adg)] = (weakref.ref(adg), adg.rev, table)
-        return table
-
-    def _critical_path_compiled(self, adg: ADG, table: PlanTable) -> Tuple:
-        """``(cp array, prio heap entries)`` for *table*, cached per rev.
-
-        A miss on a live graph first tries the **delta**: the pair this
-        engine last built for the same ADG object is advanced across the
-        changelog window by :func:`~repro.core.planning.table.
-        compiled_critical_path_delta`, which recomputes only the rows
-        the window touched and the predecessors a changed value reaches.
-        """
-        token = self._token_of(adg)
-        key = ("ccp", token) if token is not None else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        live = key is not None and type(adg) is not CompiledProjection
-        pair = self._patch_critical_path(adg, table) if live else None
-        if pair is None:
-            pair = compiled_critical_path(table)
-        if key is not None:
-            self.cache.put(key, pair)
-        if live:
-            with self._lock:
-                _hold(self._ccp_prev, adg, pair)
-        return pair
-
-    def _patch_critical_path(self, adg: ADG, table: PlanTable) -> Optional[Tuple]:
-        if not self.patching:
-            return None
-        with self._lock:
-            entry = self._ccp_prev.get(id(adg))
-        if entry is None or entry[0]() is not adg:
-            return None
-        _ref, prev_rev, prev_pair = entry
-        if prev_rev == adg.rev:
-            return prev_pair  # evicted from the store, still current
-        delta = adg.delta_since(prev_rev)
-        if delta is None or delta.structural:
-            return None
-        # Like the delta re-pin, this reads the table _table_for already
-        # refreshed from the same window.
-        return compiled_critical_path_delta(table, prev_pair, delta.touched)
-
-    def _pinned_compiled(
-        self, adg: ADG, now: float, table: PlanTable
-    ) -> CompiledPinnedBase:
-        """Compiled twin of :meth:`_pinned` (same caching and delta
-        re-pin discipline, over array columns).
-
-        Structural plans short-circuit: an all-pending immutable table
-        pins by pure array copies (:meth:`CompiledProjection.
-        pinned_fresh`), with no previous-base tracking or changelog
-        compaction to maintain.
-        """
-        if type(adg) is CompiledProjection:
-            key = ("cpin", adg.token + (0,), now)
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-            return self.cache.put(key, adg.pinned_fresh(now))
-        token = self._token_of(adg)
-        key = ("cpin", token, now) if token is not None else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        base = (
-            self._patch_pinned_compiled(adg, now, table)
-            if token is not None
-            else None
-        )
-        if base is None:
-            base = compiled_pin(table, now)
-        if key is not None:
-            self.cache.put(key, base)
-            with self._lock:
-                _hold(self._cpin_prev, adg, base)
-                lagging = self._ccp_prev.get(id(adg))
-            if (
-                self.patching
-                and lagging is not None
-                and lagging[0]() is adg
-                and lagging[1] != adg.rev
-            ):
-                # The priority table advances over the same changelog
-                # window: take it across before the window is compacted
-                # away (a minimal-LP scan pins before its first frontier
-                # pass asks for priorities).
-                self._critical_path_compiled(adg, table)
-            adg.compact_changelog(adg.rev if self.patching else 0)
-        return base
-
-    def _patch_pinned_compiled(
-        self, adg: ADG, now: float, table: PlanTable
-    ) -> Optional[CompiledPinnedBase]:
-        if not self.patching:
-            return None
-        with self._lock:
-            entry = self._cpin_prev.get(id(adg))
-        if entry is None or entry[0]() is not adg:
-            return None
-        _ref, prev_rev, prev_base = entry
-        delta = adg.delta_since(prev_rev)
-        if delta is None or delta.structural:
-            return None
-        # _table_for already wrote this window through to the table, so
-        # the delta re-pin reads post-refresh truth.
-        base = compiled_pin_delta(table, now, prev_base, delta.touched)
-        self.cache.count_pin_patch()
-        return base
-
     # -- cached schedule primitives -------------------------------------------------
 
-    def best_effort(self, adg: ADG, now: float) -> ScheduleResult:
+    def _critical_path_compiled(
+        self, token: Optional[Tuple], table: PlanTable, rec: Optional[_Carried]
+    ) -> Tuple:
+        """``(cp array, prio heap entries)`` for *table*, cached per rev.
+
+        A miss on a live graph first tries the **delta**: the pair last
+        built for the graph is advanced over the rows written through
+        since by :func:`~repro.core.planning.table.
+        compiled_critical_path_delta`, which recomputes only those rows
+        and the predecessors a changed value reaches.
+        """
+        if token is None:
+            return compiled_critical_path(table)
+        key = ("ccp", token)
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached
+        if rec is None or rec.pair is None:
+            pair = compiled_critical_path(table)
+        elif rec.pair_stale:
+            pair = compiled_critical_path_delta(table, rec.pair, rec.pair_stale)
+        else:
+            pair = rec.pair  # evicted from the store, still current
+        self.cache.put(key, pair)
+        if rec is not None:
+            rec.pair = pair
+            rec.pair_stale.clear()
+        return pair
+
+    def _pinned_compiled(
+        self,
+        adg: ADG,
+        now: float,
+        token: Optional[Tuple],
+        table: PlanTable,
+        rec: Optional[_Carried],
+    ) -> CompiledPinnedBase:
+        """The pinned-actuals base for (adg, now), patched when possible.
+
+        A miss on a live graph first tries the **delta re-pin**: the
+        base last built for the graph is advanced to the new *now* over
+        the rows written through since (:func:`~repro.core.planning.
+        table.compiled_pin_delta`, ``count_pin_patch``) — equal, bit for
+        bit, to a full :func:`~repro.core.planning.table.compiled_pin`
+        pass.  An all-pending structural plan pins by pure array copies
+        (:meth:`CompiledProjection.pinned_fresh`).
+        """
+        if token is None:
+            return compiled_pin(table, now)
+        key = ("cpin", token, now)
+        cached = self.cache.get(key)
+        if cached is not None:
+            return cached
+        if rec is None:
+            return self.cache.put(key, adg.pinned_fresh(now))
+        if rec.base is None:
+            base = compiled_pin(table, now)
+        else:
+            base = compiled_pin_delta(table, now, rec.base, rec.base_stale)
+            self.cache.count_pin_patch()
+        rec.base = base
+        rec.base_stale.clear()
+        return self.cache.put(key, base)
+
+    def best_effort(self, adg: ADG, now: float) -> CompiledSchedule:
         """Best-effort (infinite LP) schedule, cached per (rev, now).
 
         Under the cache's quantized-now mode, *now* is floored to its
         bucket first — rebalances within one bucket share the schedule.
-        With compilation on, the result is a :class:`~repro.core.
-        planning.table.CompiledSchedule` (same public surface, lazy
-        entries) computed over the flat table.
         """
         now = self.cache.quantize(now)
-        token = self._token_of(adg)
-        table = self._table_for(adg)
-        if table is not None:
-            key = ("cbe", token, now) if token is not None else None
-            if key is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    return cached
-            result = compiled_best_effort(table, now)
-            self.cache.count_schedule_pass()
-            if key is not None:
-                self.cache.put(key, result)
-            return result
-        key = ("be", token, now) if token is not None else None
+        token, table, _rec = self._resolve(adg)
+        key = ("cbe", token, now) if token is not None else None
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        result = best_effort_schedule(adg, now)
+        result = compiled_best_effort(table, now)
         self.cache.count_schedule_pass()
         if key is not None:
             self.cache.put(key, result)
         return result
 
-    def _critical_path(self, adg: ADG) -> Dict[int, float]:
-        token = self._token_of(adg)
-        key = ("cp", token) if token is not None else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        table = remaining_critical_path(adg)
-        if key is not None:
-            self.cache.put(key, table)
-        return table
-
-    def _pinned(self, adg: ADG, now: float) -> PinnedPlanBase:
-        """The pinned-actuals base for (adg, now), patched when possible.
-
-        Cache misses first try the **delta re-pin**: if this engine holds
-        a previous base for the same ADG object and the ADG changelog
-        (fed by the projection patch) lists only in-place time updates
-        since, :func:`~repro.core.schedule.pin_actuals_delta` advances
-        the old base to the new *now* touching only what changed —
-        equal, bit for bit, to a full :func:`~repro.core.schedule.
-        pin_actuals` pass.
-        """
-        token = self._token_of(adg)
-        key = ("pin", token, now) if token is not None else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
-        base = self._patch_pinned(adg, now) if token is not None else None
-        if base is None:
-            base = pin_actuals(adg, now)
-        if key is not None:
-            self.cache.put(key, base)
-            with self._lock:
-                _hold(self._pin_prev, adg, base)
-            adg.compact_changelog(adg.rev if self.patching else 0)
-        return base
-
-    def _patch_pinned(self, adg: ADG, now: float) -> Optional[PinnedPlanBase]:
-        if not self.patching:
-            return None
-        with self._lock:
-            entry = self._pin_prev.get(id(adg))
-        if entry is None or entry[0]() is not adg:
-            return None
-        _ref, prev_rev, prev_base = entry
-        delta = adg.delta_since(prev_rev)
-        if delta is None or delta.structural:
-            return None
-        base = pin_actuals_delta(adg, now, prev_base, delta.touched)
-        self.cache.count_pin_patch()
-        return base
-
-    def limited(self, adg: ADG, now: float, lp: int) -> ScheduleResult:
+    def limited(self, adg: ADG, now: float, lp: int) -> CompiledSchedule:
         """Limited-LP list schedule, cached per (rev, now, lp).
 
         On a miss only the pending frontier is re-scheduled: the pinned
-        actuals and the critical-path table come from their own caches,
-        shared across every LP of a scan.  Under the quantized-now mode,
-        *now* is floored to its bucket first.  With compilation on, the
-        frontier pass runs over the flat table's arrays.
+        actuals and the priority pair come from their own caches, shared
+        across every LP of a scan.  Under the quantized-now mode, *now*
+        is floored to its bucket first.
         """
         now = self.cache.quantize(now)
-        token = self._token_of(adg)
-        table = self._table_for(adg)
-        if table is not None:
-            key = ("clim", token, now, lp) if token is not None else None
-            if key is not None:
-                cached = self.cache.get(key)
-                if cached is not None:
-                    return cached
-            _cp, prio = self._critical_path_compiled(adg, table)
-            result = compiled_schedule_pending(
-                table, now, lp, self._pinned_compiled(adg, now, table), prio
-            )
-            self.cache.count_schedule_pass()
-            if key is not None:
-                self.cache.put(key, result)
-            return result
-        key = ("lim", token, now, lp) if token is not None else None
+        token, table, rec = self._resolve(adg)
+        key = ("clim", token, now, lp) if token is not None else None
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        result = schedule_pending(
-            adg,
-            now,
-            lp,
-            "critical-path",
-            self._pinned(adg, now),
-            self._critical_path(adg),
-        )
+        _cp, prio = self._critical_path_compiled(token, table, rec)
+        base = self._pinned_compiled(adg, now, token, table, rec)
+        result = compiled_schedule_pending(table, now, lp, base, prio)
         self.cache.count_schedule_pass()
         if key is not None:
             self.cache.put(key, result)
@@ -749,12 +579,8 @@ class PlanEngine:
         width's worth of elapsed progress.
         """
         now = self.cache.quantize(now)
-        token = self._token_of(adg)
-        key = (
-            ("mlp", token, now, deadline, cap, start_lp)
-            if token is not None
-            else None
-        )
+        token, table, rec = self._resolve(adg)
+        key = ("mlp", token, now, deadline, cap, start_lp) if token is not None else None
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
@@ -763,23 +589,16 @@ class PlanEngine:
         if cap is not None:
             upper = min(upper, cap)
         answer: Optional[int] = None
-        pending_work: Optional[float] = None
-        table = self._table_for(adg)
-        if table is not None:
-            # Work-bound prune (see compiled_minimal_lp): with lp
-            # workers the pending worker-occupying work W cannot finish
-            # before now + W / lp, so candidates whose bound already
-            # misses the deadline skip their frontier pass.  The bound
-            # is a true lower bound on the greedy WCT, so the first
-            # feasible LP — the answer — is unchanged.
-            pending_work = self._pinned_compiled(adg, now, table).pending_work(
-                table
-            )
+        # Work-bound prune (see compiled_minimal_lp): with lp workers
+        # the pending worker-occupying work W cannot finish before
+        # now + W / lp, so candidates whose bound already misses the
+        # deadline skip their frontier pass.  The bound is a true lower
+        # bound on the greedy WCT, so the first feasible LP — the
+        # answer — is unchanged.
+        base = self._pinned_compiled(adg, now, token, table, rec)
+        pending_work = base.pending_work(table)
         for lp in range(max(1, start_lp), upper + 1):
-            if (
-                pending_work is not None
-                and now + pending_work / lp > deadline + _EPS
-            ):
+            if now + pending_work / lp > deadline + _EPS:
                 continue
             if self.limited(adg, now, lp).wct <= deadline + _EPS:
                 answer = lp
@@ -798,12 +617,10 @@ class PlanEngine:
         clock: held-queue re-evaluations hit the cache until an estimate
         changes.  ``None`` while the estimates are cold.
         """
-        adg = self.structural_plan()
-        if adg is None:
-            adg = self.structural_projection()
-        if adg is None:
+        plan = self.structural_plan()
+        if plan is None:
             return None
-        return self.limited(adg, start, lp).wct
+        return self.limited(plan, start, lp).wct
 
     def structural_minimal_lp(
         self, goal_seconds: float, cap: Optional[int] = None
@@ -814,9 +631,7 @@ class PlanEngine:
         held queue head.  ``None`` while cold or when no LP up to *cap*
         meets the goal.
         """
-        adg = self.structural_plan()
-        if adg is None:
-            adg = self.structural_projection()
-        if adg is None:
+        plan = self.structural_plan()
+        if plan is None:
             return None
-        return self.minimal_lp(adg, 0.0, goal_seconds, cap=cap)
+        return self.minimal_lp(plan, 0.0, goal_seconds, cap=cap)

@@ -1,14 +1,14 @@
 """PlanTable — skeleton plans compiled into flat array programs.
 
-The dict-based passes in :mod:`repro.core.schedule` walk per-activity
+The reference passes in :mod:`repro.core.schedule` walk per-activity
 ``Activity`` dataclasses through Python dicts: every pass pays attribute
 lookups, dict copies and (for limited-LP scans) a fresh
 :class:`~repro.core.schedule.ScheduledActivity` per activity *per
-candidate LP*.  At 842 activities one full analysis pass costs ~180 ms,
-nearly all of it in the minimal-LP scan re-deriving that state per
-candidate.
+candidate LP*.  At 842 activities one full analysis pass that way costs
+~180 ms, nearly all of it in the minimal-LP scan re-deriving that state
+per candidate.  The runtime therefore plans over this module instead.
 
-This module applies the flattening playbook (immutable compiled program
+It applies the flattening playbook (immutable compiled program
 representations + small-degree inlining, after pycket's interpreter): a
 projected :class:`~repro.core.adg.ADG` is **compiled once** into an
 immutable-structure :class:`PlanTable` —
@@ -42,14 +42,14 @@ Every scheduler pass then runs as index arithmetic over these columns:
   pays for entries it only asks ``.wct`` of).
 
 **Bit-for-bit contract**: every compiled pass performs the *same
-floating-point operations in the same order* as its dict twin in
-:mod:`repro.core.schedule`, so WCTs, minimal LPs, timelines and
-materialized entries are identical — pinned by the compiled-vs-dict
-property harness in ``tests/core/test_plan_engine.py``.  The
+floating-point operations in the same order* as the reference pass of
+the same name in :mod:`repro.core.schedule`, so WCTs, minimal LPs,
+timelines and materialized entries are identical — pinned by the
+compiled-vs-reference property harness in
+``tests/core/test_plan_engine.py``.  The
 :class:`~repro.core.planning.engine.PlanEngine` keys tables by the
-existing ``(ADG.rev, estimator version)`` invalidation scheme and falls
-back to the dict path whenever compilation is unsound
-(``compiled=False``, or an ADG with non-dense ids).
+``(ADG.rev, estimator version)`` invalidation scheme; there is no other
+path to fall back to.
 """
 
 from __future__ import annotations
@@ -146,19 +146,22 @@ class PlanTable:
         self._work: Optional[array] = None  # see work_column
 
     @classmethod
-    def compile(cls, adg: ADG) -> Optional["PlanTable"]:
-        """Flatten *adg*, or ``None`` when its ids are not dense.
+    def compile(cls, adg: ADG) -> "PlanTable":
+        """Flatten *adg*.
 
-        :class:`~repro.core.adg.ADG` construction always produces dense
-        ``0..n-1`` ids in topological order; the ``None`` branch is a
-        guard for hypothetical foreign graphs, and means "use the dict
-        path".
+        Activity ids are the array index, so they must be dense
+        ``0..n-1`` — which :class:`~repro.core.adg.ADG` construction
+        guarantees, in topological order.  A graph with a gap in its ids
+        raises :class:`~repro.errors.SchedulingError`.
         """
         acts = adg.activities
         n = len(acts)
         for i, act in enumerate(acts):
             if act.id != i:
-                return None
+                raise SchedulingError(
+                    f"cannot compile a plan table: activity ids are not "
+                    f"dense (position {i} holds id {act.id})"
+                )
 
         table = cls()
         table.n = n
@@ -238,7 +241,7 @@ class PlanTable:
         The caller (the engine) must have verified through
         :meth:`~repro.core.adg.ADG.delta_since` that everything since
         the last sync was in-place time updates on these activities —
-        the same certificate the dict path's delta re-pin relies on.
+        the same certificate the delta re-pin relies on.
         """
         start = self.start
         end = self.end
@@ -295,7 +298,7 @@ class PlanTable:
 
 
 class CompiledPinnedBase:
-    """Array twin of :class:`~repro.core.schedule.PinnedPlanBase`.
+    """Array form of :class:`~repro.core.schedule.PinnedPlanBase`.
 
     Immutable once built (schedule passes copy the columns they mutate);
     ``state`` is a snapshot so cached bases and results stay frozen when
@@ -344,7 +347,7 @@ class CompiledPinnedBase:
 
 
 class CompiledSchedule:
-    """Array-backed :class:`~repro.core.schedule.ScheduleResult` twin.
+    """Array-backed :class:`~repro.core.schedule.ScheduleResult`.
 
     Exposes the same public surface (``wct`` / ``remaining`` /
     ``timeline`` / ``peak`` / ``entries`` / ``start_of`` / ``end_of``)
@@ -352,7 +355,7 @@ class CompiledSchedule:
     :class:`~repro.core.schedule.ScheduledActivity` is materialized
     lazily and cached, so consumers that only read ``.wct`` (the whole
     minimal-LP scan) never allocate per-activity objects.  Timelines and
-    peaks memoize per ``from_time``, like the dict result.
+    peaks memoize per ``from_time``, like the reference result.
     """
 
     __slots__ = (
@@ -695,14 +698,17 @@ def compiled_pin_delta(
     prev: CompiledPinnedBase,
     touched: Iterable[int],
 ) -> CompiledPinnedBase:
-    """Advance *prev* to *now* touching only what changed — array twin of
-    :func:`~repro.core.schedule.pin_actuals_delta`.
+    """Advance *prev* to *now* touching only what changed.
 
-    The per-activity columns copy at C speed; only the delta-touched
-    activities, the running re-clamp and the frontier re-derivation do
-    Python-level work.  The result equals :func:`compiled_pin` bit for
-    bit (same certificate as the dict path: the table was refreshed from
-    a non-structural changelog window).
+    *prev* must have been pinned from the **same table structure**, with
+    only the activities in *touched* having changed times since —
+    exactly what a non-structural changelog window
+    (:meth:`~repro.core.adg.ADG.delta_since`) written through by
+    :meth:`PlanTable.refresh` certifies.  The per-activity columns copy
+    at C speed; only the touched activities (a pending → pinned
+    transition decrements its successors' counts), the running re-clamp
+    to the new *now* and the frontier re-derivation do Python-level
+    work.  The result equals :func:`compiled_pin` bit for bit.
     """
     n = table.n
     touched = set(touched)
@@ -862,7 +868,7 @@ def compiled_schedule_pending(
     *base* and *prio* are never mutated: the columns copy, the heaps are
     rebuilt, and *prio*'s prebuilt ``(-cp, aid)`` entries are shared by
     reference — one pinning pass plus one priority table seeds every LP
-    of a scan.  Invariant exploited over the dict twin: stale busy
+    of a scan.  Invariant exploited over the reference pass: stale busy
     entries are dropped eagerly, so the active-worker count is
     ``len(busy)`` instead of a per-iteration scan.
     """
@@ -895,7 +901,7 @@ def compiled_schedule_pending(
     cursor = now
     scheduled = 0
     # Eagerly drop already-released workers: afterwards every busy entry
-    # is > cursor + EPS, so len(busy) is the dict twin's `active` count.
+    # is > cursor + EPS, so len(busy) is the reference pass's `active` count.
     limit = cursor + _EPS
     while busy and busy[0] <= limit:
         heappop(busy)
@@ -928,9 +934,8 @@ def compiled_schedule_pending(
                         pp[s] = cnt
                         if cnt == 0:
                             # max predecessor end, clamped to the cursor
-                            # (_ready_time inlined over hoisted columns —
-                            # this runs once per scheduled activity per
-                            # scanned LP).
+                            # (inlined over hoisted columns — this runs
+                            # once per scheduled activity per scanned LP).
                             r = cursor
                             pc = npred[s]
                             if pc:
@@ -974,30 +979,6 @@ def compiled_schedule_pending(
     return CompiledSchedule(
         "limited-lp", now, lp, starts, ends, base.state, table.names
     )
-
-
-def _ready_time(table: PlanTable, s: int, ends: array, cursor: float) -> float:
-    """Max of *s*'s predecessor ends, clamped to *cursor*."""
-    r = cursor
-    c = table.npred[s]
-    if c:
-        if c == 1:
-            e = ends[table.pred0[s]]
-            if e > r:
-                r = e
-        elif c == 2:
-            e = ends[table.pred0[s]]
-            if e > r:
-                r = e
-            e = ends[table.pred1[s]]
-            if e > r:
-                r = e
-        else:
-            for p in table.pred_ext[table.pred_ptr[s]:table.pred_ptr[s + 1]]:
-                e = ends[p]
-                if e > r:
-                    r = e
-    return r
 
 
 def compiled_minimal_lp(

@@ -22,13 +22,23 @@ Clamp rules (paper, Figure 1 discussion): an activity's estimated end is
 ``ti + t(m)``, "but if ti + t(m) is in the past, tf = currentTime"; a
 pending activity's estimated start is ``max over predecessors of tf``,
 clamped to *now*.
+
+**This module is the reference oracle, not the runtime path.**  It states
+the algorithms once, from scratch, over ``Activity`` objects and dicts, the
+way the paper describes them; tests, the property harness and the
+paper-figure benches call it directly.  The running system plans through
+:class:`~repro.core.planning.PlanEngine`, whose compiled passes
+(:mod:`repro.core.planning.table`) perform the same float operations in the
+same order over flat arrays and must answer bit for bit what the functions
+here answer.  The result types (:class:`ScheduledActivity`,
+:class:`ScheduleResult`) and the timeline helpers are shared by both.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import SchedulingError
 from .adg import ADG, Activity
@@ -41,7 +51,6 @@ __all__ = [
     "limited_lp_schedule",
     "remaining_critical_path",
     "pin_actuals",
-    "pin_actuals_delta",
     "schedule_pending",
     "optimal_lp",
     "minimal_lp_greedy",
@@ -202,9 +211,9 @@ class PinnedPlanBase:
 
     Finished/running activities and the derived pending-frontier state
     depend only on the ADG and *now* — never on the worker count — so one
-    pinning pass can seed every LP of a minimal-LP scan.  The planning
-    engine caches instances per ``(adg revision, now)`` and re-schedules
-    only the pending frontier (:func:`schedule_pending`) per LP.
+    pinning pass can seed every LP of a minimal-LP scan
+    (:func:`schedule_pending` re-schedules only the pending frontier per
+    LP).
     """
 
     now: float
@@ -220,9 +229,7 @@ def remaining_critical_path(adg: ADG) -> Dict[int, float]:
     """Remaining dependency-chain length per activity (priority table).
 
     Depends only on the graph, durations and finished flags — i.e. it is
-    constant for one projected ADG, whatever *now* or the LP — so the
-    planning engine computes it once per ADG revision and reuses it for
-    every frontier re-schedule.
+    constant for one projected ADG, whatever *now* or the LP.
     """
     remaining_cp: Dict[int, float] = {}
     for aid in reversed(adg.topological_order()):
@@ -282,96 +289,6 @@ def pin_actuals(adg: ADG, now: float) -> PinnedPlanBase:
     )
 
 
-def pin_actuals_delta(
-    adg: ADG,
-    now: float,
-    prev: PinnedPlanBase,
-    touched: Iterable[int],
-) -> PinnedPlanBase:
-    """Delta re-pin: advance *prev* to *now* touching only what changed.
-
-    *prev* must have been built (by :func:`pin_actuals` or a previous
-    delta pass) from the **same graph structure**, with only the
-    activities in *touched* having changed times since — exactly what the
-    changelog (:meth:`~repro.core.adg.ADG.delta_since`) certifies.  The
-    result equals ``pin_actuals(adg, now)`` bit for bit:
-
-    * untouched finished activities keep their (now-independent) entries;
-    * touched activities are re-pinned, and a pending → pinned transition
-      decrements the pending-predecessor counts of its successors;
-    * running activities are re-clamped to the new *now*, and the frontier
-      ready times (which clamp to *now*) are re-derived.
-
-    The win over a full pass is constant-factor, not asymptotic — dict
-    copies replace the per-activity graph walk — but on wide executions
-    with long finished prefixes the walk is exactly where the per-event
-    scheduling time went.
-    """
-    touched = set(touched)
-    entries = dict(prev.entries)
-    ends = dict(prev.ends)
-    pending_preds = dict(prev.pending_preds)
-    to_schedule = prev.to_schedule
-    newly_pinned: List[int] = []
-
-    for aid in sorted(touched):
-        act = adg.activity(aid)
-        if not act.started:
-            continue  # still pending: counts and (estimate) duration unchanged
-        if aid in pending_preds:
-            del pending_preds[aid]
-            to_schedule -= 1
-            newly_pinned.append(aid)
-        if act.finished:
-            ends[aid] = act.end
-            entries[aid] = ScheduledActivity(
-                aid, act.name, act.start, act.end, "finished"
-            )
-        else:
-            end = max(act.start + act.duration, now)
-            ends[aid] = end
-            entries[aid] = ScheduledActivity(
-                aid, act.name, act.start, end, "running"
-            )
-    for aid in newly_pinned:
-        for s in adg.successors(aid):
-            if s in pending_preds:
-                pending_preds[s] -= 1
-
-    # Untouched running activities re-clamp to the new now.
-    for aid, entry in prev.entries.items():
-        if entry.status == "running" and aid not in touched:
-            act = adg.activity(aid)
-            end = max(act.start + act.duration, now)
-            if end != entry.end:
-                ends[aid] = end
-                entries[aid] = ScheduledActivity(
-                    aid, act.name, act.start, end, "running"
-                )
-
-    busy: List[float] = [
-        ends[aid] for aid, entry in entries.items() if entry.status == "running"
-    ]
-    heapq.heapify(busy)
-
-    ready_time: Dict[int, float] = {}
-    for aid, count in pending_preds.items():
-        if count == 0:
-            act = adg.activity(aid)
-            ready_time[aid] = max(
-                max((ends[p] for p in act.preds), default=now), now
-            )
-    return PinnedPlanBase(
-        now=now,
-        entries=entries,
-        ends=ends,
-        busy=busy,
-        pending_preds=pending_preds,
-        ready_time=ready_time,
-        to_schedule=to_schedule,
-    )
-
-
 def limited_lp_schedule(
     adg: ADG,
     now: float,
@@ -392,8 +309,7 @@ def limited_lp_schedule(
     program order).
 
     This is the from-scratch composition of :func:`pin_actuals` +
-    :func:`schedule_pending`; the planning engine caches the two halves
-    independently and re-runs only the pending frontier per LP.
+    :func:`schedule_pending`.
     """
     return schedule_pending(
         adg, now, lp, priority, pin_actuals(adg, now), remaining_critical_path(adg)

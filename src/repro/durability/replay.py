@@ -13,7 +13,8 @@ SkeletonService` captures everything the arbiter's decisions depend on:
   (stable sorts break allocation ties by dict insertion order) and how
   many events had been published when it fired (captured through
   :attr:`~repro.service.arbiter.LPArbiter.on_rebalance`);
-* the arbitration configuration (capacity, rho, extensions, aging).
+* the arbitration configuration (capacity, rho, extensions, the
+  starvation-aging base and unit).
 
 :func:`replay_rebalances` re-runs that schedule offline: fresh analyzers
 consume the recorded event prefixes, and a fresh arbiter re-decides every
@@ -304,8 +305,6 @@ class RunRecorder:
                 "capacity": self.service.capacity,
                 "rho": self.service.rho,
                 "extensions": self.service.extensions,
-                "plan_patching": self.service.plan_patching,
-                "aging": arbiter.aging,
                 "starvation_base": arbiter.starvation_base,
                 "starvation_unit": arbiter.starvation_unit,
             },
@@ -327,10 +326,22 @@ def replay_rebalances(
     analyzers, then asks a fresh arbiter to decide at the recorded time —
     including the starvation-aging state, which evolves across rebalances
     exactly as it did live.
+
+    Older logs may carry two more config keys.  The planner's
+    patch/walk switch never changed a decision; its key is ignored.
+    ``"aging"`` did: ``"virtual-time"`` (or absent) is what the arbiter
+    does; a log recorded under the removed ``"rounds"`` clock cannot be
+    reproduced and raises :class:`~repro.errors.DurabilityError`.
     """
     from ..runtime.simulator import SimulatedPlatform
 
     config = log.config
+    aging = config.get("aging", "virtual-time")
+    if aging != "virtual-time":
+        raise DurabilityError(
+            f"replay log was recorded under starvation aging {aging!r}, "
+            f"which this library no longer implements (only 'virtual-time')"
+        )
     for eid, meta in log.executions.items():
         program = programs.get(eid)
         if program is None:
@@ -352,7 +363,6 @@ def replay_rebalances(
         platform,
         capacity=capacity,
         min_interval=0.0,
-        aging=config.get("aging", "virtual-time"),
         starvation_base=float(config.get("starvation_base", 2.0)),
         starvation_unit=float(config.get("starvation_unit", 1.0)),
     )
@@ -372,7 +382,6 @@ def replay_rebalances(
             rho=float(config.get("rho", 0.5)),
             extensions=bool(config.get("extensions", False)),
             plan_cache=cache,
-            plan_patching=bool(config.get("plan_patching", True)),
         )
         weight = meta.get("weight")
         analyzer.share_weight = weight

@@ -170,10 +170,7 @@ class AdmissionController:
         if qos is None or qos.wct is None:
             return None
         if engine is not None:
-            plan = engine.structural_plan()
-            if plan is not None:
-                return plan
-            return engine.structural_projection()
+            return engine.structural_plan()
         if not estimators.ready_for(program):
             return None
         adg = ADG()

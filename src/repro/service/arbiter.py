@@ -26,12 +26,11 @@ Plan + Execute halves with a single global decision, in three layers:
    (below its optimal LP / ``MaxLPGoal``) *in proportion to its weight*
    (``QoS.weight``, defaulting to the tenant's quota weight) by
    largest-remainder apportionment.  A starvation-free **decay** ages the
-   weights of executions that wanted surplus but received none.  By
-   default the aging clock is **virtual time**: the effective weight
-   doubles per ``starvation_unit`` seconds starved on the platform
-   clock, so the fairness horizon is independent of how densely analysis
-   ticks (and therefore rebalances) arrive.  ``aging="rounds"`` restores
-   the per-rebalance-round doubling.
+   weights of executions that wanted surplus but received none.  The
+   aging clock is **virtual time**: the effective weight doubles per
+   ``starvation_unit`` seconds starved on the platform clock, so the
+   fairness horizon is independent of how densely analysis ticks (and
+   therefore rebalances) arrive.
 
 Analysis is pulled, not recomputed: every rebalance asks each
 execution's :class:`~repro.core.analysis.ExecutionAnalyzer` for a
@@ -104,17 +103,12 @@ class LPArbiter:
     starvation_base:
         Aging base of the fair-share decay: a starved execution competes
         with weight ``weight * starvation_base**k``, where *k* is the
-        aging exponent (see *aging*).  1.0 disables aging.
-    aging:
-        What drives the exponent *k*.  ``"virtual-time"`` (default):
-        seconds starved on the platform clock divided by
+        seconds it has starved on the platform clock divided by
         ``starvation_unit`` — tick-density independent, so a storm of
         fine-grained events cannot fast-forward fairness and a sparse
-        workload cannot stall it.  ``"rounds"``: consecutive rebalance
-        rounds passed over (the pre-virtual-time behaviour).
+        workload cannot stall it.  1.0 disables aging.
     starvation_unit:
-        Seconds of starvation per doubling under virtual-time aging
-        (default 1.0; ignored under ``"rounds"``).
+        Seconds of starvation per doubling (default 1.0).
     history:
         How many recent :class:`Rebalance` records to retain for
         observability (:attr:`rebalances`, :meth:`shares_history`).  A
@@ -129,7 +123,6 @@ class LPArbiter:
         min_interval: float = 0.0,
         min_events: int = 1,
         starvation_base: float = 2.0,
-        aging: str = "virtual-time",
         starvation_unit: float = 1.0,
         history: int = 1024,
     ):
@@ -145,8 +138,6 @@ class LPArbiter:
             raise ValueError(
                 f"starvation_base must be >= 1.0, got {starvation_base}"
             )
-        if aging not in ("virtual-time", "rounds"):
-            raise ValueError(f"unknown aging mode {aging!r}")
         if starvation_unit <= 0.0:
             raise ValueError(
                 f"starvation_unit must be > 0, got {starvation_unit}"
@@ -156,7 +147,6 @@ class LPArbiter:
         self.min_interval = min_interval
         self.min_events = int(min_events)
         self.starvation_base = float(starvation_base)
-        self.aging = aging
         self.starvation_unit = float(starvation_unit)
         self.rebalances: Deque[Rebalance] = deque(maxlen=history)
         #: Optional hook called after every *applied* rebalance with the
@@ -171,8 +161,8 @@ class LPArbiter:
         self._last: Optional[float] = None
         self._ticks = 0
         #: execution id -> (consecutive passed-over rounds, time first
-        #: passed over); the two aging clocks share one record so no
-        #: update site can desynchronize them.
+        #: passed over): the aging clock reads the time, the round count
+        #: is observability (:meth:`starved_rounds`).
         self._starved: Dict[int, Tuple[int, float]] = {}
         #: execution id -> (analyzer, cap, weight, priority): the
         #: scheduling class, resolved at an execution's first rebalance.
@@ -281,19 +271,15 @@ class LPArbiter:
     def _aged_weight(self, eid: int, weight: float, now: float) -> float:
         """Effective fair-share weight after starvation aging.
 
-        The exponent is seconds starved over ``starvation_unit``
-        (virtual-time mode, default) or consecutive passed-over rounds
-        (``aging="rounds"``), capped against float overflow either way.
+        The exponent is seconds starved over ``starvation_unit``,
+        capped against float overflow.
         """
         if self.starvation_base <= 1.0:
             return weight
         entry = self._starved.get(eid)
         if entry is None:
             return weight
-        if self.aging == "rounds":
-            exponent: float = entry[0]
-        else:
-            exponent = (now - entry[1]) / self.starvation_unit
+        exponent = (now - entry[1]) / self.starvation_unit
         exponent = min(max(exponent, 0.0), _MAX_STARVED_ROUNDS)
         if exponent <= 0.0:
             return weight

@@ -156,29 +156,14 @@ class SkeletonService:
         lower-priority submissions (their load gate sees that much less
         budget), so a steady stream of small feasible goals cannot
         indefinitely backfill past a held wide goal.  Default on.
-    starvation_aging:
-        The arbiter's fair-share aging clock: ``"virtual-time"``
-        (default — age by seconds starved on the platform clock) or
-        ``"rounds"`` (age by rebalance rounds; tick-density dependent).
     plan_cache:
         The shared :class:`~repro.core.planning.PlanCache` backing every
         execution's :class:`~repro.core.planning.PlanEngine` and the
         admission gates.  Defaults to a fresh cache; pass
-        ``PlanCache(maxsize=0)`` to disable plan reuse (the benchmark's
-        from-scratch baseline), or ``PlanCache(now_quantum=q)`` for the
+        ``PlanCache(maxsize=0)`` for the from-scratch baseline (no plan
+        is stored and no engine carries anything between calls), or ``PlanCache(now_quantum=q)`` for the
         quantized ``now``-bucket mode (cross-rebalance schedule reuse on
         real clocks, decision skew bounded by ``q``).
-    plan_patching:
-        Enable the delta pipeline in every execution's plan engine:
-        span-only event windows patch the previous projection in place
-        instead of re-walking the tracking machines.  On by default;
-        ``False`` restores the plain rev-keyed plan caching (the
-        delta-path benchmark's baseline).
-    plan_compiled:
-        Run every execution's scheduling passes over compiled
-        :class:`~repro.core.planning.PlanTable` flat arrays.  On by
-        default; ``False`` restores the dict-based passes bit for bit
-        (the compiled-scalability benchmark's baseline).
     checkpoints:
         An optional :class:`~repro.durability.store.CheckpointStore`.
         When given, submissions carrying a ``checkpoint=`` key persist
@@ -216,10 +201,7 @@ class SkeletonService:
         min_rebalance_events: int = 1,
         load_aware_admission: bool = True,
         backfill_reservation: bool = True,
-        starvation_aging: str = "virtual-time",
         plan_cache: Optional[PlanCache] = None,
-        plan_patching: bool = True,
-        plan_compiled: bool = True,
         checkpoints: Optional[CheckpointStore] = None,
         observability: Optional[Any] = None,
         **platform_kwargs: Any,
@@ -266,8 +248,6 @@ class SkeletonService:
         self.extensions = extensions
         self.backfill_reservation = backfill_reservation
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
-        self.plan_patching = plan_patching
-        self.plan_compiled = plan_compiled
         self.tenants = TenantBook(default_quota=default_quota, quotas=quotas)
         self.admission = AdmissionController(
             capacity=self.capacity,
@@ -281,7 +261,6 @@ class SkeletonService:
             capacity=self.capacity,
             min_interval=min_rebalance_interval,
             min_events=min_rebalance_events,
-            aging=starvation_aging,
         )
         self.stats = ServiceStats()
         self._lock = threading.RLock()
@@ -399,8 +378,6 @@ class SkeletonService:
                 rho=self.rho,
                 extensions=self.extensions,
                 plan_cache=self.plan_cache,
-                plan_patching=self.plan_patching,
-                plan_compiled=self.plan_compiled,
             )
             # Resolve the scheduling class once, at the submission
             # boundary: QoS override first, tenant quota default second.

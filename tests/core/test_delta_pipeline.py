@@ -5,7 +5,7 @@ analysis points) lives in ``test_plan_engine.py``; this module pins the
 pieces: the ADG / machine-registry changelogs and their compaction
 (ISSUE 5 satellite: O(activities) memory), the value-change estimator
 version and the estimator changelog beside it, ``ADG.retime`` and its
-place in the engine's patch (retime, bind, refresh), ``pin_actuals_delta``,
+place in the engine's patch (retime, bind, refresh), ``compiled_pin_delta``,
 the quantized ``now``-bucket plan-cache mode and its skew bound, and the
 patch path on the *real* thread/process backends.
 """
@@ -25,12 +25,10 @@ from repro.core.planning.table import (
     compiled_critical_path_delta,
     compiled_minimal_lp,
     compiled_pin,
+    compiled_pin_delta,
+    compiled_schedule_pending,
 )
-from repro.core.schedule import (
-    limited_lp_schedule,
-    pin_actuals,
-    pin_actuals_delta,
-)
+from repro.core.schedule import limited_lp_schedule, pin_actuals
 from repro.core.qos import QoS
 from repro.core.statemachines.base import MuscleSpan, refresh_from_sources
 from repro.events.bus import Listener
@@ -42,7 +40,9 @@ from repro.workloads.wordcount import TwitterCountApp
 from tests.conftest import make_warm_snapshot, sleepy_map_program
 from tests.core.test_plan_engine import (
     _PatchPathChecker,
-    assert_pinned_equal,
+    assert_compiled_pinned_equal,
+    assert_compiled_schedule_equal,
+    assert_pinned_bases_equal,
     jittered_sim,
     map_program,
     warm_map_analyzer,
@@ -655,7 +655,7 @@ class TestRetimeInTheEngine:
 
 @pytest.mark.service_stress
 class TestRetimeWorkCounters:
-    def run_twitter(self, patching):
+    def run_twitter(self, cache):
         app = TwitterCountApp()
         corpus = TweetCorpusGenerator(seed=11).corpus(400)
         platform = SimulatedPlatform(
@@ -664,29 +664,35 @@ class TestRetimeWorkCounters:
         controller = AutonomicController(
             platform, app.skeleton, qos=QoS.wall_clock(9.5, max_lp=24)
         )
-        controller.analyzer.plan.patching = patching
+        controller.analyzer.plan.cache = cache
         assert run(app.skeleton, corpus, platform) == app.reference_count(corpus)
         decisions = [
             (d.time, d.trigger, d.lp_before, d.lp_after, d.action, d.wct_current_lp)
             for d in controller.decisions
         ]
-        return decisions, controller.analyzer.plan.cache.stats, platform.now()
+        return decisions, cache.stats, platform.now()
 
     def test_a_learning_twitter_run_walks_once(self):
         """The paper's cold-start scenario: every muscle completion
-        moves a ``t(m)``, and the one walk is the first analysis."""
-        decisions, stats, makespan = self.run_twitter(patching=True)
-        walked, walked_stats, walked_makespan = self.run_twitter(patching=False)
+        moves a ``t(m)``, and the one walk is the first analysis.  The
+        ``PlanCache(maxsize=0)`` baseline walks at every one, patches
+        nothing and decides the same."""
+        decisions, stats, makespan = self.run_twitter(PlanCache())
+        walked, walked_stats, walked_makespan = self.run_twitter(
+            PlanCache(maxsize=0)
+        )
         assert len(decisions) >= 10 and decisions == walked
         assert makespan == walked_makespan
         assert stats.projection_passes == 1 and stats.table_compiles == 1
         assert stats.projection_patches == len(decisions) - 1
-        assert walked_stats.projection_passes == len(decisions)
+        assert walked_stats.projection_passes >= len(decisions)
         assert walked_stats.projection_patches == 0
+        assert walked_stats.pin_patches == 0
+        assert walked_stats.table_patches == 0
 
 
 # ---------------------------------------------------------------------------
-# pin_actuals_delta
+# compiled_pin_delta
 
 
 def staged_adg():
@@ -701,42 +707,49 @@ def staged_adg():
     return adg, (a, b, c, d, e, f)
 
 
-class TestPinActualsDelta:
+class TestCompiledPinDelta:
+    """The delta re-pin against a full pin of the refreshed table, and
+    against the reference ``pin_actuals`` of the graph."""
+
+    def check(self, adg, table, now, base, touched):
+        table.refresh(adg, touched)
+        patched = compiled_pin_delta(table, now, base, touched)
+        assert_pinned_bases_equal(compiled_pin(table, now), patched)
+        assert_compiled_pinned_equal(patched, pin_actuals(adg, now))
+        return patched
+
     def test_advancing_now_matches_full_pin(self):
         adg, _ids = staged_adg()
-        base = pin_actuals(adg, 2.0)
+        table = PlanTable.compile(adg)
+        base = compiled_pin(table, 2.0)
         for now in (2.5, 3.0, 4.5):
-            delta = pin_actuals_delta(adg, now, base, touched=())
-            assert_pinned_equal(delta, pin_actuals(adg, now))
-            base = delta
+            base = self.check(adg, table, now, base, touched=())
 
     def test_touched_transitions_match_full_pin(self):
         adg, (a, b, c, d, e, f) = staged_adg()
-        base = pin_actuals(adg, 2.0)
+        table = PlanTable.compile(adg)
+        base = compiled_pin(table, 2.0)
         # c finishes, d starts running.
         assert adg.update_activity(c, 1.0, 3.5, 2.5)
         assert adg.update_activity(d, 3.0, None, 1.5)
-        patched = pin_actuals_delta(adg, 4.0, base, touched=(c, d))
-        assert_pinned_equal(patched, pin_actuals(adg, 4.0))
+        patched = self.check(adg, table, 4.0, base, touched=(c, d))
         # And the patched base seeds identical frontier schedules.
-        from repro.core.schedule import remaining_critical_path, schedule_pending
-
-        cp = remaining_critical_path(adg)
+        _cp, prio = compiled_critical_path(table)
         for lp in (1, 2, 3):
-            assert (
-                schedule_pending(adg, 4.0, lp, "critical-path", patched, cp).timeline()
-                == limited_lp_schedule(adg, 4.0, lp).timeline()
+            assert_compiled_schedule_equal(
+                compiled_schedule_pending(table, 4.0, lp, patched, prio),
+                limited_lp_schedule(adg, 4.0, lp),
             )
 
     def test_everything_finished_matches(self):
         adg, ids = staged_adg()
-        base = pin_actuals(adg, 2.0)
+        table = PlanTable.compile(adg)
+        base = compiled_pin(table, 2.0)
         times = {ids[2]: (1.0, 3.0), ids[3]: (3.0, 4.5), ids[4]: (3.0, 4.0),
                  ids[5]: (4.5, 5.0)}
         for aid, (s, e) in times.items():
             adg.update_activity(aid, s, e, e - s)
-        patched = pin_actuals_delta(adg, 6.0, base, touched=tuple(times))
-        assert_pinned_equal(patched, pin_actuals(adg, 6.0))
+        patched = self.check(adg, table, 6.0, base, touched=tuple(times))
         assert patched.to_schedule == 0
 
 
@@ -855,9 +868,9 @@ class TestCriticalPathDelta:
                     report = analyzer.analyze(platform.now())
                     if report is not None:
                         answers.append(report.minimal_lp(cap=8))
-                        table = analyzer.plan._table_for(report.adg)
+                        token, table, rec = analyzer.plan._resolve(report.adg)
                         pair = analyzer.plan._critical_path_compiled(
-                            report.adg, table
+                            token, table, rec
                         )
                         fresh = full(table)
                         assert pair[0] == fresh[0] and pair[1] == fresh[1]

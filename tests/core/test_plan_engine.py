@@ -12,12 +12,13 @@ pin that contract:
 * explicit invalidation tests: a new event (ADG/machine revision) or an
   estimator update (version stamp) must produce fresh answers, while an
   unchanged world must hit the cache (same object back);
-* compiled-vs-dict equivalence: every :mod:`repro.core.planning.table`
-  array pass (best-effort, critical path, pinning, limited-LP frontier,
-  minimal-LP scan) must equal its dict twin bit for bit — structurally,
-  live at analysis points, and across the delta/patch path — and a
-  ``plan_compiled=False`` engine must answer identically while touching
-  no tables at all.
+* compiled-vs-reference equivalence: every :mod:`repro.core.planning.
+  table` array pass (best-effort, critical path, pinning, limited-LP
+  frontier, minimal-LP scan) must equal the ``schedule.py`` reference
+  pass bit for bit — structurally, live at analysis points, and across
+  the delta/patch path;
+* the from-scratch baseline: a ``PlanCache(maxsize=0)`` engine patches
+  and carries nothing, and answers what the default engine answers.
 
 The sweeps carry the ``service_stress`` marker so the dedicated CI job
 runs them alongside the arbiter property harness.
@@ -37,6 +38,7 @@ from repro.core.planning.compile import (
     compile_structural,
     structural_fingerprint,
 )
+from repro.errors import SchedulingError
 from repro.core.planning.table import (
     compiled_best_effort,
     compiled_critical_path,
@@ -95,11 +97,9 @@ def map_program(width=3):
     )
 
 
-def warm_map_analyzer(width=3, qos=None, cache=None, work_t=1.0, plan_compiled=True):
+def warm_map_analyzer(width=3, qos=None, cache=None, work_t=1.0):
     program = map_program(width)
-    analyzer = ExecutionAnalyzer(
-        qos=qos, skeleton=program, plan_cache=cache, plan_compiled=plan_compiled
-    )
+    analyzer = ExecutionAnalyzer(qos=qos, skeleton=program, plan_cache=cache)
     analyzer.initialize_estimates(
         program,
         snapshot_from_names(
@@ -363,16 +363,6 @@ def assert_adg_layout_equal(patched: ADG, fresh: ADG) -> None:
     assert layouts(patched) == layouts(fresh)
 
 
-def assert_pinned_equal(base, full) -> None:
-    assert base.now == full.now
-    assert base.entries == full.entries
-    assert base.ends == full.ends
-    assert sorted(base.busy) == sorted(full.busy)
-    assert base.pending_preds == full.pending_preds
-    assert base.ready_time == full.ready_time
-    assert base.to_schedule == full.to_schedule
-
-
 def assert_compiled_schedule_equal(compiled, reference) -> None:
     """A CompiledSchedule must equal its dict ScheduleResult twin on the
     whole public surface: WCT, timelines, peaks and materialized entries
@@ -444,33 +434,29 @@ class _PatchPathChecker(Listener):
             # Drive the pinned base (and its delta re-pin across nows)
             # through the engine, then compare with a full pinning pass.
             engine.limited(adg, now, 2)
-            table = engine._table_for(adg)
-            if table is not None:
-                # The written-through columns against a fresh compile of
-                # the fresh walk.
-                assert_tables_bit_equal(table, PlanTable.compile(fresh))
-                # Compiled passes against their dict twins on the same
-                # (possibly patched, delta-refreshed) graph — including
-                # the compiled delta re-pin, which `limited` above drove
-                # across nows.
-                assert_compiled_pinned_equal(
-                    engine._pinned_compiled(adg, now, table),
-                    pin_actuals(adg, now),
-                )
-                assert_compiled_schedule_equal(
-                    engine.limited(adg, now, 2),
-                    limited_lp_schedule(adg, now, 2),
-                )
-                # The (possibly delta-advanced) priority table against
-                # a fresh sweep of the same table, and against the dict
-                # twin.
-                cp, prio = engine._critical_path_compiled(adg, table)
-                fresh_cp, fresh_prio = compiled_critical_path(table)
-                assert cp == fresh_cp
-                assert prio == fresh_prio
-                ref_cp = remaining_critical_path(adg)
-                assert list(cp) == [ref_cp[i] for i in range(len(adg))]
-            assert_pinned_equal(engine._pinned(adg, now), pin_actuals(adg, now))
+            token, table, rec = engine._resolve(adg)
+            # The written-through columns against a fresh compile of
+            # the fresh walk.
+            assert_tables_bit_equal(table, PlanTable.compile(fresh))
+            # Compiled passes against the reference passes on the same
+            # (possibly patched, delta-refreshed) graph — including the
+            # delta re-pin, which `limited` above drove across nows.
+            assert_compiled_pinned_equal(
+                engine._pinned_compiled(adg, now, token, table, rec),
+                pin_actuals(adg, now),
+            )
+            assert_compiled_schedule_equal(
+                engine.limited(adg, now, 2),
+                limited_lp_schedule(adg, now, 2),
+            )
+            # The (possibly delta-advanced) priority table against a
+            # fresh sweep of the same table, and against the reference.
+            cp, prio = engine._critical_path_compiled(token, table, rec)
+            fresh_cp, fresh_prio = compiled_critical_path(table)
+            assert cp == fresh_cp
+            assert prio == fresh_prio
+            ref_cp = remaining_critical_path(adg)
+            assert list(cp) == [ref_cp[i] for i in range(len(adg))]
             self.checked += 1
         return event.value
 
@@ -493,7 +479,7 @@ class TestPatchPathEquivalence:
     path produces projections, pinned bases, WCTs, minimal LPs and
     timelines identical to from-scratch recomputes (quantized mode off).
     The schedule-level quantities are covered by `_LivePlanChecker`
-    (which runs with patching on by default); this class pins the
+    (which runs the default engine, patches included); this class pins the
     projection/pinning layers directly and that patches actually fire."""
 
     @pytest.mark.parametrize("sim", [timed_sim, jittered_sim])
@@ -584,11 +570,16 @@ class TestPatchPathEquivalence:
         assert stats.projection_passes >= 3
         assert stats.projection_patches >= 1
 
-    def test_patching_off_never_patches_and_answers_agree(self):
+    def test_from_scratch_baseline_never_patches_and_answers_agree(self):
+        """``PlanCache(maxsize=0)`` alone is the walking baseline: no
+        patch of any kind, at least one walk per checked point, nothing
+        carried afterwards — and the checker's equalities hold."""
         program, analyzer = warm_map_analyzer(
-            width=4, qos=QoS.wall_clock(30.0), work_t=1.0
+            width=4,
+            qos=QoS.wall_clock(30.0),
+            work_t=1.0,
+            cache=PlanCache(maxsize=0),
         )
-        analyzer.plan.patching = False
         platform = timed_sim()
         checker = _PatchPathChecker(analyzer, platform)
         platform.add_listener(analyzer)
@@ -598,6 +589,9 @@ class TestPatchPathEquivalence:
         assert checker.checked >= 4
         assert stats.projection_patches == 0
         assert stats.pin_patches == 0
+        assert stats.table_patches == 0
+        assert stats.projection_passes >= checker.checked
+        assert not analyzer.plan._carried and not analyzer.plan._live_prev
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +644,13 @@ class TestInvalidation:
         assert distinct < len(seen)  # at least one patch fired
         assert stats.projection_patches >= len(seen) - distinct
 
-    def test_live_projection_rebuilt_fresh_without_patching(self):
-        """patching=False restores the pre-delta behaviour: every new
-        event makes the next projection a fresh object."""
+    def test_live_projection_rebuilt_fresh_by_the_baseline(self):
+        """Over ``PlanCache(maxsize=0)`` nothing is kept: every
+        projection call is a fresh walk and a fresh object."""
         platform = timed_sim()
-        program, analyzer = warm_map_analyzer(width=4)
-        analyzer.plan.patching = False
+        program, analyzer = warm_map_analyzer(
+            width=4, cache=PlanCache(maxsize=0)
+        )
         platform.add_listener(analyzer)
         engine = analyzer.plan
         seen = []
@@ -665,17 +660,16 @@ class TestInvalidation:
                 if is_analysis_point(event):
                     roots = analyzer.unfinished_roots()
                     if roots and analyzer.ready(roots):
-                        now = platform.now()
-                        first = engine.projection(now, roots)
-                        assert engine.projection(now, roots) is first
-                        seen.append(first)
+                        seen.append(engine.projection(platform.now(), roots))
                 return event.value
 
         platform.add_listener(Probe())
         run(program, 3, platform)
         assert len(seen) >= 2
         assert len({id(adg) for adg in seen}) == len(seen)
-        assert engine.cache.stats.projection_patches == 0
+        stats = engine.cache.stats
+        assert stats.projection_patches == 0
+        assert stats.projection_passes == len(seen)
 
     def test_adg_mutation_invalidates_derived_plans(self):
         """Mutating an engine-built ADG (its revision counter bumps)
@@ -791,10 +785,9 @@ class TestSharedCache:
 class TestCompiledPassesMatchDict:
     """ISSUE 9 acceptance: the flat-array passes of
     :mod:`repro.core.planning.table` must be bit-for-bit equal to the
-    dict passes of :mod:`repro.core.schedule` — structurally on
+    reference passes of :mod:`repro.core.schedule` — structurally on
     generated programs here, live and across the delta/patch path via
-    the extended ``_LivePlanChecker``/``_PatchPathChecker`` sweeps, and
-    with ``plan_compiled=False`` restoring the dict path outright."""
+    the extended ``_LivePlanChecker``/``_PatchPathChecker`` sweeps."""
 
     @given(program_descriptions)
     def test_structural_compiled_passes_equal_dict_passes(self, desc):
@@ -809,7 +802,6 @@ class TestCompiledPassesMatchDict:
         adg = ADG()
         project_skeleton(program, adg, [], est)
         table = PlanTable.compile(adg)
-        assert table is not None
         now = 0.0
 
         best_ref = best_effort_schedule(adg, now)
@@ -875,45 +867,16 @@ class TestCompiledPassesMatchDict:
         assert stats.table_patches >= 1
         assert stats.pin_patches >= 1
 
-    def test_uncompiled_engine_matches_dict_path_live(self):
-        """plan_compiled=False must restore the dict path bit for bit:
-        the live checker holds, and no table is ever compiled."""
-        program, analyzer = warm_map_analyzer(
-            width=4, qos=QoS.wall_clock(30.0), plan_compiled=False
-        )
-        platform = timed_sim()
-        checker = _LivePlanChecker(analyzer, platform)
-        platform.add_listener(analyzer)
-        platform.add_listener(checker)
-        run(program, 5, platform)
-        assert checker.checked >= 4
-        stats = analyzer.plan.cache.stats
-        assert stats.table_compiles == 0
-        assert stats.table_patches == 0
-
-    def test_uncompiled_patch_path_still_agrees(self):
-        """With compilation off, the dict delta pipeline carries the
-        patch path alone — and still fires."""
-        program, analyzer = warm_map_analyzer(
-            width=6, qos=QoS.wall_clock(30.0), work_t=1.0, plan_compiled=False
-        )
-        analyzer.initialize_estimates(
-            program,
-            snapshot_from_names(
-                program,
-                times={"split": 1.0, "work": 1.0, "merge": 1.0},
-                cards={"split": 6.0},
-            ),
-        )
-        platform = timed_sim()
-        checker = _PatchPathChecker(analyzer, platform)
-        platform.add_listener(analyzer)
-        platform.add_listener(checker)
-        run(program, 3, platform)
-        stats = analyzer.plan.cache.stats
-        assert checker.checked >= 6
-        assert stats.table_compiles == 0
-        assert stats.pin_patches >= 1
+    def test_compile_rejects_a_gap_in_the_ids(self):
+        """Ids are the array index: a graph that lost an id cannot be
+        flattened, and there is no other path to fall back to."""
+        adg = ADG()
+        a = adg.add("a", 1.0)
+        b = adg.add("b", 1.0, preds=[a])
+        adg.add("c", 1.0, preds=[b])
+        del adg._activities[b]
+        with pytest.raises(SchedulingError, match="not dense"):
+            PlanTable.compile(adg)
 
 
 # ---------------------------------------------------------------------------

@@ -146,6 +146,37 @@ class TestReplayDeterminism:
         with pytest.raises(DurabilityError, match="version"):
             ReplayLog.load(path)
 
+    def test_old_log_with_removed_config_keys_still_replays(self, tmp_path):
+        """A log saved before the planner had one path: its config still
+        holds the patch switch (which never changed a decision) and
+        names the aging clock.  It must end in the recorded outcomes —
+        not in a ``TypeError`` from a removed keyword."""
+        import json
+
+        widths = [3, 4]
+        log, _programs, _results = run_and_record(sim_service(), widths)
+        assert "plan_patching" not in log.config and "aging" not in log.config
+        path = tmp_path / "old.json"
+        log.save(path)
+        doc = json.loads(path.read_text())
+        doc["config"].update({"plan_patching": False, "aging": "virtual-time"})
+        path.write_text(json.dumps(doc))
+        loaded = ReplayLog.load(path)
+        assert loaded.config["plan_patching"] is False
+        replayed = replay_rebalances(loaded, fresh_programs(loaded, widths))
+        assert replayed
+        assert [normalize_rebalance(r) for r in replayed] == [
+            normalize_rebalance(r) for r in log.recorded_rebalances()
+        ]
+
+    def test_log_recorded_under_round_aging_is_refused(self):
+        """Round aging *did* change grants and is gone: such a log gets
+        the typed error, never a silently different replay."""
+        log, programs, _results = run_and_record(sim_service(), [3])
+        log.config["aging"] = "rounds"
+        with pytest.raises(DurabilityError, match="rounds"):
+            replay_rebalances(log, programs)
+
     def test_untracked_executions_dropped_not_fatal(self):
         service = sim_service()
         recorder = RunRecorder(service)
