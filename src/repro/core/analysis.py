@@ -206,6 +206,7 @@ class ExecutionAnalyzer(Listener):
             self.machines, self.estimators, skeleton=skeleton, cache=plan_cache
         )
         self.exec_start: Dict[int, float] = {}  # root index -> start time
+        self._cold_root = None  # a live root waiting for an estimate, see cold
         # (key, report, report.adg.rev when built): the last report, see analyze.
         self._last_report: Optional[Tuple[Tuple, AnalysisReport, int]] = None
         if skeleton is not None:
@@ -250,13 +251,20 @@ class ExecutionAnalyzer(Listener):
         self.machines.on_batch(events)
         for event in events:
             if event.parent_index is None and event.index not in self.exec_start:
-                self.exec_start[event.index] = event.timestamp
+                self._root_started(event)
 
     def observe(self, event: Event) -> None:
         """Feed one event into the tracking machines."""
-        self.machines.on_event(event)
+        self.machines.on_batch((event,))
         if event.parent_index is None and event.index not in self.exec_start:
-            self.exec_start[event.index] = event.timestamp
+            self._root_started(event)
+
+    def _root_started(self, event: Event) -> None:
+        """First sight of a root: its start time, and whether it waits
+        for estimates (see :attr:`cold`)."""
+        self.exec_start[event.index] = event.timestamp
+        if not self.estimators.ready_for(event.skeleton):
+            self._cold_root = self.machines.machine(event.index)
 
     # -- Analyze ---------------------------------------------------------------
 
@@ -268,13 +276,31 @@ class ExecutionAnalyzer(Listener):
         """True once every observed root execution completed."""
         return bool(self.machines.roots) and not self.machines.unfinished_roots()
 
+    @property
+    def cold(self) -> bool:
+        """True while a live root is known to wait for an estimate: the
+        paper's cold-start gate as an edge.  A root is found cold once
+        (at its first event, or by :meth:`ready`); from then on only the
+        estimate it missed is looked at — no lock, no root list.  True
+        implies :meth:`analyze` returns ``None``; False says nothing,
+        and is one attribute read once the execution is warm."""
+        root = self._cold_root
+        if root is None:
+            return False
+        if root.finished_at is None and not self.estimators.ready_for(root.skel):
+            return True
+        self._cold_root = None
+        return False
+
     def ready(self, roots: Optional[List] = None) -> bool:
         """True when an analysis is possible: live roots whose needed
         estimates are all available (the paper's cold-start gate)."""
         roots = roots if roots is not None else self.unfinished_roots()
-        if not roots:
-            return False
-        return all(self.estimators.ready_for(m.skel) for m in roots)
+        for root in roots:
+            if not self.estimators.ready_for(root.skel):
+                self._cold_root = root
+                return False
+        return bool(roots)
 
     def deadline(self, roots: Optional[List] = None) -> Optional[float]:
         """Earliest absolute planning deadline across live roots."""
@@ -312,6 +338,8 @@ class ExecutionAnalyzer(Listener):
         ``PlanCache(maxsize=0)`` (the from-scratch baseline) and a
         served graph mutated behind the engine all bypass the slot.
         """
+        if roots is None and self.cold:
+            return None
         memo_key = None
         if roots is None and self.plan.cache.maxsize:
             memo_key = (

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import QoSError
 from ..events.bus import Listener
@@ -199,10 +199,22 @@ class AutonomicController(Listener):
     def on_event(self, event: Event) -> Any:
         # Monitor: the analyzer's machine registry sees every event first.
         self.analyzer.observe(event)
-        # Analyze on muscle-completion analysis points.
-        if is_analysis_point(event):
+        # Analyze on muscle-completion analysis points — unless the
+        # execution still waits for an estimate, asked before the clock,
+        # the lock and the platform are touched.
+        if is_analysis_point(event) and not self.analyzer.cold:
             self._maybe_analyze(event)
         return event.value
+
+    def on_batch(self, events: Sequence[Event]) -> None:
+        """A batch without an analysis point (a fan-out's control
+        markers) is monitored under one registry lock; any other is
+        delivered event by event, each analysis point seeing exactly the
+        events before it."""
+        if any(map(is_analysis_point, events)):
+            super().on_batch(events)
+        else:
+            self.analyzer.on_batch(events)
 
     # -- analysis ----------------------------------------------------------------------
 

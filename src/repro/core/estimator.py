@@ -136,7 +136,8 @@ class EstimatorRegistry:
         self._time_moved: Dict[int, int] = {}
         self._shape_version = 0
         # skeleton -> [version at which ready_for last answered True,
-        # muscles whose t(m) it needs, muscles whose |m| it needs].
+        # (table, muscle uid) of every estimate it needs, position in
+        # that tuple of the one ready_for last found missing].
         self._readiness: Dict[Skeleton, list] = {}
         self._lock = threading.Lock()
 
@@ -160,18 +161,27 @@ class EstimatorRegistry:
         """
         return self._version
 
-    def _time_changed(self, muscle: Muscle, before: Optional[float], after: float) -> None:
-        if before is None or before != after:
-            with self._lock:
+    def _write(
+        self, table: Dict[int, HistoryEstimator], muscle: Muscle, value: float, initialize=False
+    ) -> float:
+        """One write to *muscle*'s estimate in *table* under one lock
+        acquisition: fetch (or create) the estimator, fold *value* in,
+        stamp the change.  Returns the new estimate."""
+        with self._lock:
+            est = self._estimator(table, muscle)
+            before = est.peek()
+            if initialize:
+                est.initialize(value)
+            else:
+                est.update(value)
+            after = est.peek()
+            if before is None or before != after:
                 self._version += 1
-                self._time_moved[muscle.uid] = self._version
-
-    def _card_changed(self, before: Optional[float], after: float) -> None:
-        if before is None or before != after:
-            with self._lock:
-                self._version += 1
-                if before is None or _whole(before) != _whole(after):
+                if table is self._time:
+                    self._time_moved[muscle.uid] = self._version
+                elif before is None or _whole(before) != _whole(after):
                     self._shape_version = self._version
+        return after
 
     def changed_since(self, version: int) -> Optional[Dict[int, float]]:
         """What moved after *version*: ``{muscle uid: current t(m)}`` of
@@ -201,23 +211,23 @@ class EstimatorRegistry:
 
     # -- access -----------------------------------------------------------------
 
+    def _estimator(self, table: Dict[int, HistoryEstimator], muscle: Muscle) -> HistoryEstimator:
+        """*muscle*'s estimator in *table*, created on first access
+        (caller holds the lock)."""
+        est = table.get(muscle.uid)
+        if est is None:
+            est = table[muscle.uid] = self._new_estimator()
+        return est
+
     def time_estimator(self, muscle: Muscle) -> HistoryEstimator:
         """The ``t(m)`` estimator of *muscle* (created on first access)."""
         with self._lock:
-            est = self._time.get(muscle.uid)
-            if est is None:
-                est = self._new_estimator()
-                self._time[muscle.uid] = est
-            return est
+            return self._estimator(self._time, muscle)
 
     def card_estimator(self, muscle: Muscle) -> HistoryEstimator:
         """The ``|m|`` estimator of *muscle* (created on first access)."""
         with self._lock:
-            est = self._card.get(muscle.uid)
-            if est is None:
-                est = self._new_estimator()
-                self._card[muscle.uid] = est
-            return est
+            return self._estimator(self._card, muscle)
 
     # -- observation --------------------------------------------------------------
 
@@ -225,41 +235,28 @@ class EstimatorRegistry:
         """Record one measured execution time of *muscle*."""
         if duration < 0:
             raise ValueError(f"negative duration {duration} for {muscle.name!r}")
-        est = self.time_estimator(muscle)
-        before = est.peek()
-        value = est.update(duration)
-        self._time_changed(muscle, before, value)
-        return value
+        return self._write(self._time, muscle, duration)
 
     def observe_card(self, muscle: Muscle, cardinality: float) -> float:
         """Record one measured cardinality of *muscle*."""
         if cardinality < 0:
             raise ValueError(f"negative cardinality {cardinality} for {muscle.name!r}")
-        est = self.card_estimator(muscle)
-        before = est.peek()
-        value = est.update(cardinality)
-        self._card_changed(before, value)
-        return value
+        return self._write(self._card, muscle, cardinality)
 
     def initialize_time(self, muscle: Muscle, value: float) -> None:
         """Warm-start the ``t(m)`` estimate of *muscle* (version-stamped)."""
-        est = self.time_estimator(muscle)
-        before = est.peek()
-        est.initialize(value)
-        self._time_changed(muscle, before, est.peek())
+        self._write(self._time, muscle, value, initialize=True)
 
     def initialize_card(self, muscle: Muscle, value: float) -> None:
         """Warm-start the ``|m|`` estimate of *muscle* (version-stamped)."""
-        est = self.card_estimator(muscle)
-        before = est.peek()
-        est.initialize(value)
-        self._card_changed(before, est.peek())
+        self._write(self._card, muscle, value, initialize=True)
 
     # -- queries -----------------------------------------------------------------
 
     def t(self, muscle: Muscle) -> float:
         """Current ``t(m)`` estimate; raises when not ready."""
-        return self.time_estimator(muscle).value
+        est = self._time.get(muscle.uid)  # atomic: no lock needed
+        return (est if est is not None else self.time_estimator(muscle)).value
 
     def card(self, muscle: Muscle) -> float:
         """Current ``|m|`` estimate; raises when not ready."""
@@ -321,26 +318,31 @@ class EstimatorRegistry:
 
         A positive answer is remembered per ``(version, skeleton)``:
         asking again before any estimate moved is one dict lookup.  A
-        negative one is asked anew each time — an estimator initialized
-        directly (``time_estimator(m).initialize(x)``) becomes ready
-        without moving the version — but over the muscles the skeleton
-        needs, flattened once, instead of two walks of its tree.
+        negative one remembers *which* estimate was missing and the next
+        call looks at that one alone — an estimator initialized directly
+        (``time_estimator(m).initialize(x)``) becomes ready without
+        moving the version, so the answer cannot be kept, but "still
+        cold" is O(1) however many muscles the skeleton has.  Only when
+        that estimate has arrived are the others (flattened once) looked
+        at again.
         """
         entry = self._readiness.get(skel)
         if entry is None:
             if len(self._readiness) >= 32:
                 self._readiness.clear()  # bounds what the memo keeps alive
-            entry = self._readiness[skel] = [
-                None, tuple(skel.muscles()), tuple(self.required_cards(skel))
-            ]
+            needed = tuple((self._time, m.uid) for m in skel.muscles())
+            needed += tuple((self._card, m.uid) for m in self.required_cards(skel))
+            entry = self._readiness[skel] = [None, needed, 0]
         version = self._version
         if entry[0] == version:
             return True
-        for needed, estimators in ((entry[1], self._time), (entry[2], self._card)):
-            for muscle in needed:
-                est = estimators.get(muscle.uid)  # atomic: no lock needed
-                if est is None or not est.ready:
-                    return False
+        needed, missing = entry[1], entry[2]
+        for at in range(missing, missing + len(needed)):  # the missing one first
+            table, uid = needed[at % len(needed)]
+            est = table.get(uid)  # atomic: no lock needed
+            if est is None or not est.ready:
+                entry[2] = at % len(needed)
+                return False
         entry[0] = version
         return True
 

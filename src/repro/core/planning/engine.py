@@ -88,6 +88,7 @@ from .compile import (
     structural_values_key,
 )
 from .table import (
+    PENDING,
     CompiledPinnedBase,
     CompiledSchedule,
     PlanTable,
@@ -97,6 +98,7 @@ from .table import (
     compiled_pin,
     compiled_pin_delta,
     compiled_schedule_pending,
+    compiled_settled,
 )
 
 __all__ = ["PlanEngine"]
@@ -512,16 +514,22 @@ class PlanEngine:
 
         Under the cache's quantized-now mode, *now* is floored to its
         bucket first — rebalances within one bucket share the schedule.
+        A graph with nothing pending is not scheduled: its plan is its
+        pinned base (``compiled_settled``).
         """
         now = self.cache.quantize(now)
-        token, table, _rec = self._resolve(adg)
+        token, table, rec = self._resolve(adg)
         key = ("cbe", token, now) if token is not None else None
         if key is not None:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        result = compiled_best_effort(table, now)
-        self.cache.count_schedule_pass()
+        if PENDING in table.state:
+            result = compiled_best_effort(table, now)
+            self.cache.count_schedule_pass()
+        else:
+            base = self._pinned_compiled(adg, now, token, table, rec)
+            result = compiled_settled(table, base, "best-effort", None)
         if key is not None:
             self.cache.put(key, result)
         return result
@@ -531,8 +539,9 @@ class PlanEngine:
 
         On a miss only the pending frontier is re-scheduled: the pinned
         actuals and the priority pair come from their own caches, shared
-        across every LP of a scan.  Under the quantized-now mode, *now*
-        is floored to its bucket first.
+        across every LP of a scan; a base that left nothing to schedule
+        is the plan at any LP, without the pair.  Under the quantized-now
+        mode, *now* is floored to its bucket first.
         """
         now = self.cache.quantize(now)
         token, table, rec = self._resolve(adg)
@@ -541,10 +550,13 @@ class PlanEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        _cp, prio = self._critical_path_compiled(token, table, rec)
         base = self._pinned_compiled(adg, now, token, table, rec)
-        result = compiled_schedule_pending(table, now, lp, base, prio)
-        self.cache.count_schedule_pass()
+        if base.to_schedule:
+            _cp, prio = self._critical_path_compiled(token, table, rec)
+            result = compiled_schedule_pending(table, now, lp, base, prio)
+            self.cache.count_schedule_pass()
+        else:
+            result = compiled_settled(table, base, "limited-lp", lp)
         if key is not None:
             self.cache.put(key, result)
         return result

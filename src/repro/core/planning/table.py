@@ -84,6 +84,7 @@ __all__ = [
     "compiled_pin_delta",
     "compiled_best_effort",
     "compiled_schedule_pending",
+    "compiled_settled",
     "compiled_minimal_lp",
 ]
 
@@ -851,6 +852,22 @@ def compiled_best_effort(table: PlanTable, now: float) -> CompiledSchedule:
             ends[i] = r + duration[i]
     return CompiledSchedule(
         "best-effort", now, None, starts, ends, state, table.names
+    )
+
+
+def compiled_settled(
+    table: PlanTable, base: CompiledPinnedBase, strategy: str, lp: Optional[int]
+) -> CompiledSchedule:
+    """The plan of a graph whose *base* left nothing to schedule: every
+    row is finished or running, so at any LP, best effort included, the
+    schedule *is* the pinned base.  Column for column what
+    :func:`compiled_best_effort` and :func:`compiled_schedule_pending`
+    return for such a graph (both copy a pinned row's start and clamp a
+    running row's end to *now*, as the pin does), without walking a row."""
+    if lp is not None and lp < 1:
+        raise SchedulingError(f"lp must be >= 1, got {lp}")
+    return CompiledSchedule(
+        strategy, base.now, lp, array("d", table.start), base.ends, base.state, table.names
     )
 
 

@@ -19,7 +19,7 @@ event history.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 from ...errors import StateMachineError
 from ...events.types import Event, When, Where
@@ -29,6 +29,75 @@ from ..estimator import EstimatorRegistry
 from ..projection import project_skeleton
 
 __all__ = ["TrackingMachine", "MuscleSpan", "refresh_from_sources", "rebind"]
+
+# What one event does to a projection that already holds its machine
+# (the registry's changelog classes).  ``NOOP``: nothing it reads.
+# ``SPAN``: an actual time lands on a span that already existed (and was
+# therefore projected with provenance) — the planning layer re-reads it.
+# ``REBIND``: besides that, state the machine's own projection reads
+# moved in a way that keeps the shape when the projection guessed right;
+# the planning layer replays the machine's extent to prove it.
+# ``STRUCTURAL``: the *set* of projected activities or their
+# dependencies changed, the planning layer re-walks.
+NOOP, SPAN, REBIND, STRUCTURAL = range(4)
+
+Handler = Callable[["TrackingMachine", Event], None]
+#: A change class or, where it depends on the event's data or the machine's
+#: place in the tree, a function called *before* the machine consumes the event.
+Change = Union[int, Callable[["TrackingMachine", Event], int]]
+
+
+def root_or(nested: int) -> Change:
+    """``AFTER SKELETON``: a finished root changes the projected root
+    set; a nested completion is a *nested* change."""
+
+    def after_skeleton(machine: "TrackingMachine", event: Event) -> int:
+        return STRUCTURAL if machine.parent_index is None else nested
+
+    return after_skeleton
+
+
+def after_split(machine: "TrackingMachine", event: Event) -> int:
+    """Projections fan out by the actual cardinality once it is known
+    and by the estimate before: the shape holds when they agree.  Read
+    before the machine observes the cardinality, which moves the
+    estimate."""
+    card = event.extra.get("fs_card")
+    if card is None:
+        return REBIND
+    split = machine.skel.split
+    estimators = machine.estimators
+    if estimators.has_card(split) and estimators.card_int(split) == card:
+        return REBIND
+    return STRUCTURAL
+
+
+#: The change class of every ``(when, where)``; a machine kind overrides
+#: single rows through :attr:`TrackingMachine.changes`.
+_CHANGES: Dict[Tuple[When, Where], Change] = {
+    # BEFORE events at most set the start of a pre-existing span.
+    **{(When.BEFORE, where): SPAN for where in Where},
+    # Control markers carry the parent's index; no machine handles them.
+    (When.BEFORE, Where.NESTED): NOOP,
+    (When.AFTER, Where.NESTED): NOOP,
+    (When.AFTER, Where.MERGE): SPAN,  # closes a fixed span; the machine finishes later
+    # Parents project children finished or not: a nested completion keeps
+    # the shape unless the machine's own projection reads ``finished``.
+    (When.AFTER, Where.SKELETON): root_or(REBIND),
+    (When.AFTER, Where.SPLIT): after_split,
+    (When.AFTER, Where.CONDITION): STRUCTURAL,  # a condition outcome
+}
+
+
+def _finishing(handler: Optional[Handler]) -> Handler:
+    """The ``AFTER SKELETON`` row: the kind's handler, then the stamp."""
+
+    def finish(machine: "TrackingMachine", event: Event) -> None:
+        if handler is not None:
+            handler(machine, event)
+        machine.finished_at = event.timestamp
+
+    return finish
 
 
 def refresh_from_sources(adg: ADG, machines: Optional[Iterable[int]] = None) -> int:
@@ -163,20 +232,28 @@ class TrackingMachine:
 
     kind: str = "?"
 
-    #: ``(when, where) -> handle_<when>_<where>`` of this machine class,
-    #: resolved once per class instead of once per event.
-    _handlers: Dict[Tuple[When, Where], Callable[["TrackingMachine", Event], None]] = {}
+    #: Rows of :data:`_CHANGES` this machine kind classifies otherwise.
+    changes: Dict[Tuple[When, Where], Change] = {}
+
+    #: ``(when, where) -> (handle_<when>_<where> or None, change)`` of
+    #: this machine class: all an event needs, resolved once per class
+    #: instead of once per event.  Keyed by the members' *values* (the
+    #: paper's ``b``/``a`` and ``s``/``m``/``c``/``n`` codes): an enum
+    #: member hashes through a Python-level ``__hash__``, a ``str`` not.
+    _table: Dict[Tuple[str, str], Tuple[Optional[Handler], Change]] = {}
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
-        cls._handlers = {}
+        cls._table = {}
         for when in When:
             for where in Where:
                 handler = getattr(
                     cls, f"handle_{when.name.lower()}_{where.name.lower()}", None
                 )
-                if handler is not None:
-                    cls._handlers[when, where] = handler
+                if when is When.AFTER and where is Where.SKELETON:
+                    handler = _finishing(handler)
+                change = cls.changes.get((when, where), _CHANGES[when, where])
+                cls._table[when._value_, where._value_] = (handler, change)
 
     def __init__(
         self,
@@ -214,15 +291,16 @@ class TrackingMachine:
     # -- event handling ----------------------------------------------------------
 
     def on_event(self, event: Event) -> None:
-        """Route *event* to the ``handle_<when>_<where>`` method."""
+        """Route *event* to the ``handle_<when>_<where>`` method.
+
+        For driving one machine by hand; the registry reads
+        :attr:`_table` itself, for the change class beside the handler.
+        """
         if self.started_at is None:
             self.started_at = event.timestamp
-        when, where = event.when, event.where
-        handler = self._handlers.get((when, where))
+        handler = self._table[event.when._value_, event.where._value_][0]
         if handler is not None:
             handler(self, event)
-        if when is When.AFTER and where is Where.SKELETON:
-            self.finished_at = event.timestamp
 
     # -- projection ----------------------------------------------------------------
 

@@ -52,12 +52,14 @@ class DacMachine(TrackingMachine):
 
     # -- events -------------------------------------------------------------
 
-    def on_event(self, event: Event) -> None:
-        if "depth" in event.extra:
-            self.depth = event.extra["depth"]
-        super().on_event(event)
+    # A node's events all carry its depth; the two that open a node
+    # (before anything below reads it) note it.
+
+    def handle_before_skeleton(self, event: Event) -> None:
+        self.depth = event.extra.get("depth", self.depth)
 
     def handle_before_condition(self, event: Event) -> None:
+        self.depth = event.extra.get("depth", self.depth)
         self.cond_span.start = event.timestamp
 
     def handle_after_condition(self, event: Event) -> None:

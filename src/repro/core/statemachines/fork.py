@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ...events.types import Event
+from ...events.types import Event, When, Where
 from ..adg import ADG
-from .base import MuscleSpan, TrackingMachine
+from .base import REBIND, MuscleSpan, TrackingMachine
 
 __all__ = ["ForkMachine"]
 
@@ -24,6 +24,8 @@ class ForkMachine(TrackingMachine):
     __slots__ = ("split_span", "merge_span")
 
     kind = "fork"
+    # Fork fans out by its branches, whatever the split returned.
+    changes = {(When.AFTER, Where.SPLIT): REBIND}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

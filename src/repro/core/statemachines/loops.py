@@ -15,10 +15,10 @@ from __future__ import annotations
 
 from typing import List
 
-from ...events.types import Event
+from ...events.types import Event, When, Where
 from ..adg import ADG
 from ..projection import project_skeleton
-from .base import MuscleSpan, TrackingMachine
+from .base import STRUCTURAL, MuscleSpan, TrackingMachine
 
 __all__ = ["WhileMachine", "ForMachine"]
 
@@ -27,6 +27,10 @@ class WhileMachine(TrackingMachine):
     __slots__ = ("cond_spans", "trues")
 
     kind = "while"
+    # Condition spans are *appended* per evaluation: the new span
+    # replaces an estimate-only activity, which carries no patchable
+    # source.
+    changes = {(When.BEFORE, Where.CONDITION): STRUCTURAL}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

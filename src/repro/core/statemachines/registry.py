@@ -19,11 +19,11 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
 
 from ...errors import StateMachineError
 from ...events.bus import Listener
-from ...events.types import Event, When, Where
+from ...events.types import Event
 from ..adg import ADG
 from ..delta import ChangeDelta
 from ..estimator import EstimatorRegistry
-from .base import TrackingMachine
+from .base import NOOP, REBIND, STRUCTURAL, TrackingMachine
 from .composite import FarmMachine, PipeMachine
 from .conditional import IfMachine
 from .dac import DacMachine
@@ -51,12 +51,17 @@ MACHINE_TYPES: Dict[str, Type[TrackingMachine]] = {
 #: requires the ``extensions`` opt-in.
 UNSUPPORTED_KINDS = frozenset({"if", "fork"})
 
-# What one event does to a projection (MachineRegistry._classify).
-_NOOP, _SPAN, _REBIND, _STRUCTURAL = range(4)
-
 
 class MachineRegistry(Listener):
-    """Event listener that maintains one tracking machine per instance."""
+    """Event listener that maintains one tracking machine per instance.
+
+    Writer discipline, per backend: the simulator publishes from its one
+    thread, the process and socket pools from their collector pump, the
+    thread pool from *any* worker — one execution's events arrive from
+    several threads.  So :attr:`lock` is taken per delivery on all of
+    them: uncontended it costs about 0.4 µs, some 0.3 ms of a 14.6 ms
+    ``event_flood`` run, which does not buy a second, lock-free path.
+    """
 
     def __init__(self, estimators: EstimatorRegistry, extensions: bool = False):
         self.estimators = estimators
@@ -92,94 +97,49 @@ class MachineRegistry(Listener):
     # -- Listener API ------------------------------------------------------
 
     def on_event(self, event: Event) -> Any:
-        with self.lock:
-            self._consume_locked(event)
+        self.on_batch((event,))
         return event.value
 
     def on_batch(self, events: Sequence[Event]) -> None:
-        """Consume a whole event batch under one lock acquisition.
+        """Consume events under one lock acquisition — the one way in.
 
         The batched hot path of :meth:`~repro.events.bus.EventBus.
-        publish_batch`: identical per-event semantics (same handlers, one
-        revision bump per event), minus N-1 lock round-trips.
+        publish_batch` and, with a batch of one, every single event:
+        same handlers, one revision bump per event.
         """
         with self.lock:
             for event in events:
                 self._consume_locked(event)
 
     def _consume_locked(self, event: Event) -> None:
+        """One table lookup (:attr:`TrackingMachine._table`): the handler
+        to run, if any, and what the event does to a projection — the
+        changelog entry.  A control marker has neither and only moves
+        the revision."""
         index = event.index
         machine = self._machines.get(index)
         created = machine is None
         if created:
             machine = self._create(event)
-        # Classified before the machine consumes the event: a split
-        # cardinality is compared with the estimate projections used so
-        # far, which observing it moves.
-        change = self._classify(machine, event)
-        if created and change != _STRUCTURAL:
+        handler, change = machine._table[event.when._value_, event.where._value_]
+        if change.__class__ is not int:
+            # Data-dependent, and read before the machine consumes the
+            # event: a split cardinality is compared with the estimate
+            # projections used so far, which observing it moves.
+            change = change(machine, event)
+        if created and change != STRUCTURAL:
             # A child takes over the slot its parent estimated for it; a
             # new root changes the projected root set.
-            change = _REBIND if machine.parent is not None else _STRUCTURAL
-        machine.on_event(event)
+            change = REBIND if machine.parent is not None else STRUCTURAL
+        if handler is not None:
+            handler(machine, event)
         self._rev = rev = self._rev + 1
-        if change == _STRUCTURAL:
+        if change == STRUCTURAL:
             self._structural_rev = rev
-        elif change != _NOOP:
+        elif change != NOOP:
             self._span_touched[index] = rev
-            if change == _REBIND:
+            if change == REBIND:
                 self._attached[index] = rev
-
-    # -- event classification (changelog) -----------------------------------
-
-    def _classify(self, machine: TrackingMachine, event: Event) -> int:
-        """What *event* does to a projection that already holds *machine*.
-
-        ``_SPAN``: an actual time lands on a span that already existed
-        (and was therefore projected with provenance) — the planning
-        layer re-reads it.  ``_REBIND``: besides that, state the
-        machine's own projection reads moved in a way that keeps the
-        shape when the projection guessed right; the delta lists the
-        machine as attached and the planning layer replays its extent to
-        prove it.  ``_STRUCTURAL``: the *set* of projected activities or
-        their dependencies changed, the planning layer re-walks.
-        """
-        where = event.where
-        if where is Where.NESTED:
-            # Control markers carry the parent's index and no machine has
-            # a NESTED handler: pure no-ops for projection state.
-            return _NOOP
-        if event.when is When.BEFORE:
-            # BEFORE events at most set the start of a pre-existing span
-            # — except While, whose condition spans are *appended* per
-            # evaluation (the new span replaces an estimate-only
-            # activity, which carries no patchable source).
-            if where is Where.CONDITION and machine.kind == "while":
-                return _STRUCTURAL
-            return _SPAN
-        # AFTER events:
-        if where is Where.MERGE:
-            return _SPAN  # closes a fixed span; the machine finishes later
-        if where is Where.SKELETON:
-            if machine.parent_index is None:
-                return _STRUCTURAL  # the projected root set changes
-            # Parents project children whether finished or not, so a
-            # nested completion keeps the shape — unless the machine's
-            # projection reads ``finished`` (While does); Seq's is its
-            # one span.
-            return _SPAN if machine.kind == "seq" else _REBIND
-        if where is Where.SPLIT:
-            # Projections fan out by the actual cardinality once it is
-            # known and by the estimate before (Fork by its branches).
-            card = event.extra.get("fs_card")
-            if card is None or machine.kind == "fork":
-                return _REBIND
-            split = machine.skel.split
-            estimators = self.estimators
-            if estimators.has_card(split) and estimators.card_int(split) == card:
-                return _REBIND
-        # Another fan-out than projected, a condition outcome.
-        return _STRUCTURAL
 
     # -- changelog ------------------------------------------------------------
 
@@ -243,6 +203,7 @@ class MachineRegistry(Listener):
                 f"(as in the paper); pass extensions=True to opt in"
             )
         machine = cls(event.skeleton, event.index, event.parent_index, self.estimators)
+        machine.started_at = event.timestamp
         self._machines[event.index] = machine
         parent = (
             self._machines.get(event.parent_index)

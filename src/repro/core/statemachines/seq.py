@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from typing import List
 
-from ...events.types import Event
+from ...events.types import Event, When, Where
 from ..adg import ADG
-from .base import MuscleSpan, TrackingMachine
+from .base import SPAN, MuscleSpan, TrackingMachine, root_or
 
 __all__ = ["SeqMachine"]
 
@@ -19,6 +19,8 @@ class SeqMachine(TrackingMachine):
     __slots__ = ("span",)
 
     kind = "seq"
+    # Seq's projection is its one span: a nested completion closes it.
+    changes = {(When.AFTER, Where.SKELETON): root_or(SPAN)}
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)

@@ -88,14 +88,56 @@ def run_storm():
 class TestRebalanceCost:
     def test_work_counters_are_the_parents_constants(self):
         """Exact planner work of the storm, unchanged by the memo, the
-        carried priority table and the size-gated peak: those remove
-        lookups and sweeps, never a schedule or projection pass."""
+        carried priority table, the size-gated peak and the cold gate
+        (every tenant here is warm and never meets it): those remove
+        lookups and sweeps, never a projection pass or a compile.  Of
+        the 473 schedule passes the storm used to run, 77 were over
+        graphs with nothing pending (a tenant's last merge running or
+        done) — those plans are now read off the pinned base — and 15
+        priority-table lookups went with them (1231 misses before)."""
         _rows, stats = run_storm()
-        assert stats["schedule_passes"] == 473
+        assert stats["schedule_passes"] == 473 - 77
         assert stats["projection_passes"] == 20
         assert stats["projection_patches"] == 158
         assert stats["table_compiles"] == 16
-        assert stats["misses"] == 1231
+        assert stats["misses"] == 1231 - 15
+
+    def test_a_cold_tenant_is_answered_by_the_gate(self, monkeypatch):
+        """A tenant without estimates is asked for a report on every
+        tick; while it waits for its first merge the answer is the O(1)
+        predicate — no root list, no readiness re-scan, no planner."""
+        from repro.core.analysis import ExecutionAnalyzer
+
+        asked, walked = [], []
+        analyze, slow_path = ExecutionAnalyzer.analyze, ExecutionAnalyzer._analyze
+        monkeypatch.setattr(
+            ExecutionAnalyzer,
+            "analyze",
+            lambda self, *a, **k: asked.append(1) or analyze(self, *a, **k),
+        )
+        monkeypatch.setattr(
+            ExecutionAnalyzer,
+            "_analyze",
+            lambda self, *a, **k: walked.append(1) or slow_path(self, *a, **k),
+        )
+        platform = SimulatedPlatform(
+            parallelism=1, cost_model=ConstantCostModel(1.0), max_parallelism=CAPACITY
+        )
+        service = SkeletonService(
+            platform=platform, capacity=CAPACITY, min_rebalance_interval=0.0
+        )
+        cold_rounds = []
+        service.arbiter.on_rebalance = lambda outcome, live: cold_rounds.append(
+            bool(outcome.cold)
+        )
+        width = 24
+        handle = service.submit(flat_map(width), 0, qos=QoS.wall_clock(90.0), tenant="cold")
+        assert handle.result(timeout=10.0) == sum(k + 1 for k in range(width))
+        service.shutdown(wait=False)
+        assert sum(cold_rounds) >= width  # one tick per leaf, at least
+        assert len(asked) >= len(cold_rounds)
+        # Pre-start (no machine yet), the first warm report, the end.
+        assert len(walked) <= 3
 
     def test_lookups_are_bounded_by_the_moved_execution(self):
         rows, _stats = run_storm()
