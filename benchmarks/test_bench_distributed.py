@@ -5,10 +5,12 @@ execution environment … by a centralised distribution of tasks to a
 distributed set of workers, adding or removing workers like adding or
 removing threads in a centralised manner."
 
-This bench runs the FIG5 control problem on the simulated distributed
-platform with increasing communication latency.  The *unchanged* controller
-enrolls workers instead of threads; communication cost is absorbed into
-the observed ``t(m)`` values, so planning degrades gracefully.
+This bench runs the FIG5 control problem on the simulator with increasing
+communication latency: every task occupies its worker for its muscle time
+plus one dispatch and one collect hop, modelled as a cost model shifted by
+the round trip.  The *unchanged* controller enrolls workers instead of
+threads; communication cost is absorbed into the observed ``t(m)``
+values, so planning degrades gracefully.
 """
 
 import time
@@ -23,6 +25,7 @@ from repro import (
     PlatformSpec,
     RemoteSpec,
     Seq,
+    SimulatedPlatform,
     Split,
     make_platform,
     run,
@@ -30,8 +33,7 @@ from repro import (
 from repro.bench import comparison_table, format_row
 from repro.core.controller import AutonomicController
 from repro.core.qos import QoS
-from repro.runtime.costmodel import TableCostModel
-from repro.runtime.distributed import SimulatedDistributedPlatform
+from repro.runtime.costmodel import CallableCostModel, TableCostModel
 from repro.skeletons import sequential_evaluate
 from repro.workloads.synthetic_text import TweetCorpusGenerator
 from repro.workloads.wordcount import TwitterCountApp
@@ -43,12 +45,12 @@ LATENCIES = (0.0, 0.01, 0.05, 0.2)
 def run_with_latency(latency: float):
     corpus = TweetCorpusGenerator(seed=2014).corpus(300)
     app = TwitterCountApp()
-    platform = SimulatedDistributedPlatform(
+    base = app.cost_model()
+    platform = SimulatedPlatform(
         parallelism=1,
-        cost_model=app.cost_model(),
+        # *latency* each way: dispatch and collect hops around every task.
+        cost_model=CallableCostModel(lambda m, v: base.duration(m, v) + 2 * latency),
         max_parallelism=24,
-        dispatch_latency=latency,
-        collect_latency=latency,
     )
     AutonomicController(platform, app.skeleton, qos=QoS.wall_clock(9.5, max_lp=24))
     result = app.skeleton.compute(corpus, platform=platform)
@@ -123,11 +125,10 @@ def _sim_program():
 
 
 def _simulated_finish(rtt: float) -> float:
-    platform = SimulatedDistributedPlatform(
+    # Every task, split and merge included, pays one round trip.
+    platform = SimulatedPlatform(
         parallelism=WORKERS,
-        cost_model=TableCostModel({"rleaf": TASK_SECONDS}, default=0.0),
-        dispatch_latency=rtt / 2,
-        collect_latency=rtt / 2,
+        cost_model=TableCostModel({"rleaf": TASK_SECONDS + rtt}, default=rtt),
     )
     run(_sim_program(), 3, platform)
     return platform.now()

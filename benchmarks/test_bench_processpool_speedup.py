@@ -16,7 +16,7 @@ import os
 import time
 from functools import partial
 
-from repro import Execute, Map, Merge, Seq, Split, make_platform, run
+from repro import Execute, Map, Merge, PlatformSpec, Seq, Split, make_platform, run
 
 N = 96        # matrix dimension: N^3 ≈ 0.9M multiply-adds per product
 BLOCKS = 8    # row-slab tasks per execution
@@ -61,7 +61,7 @@ def _reference(ab):
 
 
 def _timed(backend, lp, ab, expected):
-    with make_platform(backend, parallelism=lp) as pool:
+    with make_platform(PlatformSpec(kind=backend, workers=lp)) as pool:
         # Warm-up excludes worker start-up (fork/thread spawn) from the
         # measurement — the paper's LP knob tunes a *running* pool.
         small = ([row[:8] for row in ab[0][:8]], [row[:8] for row in ab[1][:8]])

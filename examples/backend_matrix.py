@@ -4,9 +4,9 @@
 The platform registry (`repro.make_platform`) constructs backends from
 a typed ``PlatformSpec``, so programs, benchmarks and tests can enumerate
 them instead of hard-coding platform classes.  This example runs the same
-Map program on every shipped backend — simulated, threads, OS processes,
-simulated-distributed, and real socket workers — and checks they agree
-with the sequential reference evaluator.
+Map program on every shipped backend — simulated, threads, OS processes
+and real socket workers — and checks they agree with the sequential
+reference evaluator.
 
 The muscles are module-level functions (plus ``functools.partial``) —
 the one extra rule the process backend imposes: everything that crosses
@@ -60,7 +60,7 @@ def main() -> None:
         with make_platform(spec) as platform:
             result = make_program().compute(value, platform=platform)
         status = "ok" if result == expected else f"MISMATCH ({result})"
-        print(f"  {name:>21}: result={result} [{status}] — {descriptions[name]}")
+        print(f"  {name:>11}: result={result} [{status}] — {descriptions[name]}")
 
 
 if __name__ == "__main__":

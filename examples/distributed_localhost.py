@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Real distributed execution: worker processes over localhost sockets.
 
-Where ``distributed_workers.py`` runs the paper's future-work sketch on a
-*simulated* cluster, this example runs it for real: the master opens a
-listening socket, worker processes enroll over a JSON control plane, and
-chunks of muscle tasks ship over a binary data plane.  Everything above
+This example runs the paper's future-work sketch — a centralised
+distribution of tasks to a distributed set of workers — for real: the
+master opens a listening socket, worker processes enroll over a JSON
+control plane, and chunks of muscle tasks ship over a binary data plane.  Everything above
 the platform — skeletons, events, the autonomic machinery — is unchanged:
 the workers re-emit their execution events on the in-process bus.
 

@@ -71,7 +71,6 @@ from .runtime import (
     ProcessSpec,
     RealClock,
     RemoteSpec,
-    SimulatedDistributedPlatform,
     SimulatedPlatform,
     SimulatedSpec,
     SkeletonFuture,
@@ -191,7 +190,6 @@ __all__ = [
     # runtime
     "Platform",
     "SimulatedPlatform",
-    "SimulatedDistributedPlatform",
     "DistributedPlatform",
     "ThreadPoolPlatform",
     "ProcessPoolPlatform",

@@ -43,10 +43,6 @@ from .adg import ADG
 from .estimator import EstimatorRegistry
 from .planning import PlanCache, PlanEngine
 from .qos import QoS
-from .schedule import (
-    limited_lp_schedule,
-    minimal_lp_greedy,
-)
 from .statemachines import UNSUPPORTED_KINDS, MachineRegistry
 
 __all__ = ["AnalysisReport", "ExecutionAnalyzer", "ANALYSIS_WHERE", "is_analysis_point"]
@@ -92,10 +88,10 @@ class AnalysisReport:
     wct_current_lp: Optional[float]
     optimal_lp: int
     adg: ADG
-    #: The planning engine that built this report; when set, hypothetical
-    #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull cached plans
-    #: instead of re-running schedules from scratch.
-    engine: Optional[PlanEngine] = field(default=None, repr=False, compare=False)
+    #: The planning engine that built this report: hypothetical
+    #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull its cached
+    #: plans instead of re-running schedules from scratch.
+    engine: PlanEngine = field(repr=False, compare=False)
     #: ``(cap, start_lp) -> minimal LP`` answers of the engine for the
     #: graph revision in ``_minimal_rev``: a report the analyzer serves
     #: again answers the arbiter's scan without entering the engine.
@@ -121,9 +117,7 @@ class AnalysisReport:
 
     def wct_at(self, lp: int) -> float:
         """Projected WCT under a hypothetical level of parallelism."""
-        if self.engine is not None:
-            return self.engine.wct_at(self.adg, self.time, lp)
-        return limited_lp_schedule(self.adg, self.time, lp).wct
+        return self.engine.wct_at(self.adg, self.time, lp)
 
     def minimal_lp(
         self, cap: Optional[int] = None, start_lp: int = 1
@@ -135,25 +129,20 @@ class AnalysisReport:
         """
         if self.deadline is None:
             return None
-        engine = self.engine
-        if engine is not None:
-            rev = self.adg.rev
-            if rev != self._minimal_rev:
-                self._minimal = {}
-                self._minimal_rev = rev
-            key = (cap, start_lp)
-            answer = self._minimal.get(key, _UNSET)
-            if answer is _UNSET:
-                answer = engine.minimal_lp(
-                    self.adg, self.time, self.deadline, cap=cap, start_lp=start_lp
-                )
-                if engine.cache.maxsize:  # 0 is the from-scratch baseline
-                    self._minimal[key] = answer
-            return answer
-        found = minimal_lp_greedy(
-            self.adg, self.time, self.deadline, max_lp=cap, start_lp=start_lp
-        )
-        return found[0] if found is not None else None
+        rev = self.adg.rev
+        if rev != self._minimal_rev:
+            self._minimal = {}
+            self._minimal_rev = rev
+        key = (cap, start_lp)
+        answer = self._minimal.get(key, _UNSET)
+        if answer is _UNSET:
+            engine = self.engine
+            answer = engine.minimal_lp(
+                self.adg, self.time, self.deadline, cap=cap, start_lp=start_lp
+            )
+            if engine.cache.maxsize:  # 0 is the from-scratch baseline
+                self._minimal[key] = answer
+        return answer
 
 
 class ExecutionAnalyzer(Listener):

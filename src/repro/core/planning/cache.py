@@ -8,7 +8,9 @@ registry and machine state.
 
 Keys embed monotonic version stamps — the ADG/machine revision and the
 estimator version — so stale entries are never *served*; they are merely
-garbage, and the LRU bound reclaims them.
+garbage, and the LRU bound reclaims them.  Live schedules are keyed on
+the exact ``now`` they were planned at, so a cached answer is bit for
+bit the one a recompute would give.
 
 ``maxsize=0`` disables storage entirely (every lookup misses) **and is
 the from-scratch baseline by itself**: an engine over a cache that
@@ -22,21 +24,10 @@ recompute accounting — full projection walks versus in-place projection
 **patches**, pinning passes versus delta re-pins, and schedule passes —
 so benchmarks and operators can see exactly how much of the event→plan
 work the delta pipeline avoided (see ``stats_dict``).
-
-**Quantized-now mode** (``now_quantum``): live schedules are keyed (and
-computed) on the *exact* rebalance timestamp by default, which preserves
-decisions bit for bit but means a real clock never produces the same
-``now`` twice.  With ``now_quantum=q`` the engine floors every live
-``now`` to its ``q``-bucket before planning, so rebalances within one
-bucket share schedules at the price of a decision skew bounded by the
-bucket width (each plan reasons from at most ``q`` seconds in the past).
-Off (``None``) by default; measure before enabling — see the
-rebalance-overhead benchmark and the quantized-skew tests.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -101,21 +92,12 @@ class PlanCache:
         LRU bound on stored entries; ``0`` disables storage and, with
         it, everything the engines carry between calls — the
         from-scratch baseline (see the module docs).
-    now_quantum:
-        When set, the planning engines floor every live ``now`` to this
-        bucket width before keying and computing schedules (see module
-        docs).  ``None`` (default) preserves exact-timestamp behaviour.
     """
 
-    def __init__(self, maxsize: int = 2048, now_quantum: Optional[float] = None):
+    def __init__(self, maxsize: int = 2048):
         if maxsize < 0:
             raise ValueError(f"maxsize must be >= 0, got {maxsize}")
-        if now_quantum is not None and now_quantum <= 0:
-            raise ValueError(
-                f"now_quantum must be positive or None, got {now_quantum}"
-            )
         self.maxsize = maxsize
-        self.now_quantum = now_quantum
         self._store: "OrderedDict[Tuple[Hashable, ...], Any]" = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
@@ -129,15 +111,6 @@ class PlanCache:
         self._table_patches = 0
         self._struct_compiles = 0
         self._struct_memo_hits = 0
-
-    # -- quantization ------------------------------------------------------------
-
-    def quantize(self, now: float) -> float:
-        """*now* floored to the cache's bucket (identity when disabled)."""
-        q = self.now_quantum
-        if q is None:
-            return now
-        return math.floor(now / q) * q
 
     # -- store -------------------------------------------------------------------
 

@@ -47,12 +47,7 @@ Cache *misses* are incremental too — the delta pipeline:
   its rows noted against the base and the pair, which the next miss
   advances over exactly those rows (``compiled_pin_delta``,
   ``count_pin_patch``; ``compiled_critical_path_delta``); a structural
-  window recompiles the table and drops both;
-* **quantized-now buckets** — with ``PlanCache(now_quantum=q)`` live
-  schedules are computed and keyed at the bucket floor, so real-clock
-  rebalances inside one bucket share plans at a decision skew bounded
-  by ``q`` (off by default; exact timestamps preserve decisions bit
-  for bit).
+  window recompiles the table and drops both.
 
 **The from-scratch baseline** is ``PlanCache(maxsize=0)`` and nothing
 else: an engine over a cache that stores nothing carries nothing either
@@ -63,8 +58,7 @@ Every answer is bit-for-bit equal to a from-scratch
 :mod:`repro.core.schedule` recompute at the same arguments (a patched
 graph equals the graph a full walk would rebuild, a compiled pass
 performs the reference pass's float operations in its order), which the
-plan-engine property tests pin — quantized mode excepted, whose skew
-bound is tested separately.
+plan-engine property tests pin.
 """
 
 from __future__ import annotations
@@ -512,12 +506,9 @@ class PlanEngine:
     def best_effort(self, adg: ADG, now: float) -> CompiledSchedule:
         """Best-effort (infinite LP) schedule, cached per (rev, now).
 
-        Under the cache's quantized-now mode, *now* is floored to its
-        bucket first — rebalances within one bucket share the schedule.
         A graph with nothing pending is not scheduled: its plan is its
         pinned base (``compiled_settled``).
         """
-        now = self.cache.quantize(now)
         token, table, rec = self._resolve(adg)
         key = ("cbe", token, now) if token is not None else None
         if key is not None:
@@ -540,10 +531,8 @@ class PlanEngine:
         On a miss only the pending frontier is re-scheduled: the pinned
         actuals and the priority pair come from their own caches, shared
         across every LP of a scan; a base that left nothing to schedule
-        is the plan at any LP, without the pair.  Under the quantized-now
-        mode, *now* is floored to its bucket first.
+        is the plan at any LP, without the pair.
         """
-        now = self.cache.quantize(now)
         token, table, rec = self._resolve(adg)
         key = ("clim", token, now, lp) if token is not None else None
         if key is not None:
@@ -565,7 +554,6 @@ class PlanEngine:
 
     def optimal_lp(self, adg: ADG, now: float) -> int:
         """Peak future concurrency of the best-effort schedule."""
-        now = self.cache.quantize(now)
         return self.best_effort(adg, now).peak(from_time=now)
 
     def wct_at(self, adg: ADG, now: float, lp: int) -> float:
@@ -585,12 +573,8 @@ class PlanEngine:
         Same linear scan (and same answers) as :func:`~repro.core.
         schedule.minimal_lp_greedy`, but the best-effort upper bound and
         every limited schedule come from the cache, and each scanned LP
-        re-schedules only the pending frontier.  Under the quantized-now
-        mode the scan runs at the bucket floor (the deadline itself is
-        never quantized), so the answer can skew by at most the bucket
-        width's worth of elapsed progress.
+        re-schedules only the pending frontier.
         """
-        now = self.cache.quantize(now)
         token, table, rec = self._resolve(adg)
         key = ("mlp", token, now, deadline, cap, start_lp) if token is not None else None
         if key is not None:

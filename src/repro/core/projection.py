@@ -31,7 +31,7 @@ from ..skeletons.smap import Map
 from .adg import ADG
 from .estimator import EstimatorRegistry
 
-__all__ = ["project_skeleton", "heavier_branch", "projected_wct", "estimated_total_work"]
+__all__ = ["project_skeleton", "heavier_branch", "estimated_total_work"]
 
 
 def project_skeleton(
@@ -148,23 +148,6 @@ def _project_dac(
         )
     merge = adg.add_muscle(skel.merge, est, terminals, "merge")
     return [merge]
-
-
-def projected_wct(
-    skel: Skeleton, est: EstimatorRegistry, lp: int, start: float = 0.0
-) -> float:
-    """Projected WCT of a fresh *skel* execution under *lp* workers.
-
-    Projects the structural ADG and list-schedules it — the feasibility
-    arithmetic the admission controller runs before any task exists.
-    Raises :class:`~repro.errors.EstimateNotReadyError` when an estimate
-    is missing; callers gate on :meth:`EstimatorRegistry.ready_for`.
-    """
-    from .schedule import limited_lp_schedule
-
-    adg = ADG()
-    project_skeleton(skel, adg, [], est)
-    return limited_lp_schedule(adg, start, lp).wct
 
 
 def estimated_total_work(skel: Skeleton, est: EstimatorRegistry) -> float:

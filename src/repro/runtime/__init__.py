@@ -6,10 +6,9 @@ The runtime executes skeleton programs on three interchangeable platforms
 CPU-bound picklable muscles) and :class:`SimulatedPlatform`
 (deterministic discrete-event multicore simulation with virtual time) —
 through a single continuation-passing interpreter that emits the paper's
-events at every muscle boundary.  Two distributed platforms complete the
-matrix: :class:`SimulatedDistributedPlatform` (virtual-time cluster) and
-:class:`DistributedPlatform` (real worker processes over localhost
-sockets).  :func:`make_platform` constructs any of them from a typed
+events at every muscle boundary.  :class:`DistributedPlatform` (real
+worker processes over localhost sockets) completes the matrix.
+:func:`make_platform` constructs any of the four from a typed
 :class:`PlatformSpec`.
 """
 
@@ -22,7 +21,6 @@ from .costmodel import (
     TableCostModel,
     ZeroCostModel,
 )
-from .distributed import SimulatedDistributedPlatform
 from .futures import SkeletonFuture
 from .interpreter import run, submit
 from .metrics import LPSample, LPSeries
@@ -57,7 +55,6 @@ __all__ = [
     "LPSeries",
     "Platform",
     "SimulatedPlatform",
-    "SimulatedDistributedPlatform",
     "DistributedPlatform",
     "ThreadPoolPlatform",
     "ProcessPoolPlatform",

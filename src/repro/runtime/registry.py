@@ -16,36 +16,28 @@ fields that do not apply to its backend (``rtt`` on a thread pool,
 socket-distributed backend) — a misdirected knob fails loudly instead of
 being silently ignored.
 
-The historical stringly-typed form ``make_platform(name, **kwargs)``
-still works through a deprecation shim that converts the legacy kwargs
-vocabulary (``parallelism``, ``chunk_size``, ``dispatch_latency``...)
-via :meth:`PlatformSpec.from_options` and emits a
-:class:`DeprecationWarning`.  Calling ``make_platform("threads")`` with a
-bare name and no kwargs stays warning-free: a name alone is already a
-complete (all-defaults) spec.
+A spec is the only way to describe a platform.  A bare name —
+``make_platform("threads")`` — is shorthand for the all-defaults spec of
+that kind; keyword arguments are a :class:`TypeError`.
 
 Backends shipped with the library:
 
-===================== ======================================================= ====================
-kind                  class                                                   aliases
-===================== ======================================================= ====================
-simulated             :class:`~repro.runtime.simulator.SimulatedPlatform`     sim
-threads               :class:`~repro.runtime.threadpool.ThreadPoolPlatform`   threadpool, thread
-processes             :class:`~repro.runtime.processpool.ProcessPoolPlatform` processpool, procs
-simulated-distributed :class:`~repro.runtime.distributed.                     simdist
-                      SimulatedDistributedPlatform`
-distributed           :class:`~repro.runtime.remote.platform.                 remote, sockets
-                      DistributedPlatform`
-===================== ======================================================= ====================
+=========== ======================================================= ==================
+kind        class                                                   aliases
+=========== ======================================================= ==================
+simulated   :class:`~repro.runtime.simulator.SimulatedPlatform`     sim
+threads     :class:`~repro.runtime.threadpool.ThreadPoolPlatform`   threadpool, thread
+processes   :class:`~repro.runtime.processpool.ProcessPoolPlatform` processpool, procs
+distributed :class:`~repro.runtime.remote.platform.                 remote, sockets
+            DistributedPlatform`
+=========== ======================================================= ==================
 """
 
 from __future__ import annotations
 
-import warnings
-from typing import Callable, Dict, Iterable, List, Union
+from typing import Any, Callable, Dict, Iterable, List, Union
 
 from ..errors import PlatformError
-from .distributed import SimulatedDistributedPlatform
 from .platform import Platform
 from .processpool import ProcessPoolPlatform
 from .remote.platform import DistributedPlatform
@@ -113,15 +105,6 @@ class PlatformRegistry:
             spec = spec.with_overrides(kind=canonical)
         return self._factories[canonical](spec)
 
-    def create(self, name: str, **kwargs) -> Platform:
-        """Legacy entry point: build from the old kwargs vocabulary.
-
-        Converts through :meth:`PlatformSpec.from_options` without a
-        deprecation warning — internal callers (e.g. the service) that
-        have not migrated yet still construct validated specs.
-        """
-        return self.build(PlatformSpec.from_options(self.resolve(name), **kwargs))
-
     def names(self) -> List[str]:
         """Sorted canonical backend names."""
         return sorted(self._factories)
@@ -162,10 +145,6 @@ def _reject_unused(spec: PlatformSpec, *allowed: str) -> None:
 def _build_simulated(spec: PlatformSpec) -> Platform:
     _reject_unused(spec, "simulated")
     sub = spec.simulated or SimulatedSpec()
-    if sub.worker_speeds:
-        raise PlatformError(
-            "worker_speeds only applies to the simulated-distributed backend"
-        )
     return SimulatedPlatform(
         parallelism=spec.workers,
         cost_model=sub.cost_model,
@@ -196,22 +175,6 @@ def _build_processes(spec: PlatformSpec) -> Platform:
         clock=spec.clock,
         chunk_size=spec.batching if spec.batching is not None else 8,
         start_method=sub.start_method,
-    )
-
-
-def _build_simulated_distributed(spec: PlatformSpec) -> Platform:
-    _reject_unused(spec, "rtt", "simulated")
-    sub = spec.simulated or SimulatedSpec()
-    return SimulatedDistributedPlatform(
-        parallelism=spec.workers,
-        cost_model=sub.cost_model,
-        max_parallelism=spec.max_workers,
-        bus=spec.bus,
-        dispatch_latency=spec.rtt / 2.0,
-        collect_latency=spec.rtt / 2.0,
-        worker_speeds=sub.worker_speeds or None,
-        trace_tasks=sub.trace_tasks,
-        scheduling=sub.scheduling,
     )
 
 
@@ -258,12 +221,6 @@ DEFAULT_REGISTRY.register(
     description="resizable OS-process pool (true parallelism for picklable muscles)",
 )
 DEFAULT_REGISTRY.register(
-    "simulated-distributed",
-    _build_simulated_distributed,
-    aliases=("simdist",),
-    description="virtual-time distributed cluster (latency + per-worker speeds)",
-)
-DEFAULT_REGISTRY.register(
     "distributed",
     _build_distributed,
     aliases=("remote", "sockets"),
@@ -272,37 +229,24 @@ DEFAULT_REGISTRY.register(
 )
 
 
-def make_platform(spec: Union[PlatformSpec, str], **kwargs) -> Platform:
-    """Construct an execution platform from a spec (or, deprecated, kwargs).
-
-    The supported form takes a :class:`~repro.runtime.spec.PlatformSpec`::
+def make_platform(spec: Union[PlatformSpec, str], **kwargs: Any) -> Platform:
+    """Construct an execution platform from a spec::
 
         make_platform(PlatformSpec(kind="processes", workers=4, batching=8))
 
-    A bare backend name — ``make_platform("threads")`` — is accepted as
-    shorthand for an all-defaults spec of that kind.  The historical
-    ``make_platform("threads", parallelism=4)`` kwargs form still works
-    but emits a :class:`DeprecationWarning` and converts through
-    :meth:`PlatformSpec.from_options`.
+    A bare backend name — ``make_platform("threads")`` — is shorthand for
+    an all-defaults spec of that kind.  Keyword arguments are rejected:
+    every knob lives on the spec.
     """
-    if isinstance(spec, PlatformSpec):
-        if kwargs:
-            raise TypeError(
-                "make_platform(PlatformSpec, ...) does not accept keyword "
-                "arguments; use spec.with_overrides(...) instead"
-            )
-        return DEFAULT_REGISTRY.build(spec)
-    kind = DEFAULT_REGISTRY.resolve(spec)
-    if not kwargs:
-        return DEFAULT_REGISTRY.build(PlatformSpec(kind=kind))
-    warnings.warn(
-        "make_platform(name, **kwargs) is deprecated; build a typed "
-        "PlatformSpec instead, e.g. make_platform(PlatformSpec(kind="
-        f"{kind!r}, workers=...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return DEFAULT_REGISTRY.build(PlatformSpec.from_options(kind, **kwargs))
+    if kwargs:
+        raise TypeError(
+            f"make_platform() takes a PlatformSpec, not keyword arguments "
+            f"({', '.join(sorted(kwargs))}); put them on the spec, e.g. "
+            f"PlatformSpec(kind=..., workers=...) or spec.with_overrides(...)"
+        )
+    if not isinstance(spec, PlatformSpec):
+        spec = PlatformSpec(kind=spec)
+    return DEFAULT_REGISTRY.build(spec)
 
 
 def available_backends() -> List[str]:

@@ -2,10 +2,9 @@
 
 Paper §4: "a centralised distribution of tasks to a distributed set of
 workers, adding or removing workers like adding or removing threads in a
-centralised manner."  :class:`~repro.runtime.distributed.
-SimulatedDistributedPlatform` realizes that sketch on virtual time; this
-module promotes it to *actual worker processes over localhost sockets*
-while keeping every autonomic layer above unchanged.
+centralised manner."  This module realizes that sketch with *actual
+worker processes over localhost sockets* while keeping every autonomic
+layer above unchanged.
 
 Architecture — a managing-system master and managed-system workers:
 

@@ -210,7 +210,7 @@ class SimulatedPlatform(Platform):
         try:
             value = task.emit_before(core)
             result = task.body(value)
-            duration = self._service_time(task, value, core)
+            duration = self.cost_model.duration(task.muscle, value)
         except Exception as exc:
             task.execution.fail(exc)
             self._busy_cores.discard(core)
@@ -262,15 +262,6 @@ class SimulatedPlatform(Platform):
         # nothing to do explicitly — _acquire_core only hands out ids below
         # the target, so the core simply never picks up work again.
         self._record_metrics()
-
-    def _service_time(self, task: MuscleTask, value: Any, core: int) -> float:
-        """Virtual seconds *core* is occupied by *task*.
-
-        The base platform charges the cost model's duration; subclasses
-        (e.g. the distributed platform) add communication overhead or
-        per-worker speed factors here.
-        """
-        return self.cost_model.duration(task.muscle, value)
 
     # -- introspection -----------------------------------------------------------
 

@@ -1,20 +1,12 @@
 """Typed platform construction: :class:`PlatformSpec` and its sub-specs.
 
-``make_platform(name, **kwargs)`` grew up stringly-typed: every backend
-knob travelled as an untyped keyword argument, typos surfaced as
-``TypeError`` deep inside a constructor, and adding a backend meant
-documenting another ad-hoc kwarg vocabulary.  This module is the typed
-replacement:
+A spec is the one way to describe an execution platform:
 
 * :class:`PlatformSpec` — the validated, backend-agnostic request
   (``kind``, ``workers``, ``max_workers``, ``rtt``, ``batching``, shared
   ``bus``/``clock``) plus optional backend-specific sub-specs;
 * :class:`SimulatedSpec` / :class:`ProcessSpec` / :class:`RemoteSpec` —
-  the per-backend knobs, each validated in one place;
-* :meth:`PlatformSpec.from_options` — the conversion from the legacy
-  kwargs vocabulary, shared by the deprecation shim in
-  :func:`~repro.runtime.registry.make_platform` and by internal callers
-  (which convert without warning).
+  the per-backend knobs, each validated in one place.
 
 The registry (:mod:`repro.runtime.registry`) registers factories *against
 specs*: every factory receives a ``PlatformSpec`` and nothing else, so a
@@ -38,24 +30,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SimulatedSpec:
-    """Knobs specific to the simulated (virtual-time) backends.
-
-    ``worker_speeds`` only applies to ``kind="simulated-distributed"``:
-    per-worker relative speed factors of the *virtual* cluster.  The real
-    socket-distributed backend deliberately has no such knob — per-worker
-    speeds there are learned by the estimators from observed spans, never
-    configured.
-    """
+    """Knobs specific to the simulated (virtual-time) backend."""
 
     cost_model: Any = None
     trace_tasks: bool = False
     scheduling: str = "depth-first"
-    worker_speeds: Tuple[float, ...] = ()
-
-    def __post_init__(self):
-        if any(s <= 0 for s in self.worker_speeds):
-            raise PlatformError("worker speeds must be positive")
-        object.__setattr__(self, "worker_speeds", tuple(self.worker_speeds))
 
 
 @dataclass(frozen=True)
@@ -111,33 +90,6 @@ class RemoteSpec:
         object.__setattr__(self, "worker_delays", tuple(self.worker_delays))
 
 
-#: legacy kwarg -> (spec field, converter); the shared conversion table of
-#: the deprecation shim.
-_TOP_LEVEL_LEGACY = {
-    "parallelism": "workers",
-    "max_parallelism": "max_workers",
-    "bus": "bus",
-    "clock": "clock",
-    "chunk_size": "batching",
-    "batching": "batching",
-    "workers": "workers",
-    "max_workers": "max_workers",
-    "rtt": "rtt",
-}
-
-_SIMULATED_LEGACY = ("cost_model", "trace_tasks", "scheduling", "worker_speeds")
-_PROCESS_LEGACY = ("start_method",)
-_REMOTE_LEGACY = (
-    "heartbeat_interval",
-    "heartbeat_timeout",
-    "spawn_workers",
-    "host",
-    "port",
-    "enroll_timeout",
-    "worker_delays",
-)
-
-
 @dataclass(frozen=True)
 class PlatformSpec:
     """A validated request for one execution platform.
@@ -147,14 +99,14 @@ class PlatformSpec:
     kind:
         Backend name (or alias) as registered in the platform registry:
         ``"simulated"``, ``"threads"``, ``"processes"``,
-        ``"simulated-distributed"``, ``"distributed"``, ...
+        ``"distributed"``, ...
     workers:
         Initial worker count (the paper's level of parallelism).
     max_workers:
         Upper bound the autonomic layer may never exceed.
     rtt:
         Round-trip communication latency per network message, in seconds.
-        Only meaningful for the distributed kinds (split evenly into
+        Only meaningful for the distributed kind (split evenly into
         dispatch and collect halves); other kinds reject a non-zero value.
     batching:
         Maximum tasks shipped per worker handoff (IPC chunk / socket
@@ -209,53 +161,6 @@ class PlatformSpec:
                     f"spec field {name!r} must be a {cls.__name__}, "
                     f"got {type(value).__name__}"
                 )
-
-    # -- conversion from the legacy kwargs vocabulary ---------------------------
-
-    @classmethod
-    def from_options(cls, kind: str, **options: Any) -> "PlatformSpec":
-        """Build a spec from the legacy ``make_platform(name, **kwargs)`` form.
-
-        Maps ``parallelism`` → ``workers``, ``max_parallelism`` →
-        ``max_workers``, ``chunk_size`` → ``batching``,
-        ``dispatch_latency``/``collect_latency`` → ``rtt`` and routes
-        backend-specific knobs into the matching sub-spec.  Unknown
-        options raise :class:`TypeError`, mirroring what the old direct
-        constructor call would have done.
-        """
-        top: dict = {}
-        simulated: dict = {}
-        process: dict = {}
-        remote: dict = {}
-        rtt_parts = 0.0
-        saw_latency = False
-        for key, value in options.items():
-            if key in _TOP_LEVEL_LEGACY:
-                top[_TOP_LEVEL_LEGACY[key]] = value
-            elif key in ("dispatch_latency", "collect_latency"):
-                rtt_parts += float(value)
-                saw_latency = True
-            elif key in _SIMULATED_LEGACY:
-                simulated[key] = value
-            elif key in _PROCESS_LEGACY:
-                process[key] = value
-            elif key in _REMOTE_LEGACY:
-                remote[key] = value
-            else:
-                raise TypeError(
-                    f"unknown platform option {key!r} for backend {kind!r}"
-                )
-        if saw_latency:
-            if "rtt" in top:
-                raise TypeError("pass either rtt or dispatch/collect latencies, not both")
-            top["rtt"] = rtt_parts
-        return cls(
-            kind=kind,
-            simulated=SimulatedSpec(**simulated) if simulated else None,
-            processes=ProcessSpec(**process) if process else None,
-            remote=RemoteSpec(**remote) if remote else None,
-            **top,
-        )
 
     def with_overrides(self, **changes: Any) -> "PlatformSpec":
         """A copy of this spec with *changes* applied (validated again)."""

@@ -15,10 +15,10 @@ initialization — see ``warm_start`` on :meth:`SkeletonService.submit`);
 cold submissions are admitted optimistically, exactly like the paper's
 scenario-1 cold start.
 
-* The **capacity gate** projects the program's structural ADG
-  (:func:`~repro.core.projection.projected_wct`) under the service's
-  *full* capacity.  If even that dedicated best case misses the goal, no
-  arbitration can save it — waiting does not help either, so the
+* The **capacity gate** schedules the program's structural plan
+  (:meth:`~repro.core.planning.PlanEngine.structural_plan`) under the
+  service's *full* capacity.  If even that dedicated best case misses the
+  goal, no arbitration can save it — waiting does not help either, so the
   submission is rejected immediately rather than admitted to fail slowly.
 * The **load gate** (beyond an idle-machine check) projects against the
   workers the arbiter could actually hand the submission *right now*:
@@ -29,13 +29,13 @@ scenario-1 cold start.
   enough committed budget (or rejected, under the ``reject`` policy) —
   admitting it would guarantee a slow miss that EEDF alone cannot avoid.
 
-Both gates schedule a *structural* ADG at ``start=0.0`` — arithmetic
-that depends only on the program shape and the current estimates, never
-on the clock.  When the caller passes the submission's
-:class:`~repro.core.planning.PlanEngine` the projection and every
-limited-LP schedule come from the shared plan cache, so re-evaluating a
-held queue costs cache lookups until an estimate actually changes
-(the re-projection cost the ROADMAP flagged on the event path).
+Both gates plan through the submission's
+:class:`~repro.core.planning.PlanEngine`, which holds its program and
+estimators: the structural plan is compiled once per program shape and
+estimate values, and scheduled at ``start=0.0`` — arithmetic that
+depends only on the program shape and the current estimates, never on
+the clock.  Re-evaluating a held queue therefore costs plan-cache
+lookups until an estimate actually changes.
 """
 
 from __future__ import annotations
@@ -43,13 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..core.adg import ADG
-from ..core.estimator import EstimatorRegistry
-from ..core.planning import PlanEngine
-from ..core.projection import project_skeleton, projected_wct
+from ..core.planning import CompiledProjection, PlanEngine
 from ..core.qos import QoS
-from ..core.schedule import limited_lp_schedule
-from ..skeletons.base import Skeleton
 from .tenancy import TenantBook
 
 __all__ = ["AdmissionDecision", "AdmissionController"]
@@ -134,59 +129,17 @@ class AdmissionController:
 
     # -- feasibility ------------------------------------------------------------
 
-    def predict_wct(
-        self,
-        program: Skeleton,
-        estimators: EstimatorRegistry,
-        lp: Optional[int] = None,
-        engine: Optional[PlanEngine] = None,
-    ) -> Optional[float]:
-        """Projected WCT (seconds from start) of *program* under *lp* workers.
-
-        ``None`` when the estimators are cold — prediction is impossible
-        until every muscle has an estimate (warm start or a prior run of
-        the same registry).  With *engine* the answer comes off the
-        shared plan cache (directly-compiled structural plan plus
-        memoized schedule) instead of a fresh projection walk.
-        """
-        if engine is not None:
-            return engine.structural_wct(lp or self.capacity)
-        if not estimators.ready_for(program):
-            return None
-        return projected_wct(program, estimators, lp or self.capacity)
-
+    @staticmethod
     def _project(
-        self,
-        program: Skeleton,
-        qos: Optional[QoS],
-        estimators: EstimatorRegistry,
-        engine: Optional[PlanEngine] = None,
-    ) -> Optional[ADG]:
-        """Structural ADG both gates schedule against, built **once** per
-        evaluation — or pulled from the submission's plan cache when its
-        *engine* is passed.  ``None`` when no gate applies (no WCT goal)
-        or the estimates are cold (admit optimistically, as in the
+        qos: Optional[QoS], engine: PlanEngine
+    ) -> Optional[CompiledProjection]:
+        """Structural plan both gates schedule against, from the
+        submission's plan cache.  ``None`` when no gate applies (no WCT
+        goal) or the estimates are cold (admit optimistically, as in the
         paper)."""
         if qos is None or qos.wct is None:
             return None
-        if engine is not None:
-            return engine.structural_plan()
-        if not estimators.ready_for(program):
-            return None
-        adg = ADG()
-        project_skeleton(program, adg, [], estimators)
-        return adg
-
-    @staticmethod
-    def _structural_wct(
-        projection: ADG, lp: int, engine: Optional[PlanEngine]
-    ) -> float:
-        """WCT of *projection* under *lp* workers from ``start=0.0`` —
-        cached through *engine* when available (the answer only depends
-        on the estimates, so held-queue re-evaluations hit the cache)."""
-        if engine is not None:
-            return engine.limited(projection, 0.0, lp).wct
-        return limited_lp_schedule(projection, 0.0, lp).wct
+        return engine.structural_plan()
 
     def _dedicated_lp(self, qos: QoS) -> int:
         """The LP the capacity gate assumes: full capacity, MaxLPGoal-capped."""
@@ -197,14 +150,14 @@ class AdmissionController:
     def _goal_infeasible(
         self,
         qos: Optional[QoS],
-        projection: Optional[ADG],
-        engine: Optional[PlanEngine] = None,
+        projection: Optional[CompiledProjection],
+        engine: PlanEngine,
     ) -> Optional[str]:
         """Reason string when the WCT goal is predicted unreachable."""
         if projection is None:
             return None
         lp_cap = self._dedicated_lp(qos)
-        predicted = self._structural_wct(projection, lp_cap, engine)
+        predicted = engine.limited(projection, 0.0, lp_cap).wct
         goal = qos.wct.effective_seconds
         if predicted > goal + _EPS:
             return (
@@ -225,10 +178,10 @@ class AdmissionController:
     def _load_blocker(
         self,
         qos: Optional[QoS],
-        projection: Optional[ADG],
+        projection: Optional[CompiledProjection],
         available_lp: Optional[int],
-        engine: Optional[PlanEngine] = None,
-        reserved: int = 0,
+        engine: PlanEngine,
+        reserved: int,
     ) -> Optional[str]:
         """Reason the goal cannot be met under the *current* load.
 
@@ -256,7 +209,7 @@ class AdmissionController:
             # usable == dedicated == 1 case (MaxLPGoal(1) on a committed
             # machine): the capacity gate evaluated exactly LP 1 there.
             return None
-        predicted = self._structural_wct(projection, usable, engine)
+        predicted = engine.limited(projection, 0.0, usable).wct
         goal = qos.wct.effective_seconds
         if predicted > goal + _EPS:
             return (
@@ -270,24 +223,23 @@ class AdmissionController:
 
     def evaluate(
         self,
-        program: Skeleton,
         qos: Optional[QoS],
-        estimators: EstimatorRegistry,
+        engine: PlanEngine,
         tenant: str,
         live_count: int,
         available_lp: Optional[int] = None,
-        engine: Optional[PlanEngine] = None,
         reserved: int = 0,
     ) -> AdmissionDecision:
         """Decide admit/hold/reject for one submission (service-locked).
 
-        *available_lp* is the worker budget the arbiter could grant this
-        submission right now (capacity minus same-or-higher-priority
-        commitments and minus any backfill *reserved* workers; ``None`` =
-        unknown, skips the load gate).  *engine* is the submission's plan
-        engine; when given, both gates run on cached structural plans.
+        *engine* is the submission's plan engine: it holds the program
+        and its estimators, and both gates run on its cached structural
+        plan.  *available_lp* is the worker budget the arbiter could
+        grant this submission right now (capacity minus same-or-higher-
+        priority commitments and minus any backfill *reserved* workers;
+        ``None`` = unknown, skips the load gate).
         """
-        projection = self._project(program, qos, estimators, engine)
+        projection = self._project(qos, engine)
         infeasible = self._goal_infeasible(qos, projection, engine)
         if infeasible is not None:
             return AdmissionDecision(REJECT, infeasible)
@@ -328,29 +280,27 @@ class AdmissionController:
 
     def load_allows(
         self,
-        program: Skeleton,
         qos: Optional[QoS],
-        estimators: EstimatorRegistry,
+        engine: PlanEngine,
         available_lp: Optional[int],
-        engine: Optional[PlanEngine] = None,
         reserved: int = 0,
     ) -> bool:
         """Re-run the load gate for a held submission.
 
         True when the goal fits the budget the arbiter could grant now
         (or the gate does not apply) — the expensive promotion half, paid
-        only after :meth:`can_start_now` passed.  With *engine* the
-        projection and schedules resolve against the shared plan cache,
-        so a held queue re-evaluates at cache-lookup cost until an
-        estimate changes."""
-        projection = self._project(program, qos, estimators, engine)
+        only after :meth:`can_start_now` passed.  The structural plan and
+        its schedules resolve against the shared plan cache, so a held
+        queue re-evaluates at cache-lookup cost until an estimate
+        changes."""
+        projection = self._project(qos, engine)
         return (
             self._load_blocker(qos, projection, available_lp, engine, reserved)
             is None
         )
 
     def reservation_for(
-        self, qos: Optional[QoS], engine: Optional[PlanEngine]
+        self, qos: Optional[QoS], engine: PlanEngine
     ) -> Optional[int]:
         """Admission-time minimal LP of a goal-carrying held submission.
 
@@ -360,7 +310,7 @@ class AdmissionController:
         when no goal, cold estimates, or no LP up to the dedicated cap
         meets the goal.
         """
-        if qos is None or qos.wct is None or engine is None:
+        if qos is None or qos.wct is None:
             return None
         return engine.structural_minimal_lp(
             qos.wct.effective_seconds, cap=self._dedicated_lp(qos)

@@ -116,7 +116,8 @@ class SkeletonService:
         Backend for the self-created platform: a
         :class:`~repro.runtime.spec.PlatformSpec` (its ``workers`` /
         ``max_workers`` are overridden to ``1`` / *capacity*) or a
-        backend name (default ``threads``).
+        backend name, shorthand for the all-defaults spec of that kind
+        (default ``threads``).
     capacity:
         Total worker budget arbitrated across executions.  Defaults to
         the platform's ``max_parallelism``; required if neither is set.
@@ -161,9 +162,7 @@ class SkeletonService:
         execution's :class:`~repro.core.planning.PlanEngine` and the
         admission gates.  Defaults to a fresh cache; pass
         ``PlanCache(maxsize=0)`` for the from-scratch baseline (no plan
-        is stored and no engine carries anything between calls), or ``PlanCache(now_quantum=q)`` for the
-        quantized ``now``-bucket mode (cross-rebalance schedule reuse on
-        real clocks, decision skew bounded by ``q``).
+        is stored and no engine carries anything between calls).
     checkpoints:
         An optional :class:`~repro.durability.store.CheckpointStore`.
         When given, submissions carrying a ``checkpoint=`` key persist
@@ -181,9 +180,6 @@ class SkeletonService:
         with execution durations feeding
         ``repro_execution_duration_seconds``.  ``None`` (default) keeps
         the service entirely un-instrumented.
-    platform_kwargs:
-        Extra keyword arguments for the self-created platform
-        (``chunk_size``, ``start_method``, ...).
     """
 
     def __init__(
@@ -204,37 +200,21 @@ class SkeletonService:
         plan_cache: Optional[PlanCache] = None,
         checkpoints: Optional[CheckpointStore] = None,
         observability: Optional[Any] = None,
-        **platform_kwargs: Any,
     ):
         self._owns_platform = platform is None
         if platform is None:
-            if isinstance(backend, PlatformSpec):
-                if platform_kwargs:
-                    raise ServiceError(
-                        "platform_kwargs are not accepted together with a "
-                        "PlatformSpec backend; put the knobs in the spec"
-                    )
-                if capacity is None:
-                    capacity = backend.max_workers
-                if capacity is None:
-                    raise ServiceError(
-                        "SkeletonService needs a worker budget: pass capacity "
-                        "or set max_workers on the backend spec"
-                    )
-                spec = backend.with_overrides(workers=1, max_workers=capacity)
-            else:
-                if capacity is None:
-                    raise ServiceError(
-                        "SkeletonService needs a worker budget: pass capacity "
-                        "(or an existing platform with max_parallelism)"
-                    )
-                spec = PlatformSpec.from_options(
-                    DEFAULT_REGISTRY.resolve(backend),
-                    parallelism=1,
-                    max_parallelism=capacity,
-                    **platform_kwargs,
+            spec = backend if isinstance(backend, PlatformSpec) else PlatformSpec(kind=backend)
+            if capacity is None:
+                capacity = spec.max_workers
+            if capacity is None:
+                raise ServiceError(
+                    "SkeletonService needs a worker budget: pass capacity, "
+                    "set max_workers on the backend spec or pass an existing "
+                    "platform with max_parallelism"
                 )
-            platform = DEFAULT_REGISTRY.build(spec)
+            platform = DEFAULT_REGISTRY.build(
+                spec.with_overrides(workers=1, max_workers=capacity)
+            )
         if capacity is None:
             capacity = platform.max_parallelism
         if capacity is None or capacity < 1:
@@ -415,16 +395,14 @@ class SkeletonService:
                 analyzer.share_priority, requesting=None
             )
             decision = self.admission.evaluate(
-                program,
                 qos,
-                analyzer.estimators,
+                analyzer.plan,
                 tenant,
                 live_count=len(self._live),
                 available_lp=self._available_budget_locked(
                     analyzer.share_priority
                 )
                 - reserved,
-                engine=analyzer.plan,
                 reserved=reserved,
             )
             if root_span.recording:
@@ -736,11 +714,9 @@ class SkeletonService:
                 still_held.append(record)
                 continue
             if self.admission.load_allows(
-                handle.program,
                 handle.qos,
-                record.analyzer.estimators,
+                record.analyzer.plan,
                 available,
-                engine=record.analyzer.plan,
                 reserved=reserved,
             ):
                 record.blocked_usable = None

@@ -6,8 +6,8 @@ pieces: the ADG / machine-registry changelogs and their compaction
 (ISSUE 5 satellite: O(activities) memory), the value-change estimator
 version and the estimator changelog beside it, ``ADG.retime`` and its
 place in the engine's patch (retime, bind, refresh), ``compiled_pin_delta``,
-the quantized ``now``-bucket plan-cache mode and its skew bound, and the
-patch path on the *real* thread/process backends.
+the exact-``now`` keying of live schedules and the patch path on the
+*real* thread/process backends.
 """
 
 import pytest
@@ -887,80 +887,48 @@ class TestCriticalPathDelta:
 
 
 # ---------------------------------------------------------------------------
-# quantized now-bucket mode
+# live schedules are keyed on the exact now
 
 
-class TestQuantizedNowBuckets:
-    def test_off_by_default_and_validation(self):
-        assert PlanCache().now_quantum is None
-        assert PlanCache().quantize(1.2345) == 1.2345
-        with pytest.raises(ValueError, match="now_quantum"):
-            PlanCache(now_quantum=0.0)
-        with pytest.raises(ValueError, match="now_quantum"):
-            PlanCache(now_quantum=-1.0)
+class TestExactNowKeys:
+    def test_plan_cache_takes_no_quantum(self):
+        with pytest.raises(TypeError, match="now_quantum"):
+            PlanCache(now_quantum=0.25)
+        assert not hasattr(PlanCache(), "quantize")
 
-    def test_quantize_floors_to_bucket(self):
-        cache = PlanCache(now_quantum=0.25)
-        assert cache.quantize(0.0) == 0.0
-        assert cache.quantize(0.26) == 0.25
-        assert cache.quantize(1.0) == 1.0
-        assert cache.quantize(0.999) == 0.75
+    def test_answers_move_with_every_now(self):
+        """A fresh structural graph is scheduled from *now*, so its WCT
+        shifts by exactly *now*: no clock flooring anywhere."""
+        _program, analyzer = warm_map_analyzer(width=4, qos=None, work_t=1.0)
+        engine = analyzer.plan
+        adg = engine.structural_projection()
+        for lp in (1, 2, 3):
+            base = engine.wct_at(adg, 0.0, lp)
+            for now in (0.1, 0.24, 0.26, 1.01, 2.76):
+                assert engine.wct_at(adg, now, lp) == pytest.approx(base + now)
 
-    def quantized_engines(self, q=0.25):
-        _p1, exact = warm_map_analyzer(width=4, qos=None, work_t=1.0)
-        _p2, quantized = warm_map_analyzer(
-            width=4, qos=None, work_t=1.0, cache=PlanCache(now_quantum=q)
-        )
-        return exact.plan, quantized.plan
-
-    def test_quantized_answers_equal_exact_answers_at_bucket_floor(self):
-        """The quantized engine is *defined* as the exact engine driven
-        by a clock floored to the bucket — decision skew comes only from
-        the clock, never from the plan math."""
-        exact, quantized = self.quantized_engines(q=0.25)
-        adg_e = exact.structural_projection()
-        adg_q = quantized.structural_projection()
-        for now in (0.0, 0.1, 0.24, 0.26, 1.01, 2.76):
-            floored = quantized.cache.quantize(now)
-            for lp in (1, 2, 3):
-                assert quantized.wct_at(adg_q, now, lp) == exact.wct_at(
-                    adg_e, floored, lp
-                )
-            assert quantized.optimal_lp(adg_q, now) == exact.optimal_lp(
-                adg_e, floored
-            )
-            assert quantized.minimal_lp(adg_q, now, now + 5.0) == exact.minimal_lp(
-                adg_e, floored, now + 5.0
-            )
-
-    def test_skew_bounded_by_quantum(self):
-        q = 0.25
-        exact, quantized = self.quantized_engines(q=q)
-        adg_e = exact.structural_projection()
-        adg_q = quantized.structural_projection()
-        for now in (0.01, 0.13, 0.24, 0.9, 1.49, 3.01):
+    def test_answers_equal_the_reference_schedule(self):
+        _program, analyzer = warm_map_analyzer(width=4, qos=None, work_t=1.0)
+        engine = analyzer.plan
+        adg = engine.structural_projection()
+        for now in (0.13, 1.3, 1.49):
             for lp in (1, 2, 4):
-                skew = abs(
-                    quantized.wct_at(adg_q, now, lp) - exact.wct_at(adg_e, now, lp)
-                )
-                assert skew <= q + 1e-9, (now, lp, skew)
+                reference = limited_lp_schedule(adg, now, lp)
+                assert engine.wct_at(adg, now, lp) == reference.wct
 
-    def test_same_bucket_reuses_plans_across_nows(self):
-        _program, analyzer = warm_map_analyzer(
-            width=4, qos=None, work_t=1.0, cache=PlanCache(now_quantum=0.5)
-        )
+    def test_each_distinct_now_is_planned_and_a_repeat_is_a_hit(self):
+        _program, analyzer = warm_map_analyzer(width=4, qos=None, work_t=1.0)
         engine = analyzer.plan
         adg = engine.structural_projection()
         engine.wct_at(adg, 1.01, 2)
         passes = engine.cache.stats.schedule_passes
-        hits = engine.cache.stats.hits
-        engine.wct_at(adg, 1.3, 2)  # same 0.5-bucket
+        engine.wct_at(adg, 1.3, 2)
         engine.wct_at(adg, 1.49, 2)
-        stats = engine.cache.stats
-        assert stats.schedule_passes == passes  # no recompute
-        assert stats.hits > hits
-        engine.wct_at(adg, 1.51, 2)  # next bucket -> recompute
-        assert engine.cache.stats.schedule_passes == passes + 1
+        assert engine.cache.stats.schedule_passes == passes + 2
+        hits = engine.cache.stats.hits
+        engine.wct_at(adg, 1.3, 2)
+        assert engine.cache.stats.schedule_passes == passes + 2
+        assert engine.cache.stats.hits > hits
 
 
 # ---------------------------------------------------------------------------

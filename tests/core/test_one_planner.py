@@ -5,10 +5,8 @@
 while every plan the running system makes goes machines/skeleton →
 ``PlanTable`` → compiled passes.  This module keeps the twin from
 growing back unnoticed: no module under ``src/repro`` may import one of
-the reference *algorithms*, except the reference itself, the two
-re-exporting package ``__init__``s and the engine-less fallbacks that
-are still allowed to (``AnalysisReport`` / ``AdmissionController`` built
-without an engine, ``projected_wct``).  Result types and the timeline
+the reference *algorithms*, except the reference itself and the two
+re-exporting package ``__init__``s.  Result types and the timeline
 helpers they are made of are shared and may be imported anywhere —
 ``planning/*`` imports nothing else from it.
 """
@@ -24,14 +22,7 @@ SRC = Path(repro.__file__).resolve().parent
 SHARED_HELPERS = {"concurrency_timeline", "peak_concurrency"}
 
 #: Modules (relative to ``src/repro``) that may import the algorithms.
-ALLOWED = {
-    "core/schedule.py",
-    "core/__init__.py",
-    "__init__.py",
-    "core/projection.py",
-    "core/analysis.py",
-    "service/admission.py",
-}
+ALLOWED = {"core/schedule.py", "core/__init__.py", "__init__.py"}
 
 #: Modules an algorithm can be imported *from* (the definition and its
 #: re-exports).
@@ -48,16 +39,17 @@ def reference_algorithms():
     } - SHARED_HELPERS
 
 
-def _absolute(path: Path, node: ast.ImportFrom) -> str:
-    """The absolute dotted module an ``ImportFrom`` in *path* names."""
+def _absolute(path: Path, node: ast.ImportFrom, root: Path = SRC) -> str:
+    """The absolute dotted module an ``ImportFrom`` in *path* names;
+    *root* is the directory of the ``repro`` package *path* lives in."""
     if not node.level:
         return node.module or ""
-    package = ("repro",) + path.relative_to(SRC).parts[:-1]
+    package = ("repro",) + path.relative_to(root).parts[:-1]
     base = package[: len(package) - (node.level - 1)]
     return ".".join(base + ((node.module,) if node.module else ()))
 
 
-def algorithm_imports(path: Path, algorithms):
+def algorithm_imports(path: Path, algorithms, root: Path = SRC):
     """``{name}`` of every way *path* gets at a reference algorithm:
     importing one by name (or ``*``) from the reference or a re-export,
     or importing the reference module itself."""
@@ -69,7 +61,7 @@ def algorithm_imports(path: Path, algorithms):
                 if alias.name == "repro.core.schedule"
             )
         elif isinstance(node, ast.ImportFrom):
-            module = _absolute(path, node)
+            module = _absolute(path, node, root)
             for alias in node.names:
                 if module in _SOURCES and (
                     alias.name in algorithms or alias.name == "*"
@@ -122,18 +114,28 @@ def test_planning_imports_only_result_types_and_their_helpers():
                 assert names <= allowed, (path.name, sorted(names - allowed))
 
 
-def test_the_detector_sees_the_fallbacks_it_exempts():
-    """Non-vacuity: the exemptions exist and the detector finds what
-    they import (relative imports, function-level imports included)."""
-    algorithms = reference_algorithms()
+def test_the_detector_finds_every_import_form_it_bans(tmp_path):
+    """Non-vacuity: the exemptions exist, and on a synthetic runtime
+    module the detector finds a relative import, a function-level
+    import, a star import and imports of the reference module itself."""
     for relative in ALLOWED:
         assert (SRC / relative).is_file(), relative
-    assert "limited_lp_schedule" in algorithm_imports(
-        SRC / "core" / "analysis.py", algorithms
+    root = tmp_path / "repro"
+    module = root / "service" / "offender.py"
+    module.parent.mkdir(parents=True)
+    module.write_text(
+        "from ..core.schedule import limited_lp_schedule\n"
+        "import repro.core.schedule\n"
+        "from repro.core import *\n"
+        "\n"
+        "\n"
+        "def plan():\n"
+        "    from repro import minimal_lp_greedy\n"
+        "    from ..core import schedule\n"
     )
-    assert "limited_lp_schedule" in algorithm_imports(
-        SRC / "core" / "projection.py", algorithms  # inside a function
-    )
-    assert "limited_lp_schedule" in algorithm_imports(
-        SRC / "service" / "admission.py", algorithms
-    )
+    assert algorithm_imports(module, reference_algorithms(), root) == {
+        "limited_lp_schedule",
+        "minimal_lp_greedy",
+        "*",
+        "repro.core.schedule",
+    }

@@ -46,7 +46,7 @@ from repro.core.planning.table import (
     compiled_pin,
     compiled_schedule_pending,
 )
-from repro.core.projection import project_skeleton, projected_wct
+from repro.core.projection import project_skeleton
 from repro.core.qos import QoS
 from repro.core.schedule import (
     best_effort_schedule,
@@ -60,6 +60,15 @@ from repro.events.recorder import EventRecorder
 from repro.runtime.costmodel import CallableCostModel, ConstantCostModel
 from repro.skeletons import Execute, Map, Merge, Seq, Split
 from tests.conftest import build_program, program_descriptions
+
+
+def projected_wct(skel, est, lp, start=0.0):
+    """Reference WCT of a fresh *skel* run under *lp* workers: project
+    the structural ADG and list-schedule it with :mod:`repro.core.
+    schedule` — what every structural answer of the engine must equal."""
+    adg = ADG()
+    project_skeleton(skel, adg, [], est)
+    return limited_lp_schedule(adg, start, lp).wct
 
 
 def timed_sim(parallelism=3):
@@ -1049,9 +1058,9 @@ class TestProjectionCompilerTwin:
         assert d["struct_memo_hits"] == 1
 
     def test_admission_gates_ride_the_structural_memo(self):
-        """The admission controller's ``_project``/``predict_wct`` pull
-        the compiled structural plan when handed the submission's
-        engine — no per-evaluation projection walk."""
+        """The admission controller's gates pull the compiled structural
+        plan of the submission's engine — no per-evaluation projection
+        walk."""
         from repro.core.qos import QoS as _QoS
         from repro.service.admission import AdmissionController
 
@@ -1060,17 +1069,13 @@ class TestProjectionCompilerTwin:
         ctl = AdmissionController(capacity=4)
         qos = _QoS.wall_clock(1000.0)
         walks0 = cache.stats.projection_passes
-        d1 = ctl.evaluate(
-            program, qos, analyzer.estimators, "t", 0, engine=analyzer.plan
-        )
+        d1 = ctl.evaluate(qos, analyzer.plan, "t", 0)
         assert not d1.rejected
         # Re-evaluation (held-queue style) adds no projection walk.
-        d2 = ctl.evaluate(
-            program, qos, analyzer.estimators, "t", 0, engine=analyzer.plan
-        )
+        d2 = ctl.evaluate(qos, analyzer.plan, "t", 0)
         assert not d2.rejected
         assert cache.stats.projection_passes == walks0 + 1
         assert cache.stats.struct_memo_hits >= 1
-        assert ctl.predict_wct(
-            program, analyzer.estimators, engine=analyzer.plan
-        ) == projected_wct(program, analyzer.estimators, 4)
+        assert analyzer.plan.structural_wct(4) == projected_wct(
+            program, analyzer.estimators, 4
+        )

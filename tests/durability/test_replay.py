@@ -106,7 +106,7 @@ class TestReplayDeterminism:
             QoS.wall_clock(100.0),
         ]
         log, programs, _results = run_and_record(
-            sim_service(tenants={"default": TenantQuota(weight=1.0)}),
+            sim_service(quotas={"default": TenantQuota(weight=1.0)}),
             [3, 3, 3],
             qos_list,
         )

@@ -25,7 +25,6 @@ def test_examples_present():
         "twitter_hashtags.py",
         "dac_mergesort.py",
         "events_logger.py",
-        "distributed_workers.py",
         "distributed_localhost.py",
         "backend_matrix.py",
     } <= set(EXAMPLES)

@@ -7,7 +7,6 @@ from repro import (
     PlatformRegistry,
     PlatformSpec,
     ProcessPoolPlatform,
-    SimulatedDistributedPlatform,
     SimulatedPlatform,
     ThreadPoolPlatform,
     available_backends,
@@ -28,7 +27,6 @@ class TestDefaultRegistry:
             "simulated",
             "threads",
             "processes",
-            "simulated-distributed",
             "distributed",
         } <= set(available_backends())
 
@@ -38,7 +36,6 @@ class TestDefaultRegistry:
             ("simulated", SimulatedPlatform),
             ("threads", ThreadPoolPlatform),
             ("processes", ProcessPoolPlatform),
-            ("simulated-distributed", SimulatedDistributedPlatform),
         ],
     )
     def test_build_constructs_the_right_class(self, kind, cls):
@@ -57,7 +54,6 @@ class TestDefaultRegistry:
             ("Thread", "threads"),
             ("PROCESSPOOL", "processes"),
             ("procs", "processes"),
-            ("simdist", "simulated-distributed"),
             ("remote", "distributed"),
             ("sockets", "distributed"),
         ],
@@ -112,17 +108,6 @@ class TestSpecFieldRejection:
         with pytest.raises(PlatformError, match="extra options"):
             make_platform(PlatformSpec(kind="threads", extra={"gpu": True}))
 
-    def test_worker_speeds_only_on_simulated_distributed(self):
-        from repro import SimulatedSpec
-
-        with pytest.raises(PlatformError, match="worker_speeds"):
-            make_platform(
-                PlatformSpec(
-                    kind="simulated",
-                    simulated=SimulatedSpec(worker_speeds=(1.0, 2.0)),
-                )
-            )
-
 
 class TestErrorPaths:
     def test_unknown_backend_raises_platform_error(self):
@@ -133,13 +118,12 @@ class TestErrorPaths:
         registry = PlatformRegistry()
         registry.register("only", _sim_factory)
         with pytest.raises(PlatformError, match="only"):
-            registry.create("other")
+            registry.build(PlatformSpec(kind="other"))
 
     def test_bad_kwargs_surface_as_type_error(self):
-        # A typo'd knob must not be swallowed by the legacy conversion.
-        with pytest.raises(TypeError):
-            with pytest.deprecated_call():
-                make_platform("simulated", bogus_knob=3)
+        # Knobs live on the spec: keyword arguments are refused outright.
+        with pytest.raises(TypeError, match="bogus_knob"):
+            make_platform("simulated", bogus_knob=3)
 
     def test_invalid_platform_arguments_still_validate(self):
         with pytest.raises(PlatformError):
@@ -167,7 +151,7 @@ class TestAvailableBackendsOrdering:
         # Canonical names only — aliases are resolvable but not listed.
         assert "sim" not in names and "procs" not in names
         assert "simulated" in names and "processes" in names
-        assert "distributed" in names and "simulated-distributed" in names
+        assert "distributed" in names
 
     def test_custom_registry_names_sorted(self):
         registry = PlatformRegistry()
@@ -208,12 +192,6 @@ class TestCustomRegistry:
         registry.register("accel", factory)
         platform = registry.build(PlatformSpec(kind="accel", extra={"device": 2}))
         assert isinstance(platform, SimulatedPlatform)
-
-    def test_legacy_create_converts_kwargs(self):
-        registry = PlatformRegistry()
-        registry.register("sim", _sim_factory)
-        platform = registry.create("sim", parallelism=3)
-        assert platform.get_parallelism() == 3
 
     def test_duplicate_names_rejected(self):
         registry = PlatformRegistry()

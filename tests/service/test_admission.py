@@ -3,6 +3,7 @@
 import pytest
 
 from repro import QoS
+from repro.core.analysis import ExecutionAnalyzer
 from repro.core.estimator import EstimatorRegistry
 from repro.core.persistence import restore_estimates
 from repro.service import AdmissionController, TenantQuota
@@ -62,12 +63,28 @@ class TestTenantBook:
 # admission
 
 
+def plan_engine(program, estimators=None):
+    """The submission's plan engine, as the service builds it: the
+    analyzer's, holding *program* and its (cold by default) estimators."""
+    return ExecutionAnalyzer(skeleton=program, estimators=estimators).plan
+
+
 def warm_estimators(program, stages, duration):
     estimators = EstimatorRegistry()
     restore_estimates(
         program, estimators, sleepy_chain_snapshot(program, stages, duration)
     )
     return estimators
+
+
+def warm_chain(stages, duration):
+    program = sleepy_chain_program(stages, duration)
+    return plan_engine(program, warm_estimators(program, stages, duration))
+
+
+@pytest.fixture
+def cold_engine():
+    return plan_engine(sleepy_chain_program(2, 0.1))
 
 
 class TestAdmissionValidation:
@@ -86,29 +103,27 @@ class TestAdmissionValidation:
 
 class TestFeasibilityGate:
     def test_cold_submission_admitted_optimistically(self):
-        program = sleepy_chain_program(4, 1.0)
+        engine = plan_engine(sleepy_chain_program(4, 1.0))
         controller = AdmissionController(capacity=8)
         decision = controller.evaluate(
-            program, QoS.wall_clock(0.001), EstimatorRegistry(), "t", live_count=0
+            QoS.wall_clock(0.001), engine, "t", live_count=0
         )
         assert decision.admitted  # no estimates -> paper's cold start
 
     def test_warm_infeasible_goal_rejected(self):
-        program = sleepy_chain_program(4, 1.0)  # serial chain: 4s minimum
-        estimators = warm_estimators(program, 4, 1.0)
+        engine = warm_chain(4, 1.0)  # serial chain: 4s minimum
         controller = AdmissionController(capacity=8)
         decision = controller.evaluate(
-            program, QoS.wall_clock(1.0), estimators, "t", live_count=0
+            QoS.wall_clock(1.0), engine, "t", live_count=0
         )
         assert decision.rejected
         assert "infeasible" in decision.reason
 
     def test_warm_feasible_goal_admitted(self):
-        program = sleepy_chain_program(4, 1.0)
-        estimators = warm_estimators(program, 4, 1.0)
+        engine = warm_chain(4, 1.0)
         controller = AdmissionController(capacity=8)
         decision = controller.evaluate(
-            program, QoS.wall_clock(10.0), estimators, "t", live_count=0
+            QoS.wall_clock(10.0), engine, "t", live_count=0
         )
         assert decision.admitted
 
@@ -120,63 +135,48 @@ class TestFeasibilityGate:
         program = sleepy_map_program(4, 1.0)
         estimators = EstimatorRegistry()
         restore_estimates(program, estimators, sleepy_map_snapshot(program, 4, 1.0))
+        engine = plan_engine(program, estimators)
         controller = AdmissionController(capacity=8)
-        ok = controller.evaluate(
-            program, QoS.wall_clock(2.0), estimators, "t", live_count=0
-        )
+        ok = controller.evaluate(QoS.wall_clock(2.0), engine, "t", live_count=0)
         assert ok.admitted
         capped = controller.evaluate(
-            program, QoS.wall_clock(2.0, max_lp=1), estimators, "t", live_count=0
+            QoS.wall_clock(2.0, max_lp=1), engine, "t", live_count=0
         )
         assert capped.rejected
 
     def test_no_goal_never_gated(self):
-        program = sleepy_chain_program(4, 1.0)
-        estimators = warm_estimators(program, 4, 1.0)
         controller = AdmissionController(capacity=1)
-        assert controller.evaluate(program, None, estimators, "t", 0).admitted
+        assert controller.evaluate(None, warm_chain(4, 1.0), "t", 0).admitted
 
 
 class TestCapsAndPolicies:
-    def test_max_live_holds_by_default(self):
+    def test_max_live_holds_by_default(self, cold_engine):
         controller = AdmissionController(capacity=8, max_live=1)
-        program = sleepy_chain_program(2, 0.1)
-        decision = controller.evaluate(
-            program, None, EstimatorRegistry(), "t", live_count=1
-        )
+        decision = controller.evaluate(None, cold_engine, "t", live_count=1)
         assert decision.held
         assert "live-execution cap" in decision.reason
 
-    def test_max_live_rejects_under_reject_policy(self):
+    def test_max_live_rejects_under_reject_policy(self, cold_engine):
         controller = AdmissionController(capacity=8, policy="reject", max_live=1)
-        program = sleepy_chain_program(2, 0.1)
-        decision = controller.evaluate(
-            program, None, EstimatorRegistry(), "t", live_count=1
-        )
+        decision = controller.evaluate(None, cold_engine, "t", live_count=1)
         assert decision.rejected
 
-    def test_tenant_active_cap_holds(self):
+    def test_tenant_active_cap_holds(self, cold_engine):
         book = TenantBook(default_quota=TenantQuota(max_active=1))
         controller = AdmissionController(capacity=8, tenants=book)
         book.started("t")
-        program = sleepy_chain_program(2, 0.1)
-        decision = controller.evaluate(
-            program, None, EstimatorRegistry(), "t", live_count=1
-        )
+        decision = controller.evaluate(None, cold_engine, "t", live_count=1)
         assert decision.held
         assert "active quota" in decision.reason
 
-    def test_pending_cap_rejects_held_overflow(self):
+    def test_pending_cap_rejects_held_overflow(self, cold_engine):
         book = TenantBook(
             default_quota=TenantQuota(max_active=1, max_pending=1)
         )
         controller = AdmissionController(capacity=8, tenants=book)
         book.started("t")
         book.queued("t")  # pending slot already taken
-        program = sleepy_chain_program(2, 0.1)
-        decision = controller.evaluate(
-            program, None, EstimatorRegistry(), "t", live_count=1
-        )
+        decision = controller.evaluate(None, cold_engine, "t", live_count=1)
         assert decision.rejected
         assert "pending quota" in decision.reason
 
@@ -203,17 +203,17 @@ class TestLoadGate:
         restore_estimates(
             program, estimators, sleepy_map_snapshot(program, width, duration)
         )
-        return program, estimators
+        return plan_engine(program, estimators)
 
     def test_feasible_idle_infeasible_under_load_is_held(self):
-        program, estimators = self.warm_map(width=4, duration=1.0)
+        engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller()
         idle = controller.evaluate(
-            program, QoS.wall_clock(2.0), estimators, "t", 0, available_lp=8
+            QoS.wall_clock(2.0), engine, "t", 0, available_lp=8
         )
         assert idle.admitted
         loaded = controller.evaluate(
-            program, QoS.wall_clock(2.0), estimators, "t", 1, available_lp=1
+            QoS.wall_clock(2.0), engine, "t", 1, available_lp=1
         )
         assert loaded.held
         assert "current load" in loaded.reason
@@ -221,15 +221,10 @@ class TestLoadGate:
     def test_load_gate_reports_the_capped_usable_budget(self):
         # available 5 but MaxLPGoal 1: the binding constraint (and the
         # number in the reason) must be the submission's own cap.
-        program, estimators = self.warm_map(width=4, duration=1.0)
+        engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller()
         decision = controller.evaluate(
-            program,
-            QoS.wall_clock(2.0, max_lp=1),
-            estimators,
-            "t",
-            1,
-            available_lp=5,
+            QoS.wall_clock(2.0, max_lp=1), engine, "t", 1, available_lp=5
         )
         assert decision.rejected  # infeasible even dedicated (cap 1)
         assert "all 1 workers" in decision.reason
@@ -237,40 +232,38 @@ class TestLoadGate:
     def test_zero_availability_with_max_lp_one_matches_capacity_gate(self):
         # dedicated == usable == 1: the load gate must add nothing beyond
         # the capacity gate, whichever way the goal falls.
-        program, estimators = self.warm_map(width=4, duration=1.0)
+        engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller()
         fits_on_one = controller.evaluate(
-            program, QoS.wall_clock(9.0, max_lp=1), estimators, "t", 1,
-            available_lp=0,
+            QoS.wall_clock(9.0, max_lp=1), engine, "t", 1, available_lp=0
         )
         assert fits_on_one.admitted
         misses_on_one = controller.evaluate(
-            program, QoS.wall_clock(2.0, max_lp=1), estimators, "t", 1,
-            available_lp=0,
+            QoS.wall_clock(2.0, max_lp=1), engine, "t", 1, available_lp=0
         )
         assert misses_on_one.rejected
 
     def test_unknown_load_skips_the_gate(self):
-        program, estimators = self.warm_map(width=4, duration=1.0)
+        engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller()
         decision = controller.evaluate(
-            program, QoS.wall_clock(2.0), estimators, "t", 1, available_lp=None
+            QoS.wall_clock(2.0), engine, "t", 1, available_lp=None
         )
         assert decision.admitted
 
     def test_load_aware_false_restores_pr2_behaviour(self):
-        program, estimators = self.warm_map(width=4, duration=1.0)
+        engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller(load_aware=False)
         decision = controller.evaluate(
-            program, QoS.wall_clock(2.0), estimators, "t", 1, available_lp=1
+            QoS.wall_clock(2.0), engine, "t", 1, available_lp=1
         )
         assert decision.admitted
 
     def test_reject_policy_rejects_load_blocked(self):
-        program, estimators = self.warm_map(width=4, duration=1.0)
+        engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller(policy="reject")
         decision = controller.evaluate(
-            program, QoS.wall_clock(2.0), estimators, "t", 1, available_lp=1
+            QoS.wall_clock(2.0), engine, "t", 1, available_lp=1
         )
         assert decision.rejected
 
@@ -279,9 +272,8 @@ class TestLoadGate:
 
         controller = self.controller()
         decision = controller.evaluate(
-            sleepy_map_program(4, 1.0),
             QoS.wall_clock(0.001),
-            EstimatorRegistry(),
+            plan_engine(sleepy_map_program(4, 1.0)),
             "t",
             3,
             available_lp=0,
@@ -289,8 +281,8 @@ class TestLoadGate:
         assert decision.admitted  # cold start stays optimistic
 
     def test_load_allows_mirrors_the_gate(self):
-        program, estimators = self.warm_map(width=4, duration=1.0)
+        engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller()
-        assert controller.load_allows(program, QoS.wall_clock(2.0), estimators, 4)
-        assert not controller.load_allows(program, QoS.wall_clock(2.0), estimators, 1)
-        assert controller.load_allows(program, None, estimators, 0)
+        assert controller.load_allows(QoS.wall_clock(2.0), engine, 4)
+        assert not controller.load_allows(QoS.wall_clock(2.0), engine, 1)
+        assert controller.load_allows(None, engine, 0)

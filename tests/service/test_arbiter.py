@@ -9,6 +9,9 @@ import pytest
 
 from repro.core.adg import ADG
 from repro.core.analysis import AnalysisReport
+from repro.core.estimator import EstimatorRegistry
+from repro.core.planning import PlanEngine
+from repro.core.statemachines import MachineRegistry
 from repro.runtime.clock import VirtualClock
 from repro.runtime.platform import Platform
 from repro.service import LPArbiter
@@ -42,6 +45,7 @@ class StubAnalyzer:
         from repro.core.schedule import best_effort_schedule
 
         best = best_effort_schedule(adg, now)
+        est = EstimatorRegistry()
         return AnalysisReport(
             time=now,
             execution_id=self.execution_id,
@@ -51,6 +55,7 @@ class StubAnalyzer:
             wct_current_lp=None,
             optimal_lp=best.peak(from_time=now),
             adg=adg,
+            engine=PlanEngine(MachineRegistry(est), est),
         )
 
 

@@ -201,16 +201,14 @@ class TestAdmissionReservedBlocker:
 
     def test_reserved_budget_blocks_even_floor_feasible_goals(self):
         qos = QoS.wall_clock(5.0)
-        program, analyzer = self.warm_analyzer(qos=qos, **SMALL)
+        _program, analyzer = self.warm_analyzer(qos=qos, **SMALL)
         admission = self.controller()
         open_decision = admission.evaluate(
-            program, qos, analyzer.estimators, "t", live_count=0,
-            available_lp=0, engine=analyzer.plan,
+            qos, analyzer.plan, "t", live_count=0, available_lp=0
         )
         assert open_decision.admitted  # floor-feasible on a busy machine
         reserved_decision = admission.evaluate(
-            program, qos, analyzer.estimators, "t", live_count=0,
-            available_lp=-4, engine=analyzer.plan, reserved=4,
+            qos, analyzer.plan, "t", live_count=0, available_lp=-4, reserved=4
         )
         assert reserved_decision.held
         assert reserved_decision.load_blocked
@@ -222,4 +220,3 @@ class TestAdmissionReservedBlocker:
         admission = self.controller()
         assert admission.reservation_for(qos, analyzer.plan) == 4
         assert admission.reservation_for(None, analyzer.plan) is None
-        assert admission.reservation_for(qos, None) is None

@@ -28,14 +28,20 @@ import asyncio
 
 import pytest
 
-from repro import Priority, QoS, SkeletonService
+from repro import PlatformSpec, Priority, QoS, SimulatedSpec, SkeletonService
 from repro.errors import AdmissionError, ExecutionCancelledError
+from repro.runtime.costmodel import ConstantCostModel
 from repro.service import ExecutionStatus, ServiceStats
 from tests.conftest import sleepy_map_program, sleepy_map_snapshot
 
 pytestmark = [pytest.mark.integration, pytest.mark.service_stress]
 
 BACKENDS = ["threads", "processes"]
+
+#: The simulator with every muscle costing one virtual second.
+UNIT_COST_SIM = PlatformSpec(
+    kind="simulated", simulated=SimulatedSpec(cost_model=ConstantCostModel(1.0))
+)
 
 
 def submit_map(service, tenant, width, leaf, value=1, qos=None):
@@ -335,13 +341,10 @@ class TestAsyncFacade:
 
     def test_await_works_on_the_simulator(self):
         """The driver-backed future drives virtual time inside await."""
-        from repro.runtime.costmodel import ConstantCostModel
-
         with SkeletonService(
-            backend="simulated",
+            backend=UNIT_COST_SIM,
             capacity=4,
             min_rebalance_interval=0.0,
-            cost_model=ConstantCostModel(1.0),
         ) as service:
             handle = submit_map(service, "t", width=4, leaf=0.0)
 
@@ -405,14 +408,11 @@ class TestEventCountThrottling:
         ]
 
     def run_storm(self, min_events):
-        from repro.runtime.costmodel import ConstantCostModel
-
         with SkeletonService(
-            backend="simulated",
+            backend=UNIT_COST_SIM,
             capacity=4,
             min_rebalance_interval=0.0,
             min_rebalance_events=min_events,
-            cost_model=ConstantCostModel(1.0),
         ) as service:
             # A fine-grained muscle storm: 24 leaves = 24+ analysis points.
             handle = submit_map(service, "t", width=24, leaf=0.0)
@@ -429,14 +429,11 @@ class TestEventCountThrottling:
         assert throttled >= 1  # still rebalances, just less often
 
     def test_forced_rebalances_unaffected(self):
-        from repro.runtime.costmodel import ConstantCostModel
-
         with SkeletonService(
-            backend="simulated",
+            backend=UNIT_COST_SIM,
             capacity=4,
             min_rebalance_interval=0.0,
             min_rebalance_events=10**9,
-            cost_model=ConstantCostModel(1.0),
         ) as service:
             handle = submit_map(service, "t", width=8, leaf=0.0)
             assert handle.result(timeout=30.0) == 8
