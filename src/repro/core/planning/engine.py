@@ -20,9 +20,12 @@ behind explicit invalidation:
   now)`` and recomputed *incrementally*: the pinned actuals
   (``compiled_pin``) and the critical-path priorities
   (``compiled_critical_path``) are computed once per ``(revision,
-  now)`` / per revision, and each LP of a minimal-LP scan re-schedules
-  only the pending frontier (``compiled_schedule_pending``, all three
-  in :mod:`repro.core.planning.table`);
+  now)`` / per revision, and a limited-LP plan re-schedules only the
+  pending frontier (``compiled_schedule_pending``, all three in
+  :mod:`repro.core.planning.table`).  A minimal-LP scan mostly runs no
+  pass at all: it prunes an LP below the work bound, certifies one
+  above Graham's list-scheduling bound, and runs a frontier pass only
+  for an LP in the gap (:meth:`PlanEngine.minimal_lp`);
 * **admission arithmetic** schedules structural plans at ``start=0.0``,
   which is *now*-independent — held-queue re-evaluations hit the cache
   until an estimate actually changes.
@@ -571,9 +574,18 @@ class PlanEngine:
         """Smallest LP whose greedy schedule meets *deadline*, or ``None``.
 
         Same linear scan (and same answers) as :func:`~repro.core.
-        schedule.minimal_lp_greedy`, but the best-effort upper bound and
-        every limited schedule come from the cache, and each scanned LP
-        re-schedules only the pending frontier.
+        schedule.minimal_lp_greedy`, bracketed from both sides so that
+        most candidates cost no schedule pass.  Below, the work bound
+        ``now + W / lp`` (:meth:`~repro.core.planning.table.
+        CompiledPinnedBase.pending_work`) rejects an LP that cannot fit.
+        Above, Graham's list-scheduling bound ``U(lp)``
+        (:meth:`~repro.core.planning.table.CompiledPinnedBase.wct_bound`)
+        certifies an LP whose pass could only fit.  A frontier pass
+        (:meth:`limited`) runs only for an LP in the gap between the two.
+        Both bounds hold for the pass itself, so the first LP either
+        accepts is the first LP the pass accepts.  ``U(1)`` needs no
+        priority pair; it is requested once a candidate ``lp >= 2``
+        survives the prune.
         """
         token, table, rec = self._resolve(adg)
         key = ("mlp", token, now, deadline, cap, start_lp) if token is not None else None
@@ -585,18 +597,18 @@ class PlanEngine:
         if cap is not None:
             upper = min(upper, cap)
         answer: Optional[int] = None
-        # Work-bound prune (see compiled_minimal_lp): with lp workers
-        # the pending worker-occupying work W cannot finish before
-        # now + W / lp, so candidates whose bound already misses the
-        # deadline skip their frontier pass.  The bound is a true lower
-        # bound on the greedy WCT, so the first feasible LP — the
-        # answer — is unchanged.
         base = self._pinned_compiled(adg, now, token, table, rec)
         pending_work = base.pending_work(table)
+        cp = None
         for lp in range(max(1, start_lp), upper + 1):
             if now + pending_work / lp > deadline + _EPS:
-                continue
-            if self.limited(adg, now, lp).wct <= deadline + _EPS:
+                continue  # below the work bound: no pass can fit
+            if lp > 1 and cp is None and base.to_schedule:
+                cp = self._critical_path_compiled(token, table, rec)[0]
+            if (
+                base.wct_bound(table, lp, cp) <= deadline + _EPS
+                or self.limited(adg, now, lp).wct <= deadline + _EPS
+            ):
                 answer = lp
                 break
         if key is not None:

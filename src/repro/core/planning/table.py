@@ -315,6 +315,8 @@ class CompiledPinnedBase:
         "ready_items",
         "to_schedule",
         "_pending_work",
+        "_settle",
+        "_chain",
     )
 
     def __init__(self, now, ends, pp, state, busy, ready_items, to_schedule):
@@ -326,6 +328,8 @@ class CompiledPinnedBase:
         self.ready_items = ready_items  # [(ready_time, aid)] frontier
         self.to_schedule = to_schedule
         self._pending_work: Optional[float] = None
+        self._settle: Optional[float] = None  # T0 of wct_bound
+        self._chain: Optional[float] = None  # C of wct_bound
 
     def pending_work(self, table: "PlanTable") -> float:
         """Summed duration of the unpinned, worker-occupying activities of
@@ -345,6 +349,73 @@ class CompiledPinnedBase:
                 )
             )
         return work
+
+    def wct_bound(
+        self, table: "PlanTable", lp: int, cp: Optional[array] = None
+    ) -> float:
+        """An upper bound ``U(lp)`` on the WCT of the *lp*-worker frontier
+        pass from this base (:func:`compiled_schedule_pending`) — Graham's
+        list-scheduling bound (R. L. Graham, *Bounds on multiprocessing
+        timing anomalies*, SIAM J. Appl. Math. 1969), the upper twin of
+        :meth:`pending_work`'s lower bound ``now + W / lp``.
+
+        With ``T0 = max(now, max(ends))``, ``W`` the pending work, ``C``
+        the largest ``cp`` over the unpinned rows and ``n = table.n``::
+
+            U(lp) = (T0 + W/lp + (1 - 1/lp)·C)·(1 + 4(n+2)·2⁻⁵²) + EPS
+
+        *cp* is the critical-path column of *table* (the first half of
+        the priority pair).  It is read only when ``lp >= 2`` and a row is
+        pending, so at ``lp == 1`` — where ``U`` is ``T0 + W`` plus
+        rounding — the caller need not have it.
+
+        **Proof.**  Let ``F`` be the pass's WCT.  If it is a pinned end,
+        ``F <= T0``.  Otherwise follow a chain back from the pending row
+        that ends last.  A row's ready time is its predecessors' largest
+        end; step to the predecessor that ends then (of several, the one
+        scheduled last) while it is unpinned.  The chain's first row is
+        ready by ``T0``, and after ``T0`` no pinned row is still running,
+        so ``busy`` holds only pending rows longer than ``EPS``.
+
+        Take an instant ``t`` in ``[T0, F)`` at which no chain row longer
+        than ``EPS`` runs.  Some chain row is then ready but unstarted: it
+        entered ``ready`` no later than its ready time (the cursor never
+        passes a waiting entry).  A row after one no longer than ``EPS``
+        is even ready at the cursor that started it, since successive
+        cursors lie at least ``EPS`` apart — only the tail of the chain's
+        last row escapes this, and that tail is the ``+ EPS``.  The pass
+        starts a ready row whenever ``len(busy) < lp``, so at every cursor
+        where one waits, ``busy`` holds ``lp`` rows that end no earlier
+        than the next cursor: at least ``lp`` pending rows run at ``t``.
+
+        So ``[T0, F)`` splits into ``A``, where at least ``lp`` pending
+        rows run, and ``B``, where a chain row longer than ``EPS`` runs.
+        The pending work that runs after ``T0`` is at most ``W``, so
+        ``lp·|A| + |B| <= W``, and ``|B| <= C`` because the chain is one
+        path of unpinned rows.  Hence ``F - T0 = |A| + |B| <= W/lp +
+        (1 - 1/lp)·|B| <= W/lp + (1 - 1/lp)·C``.
+
+        Rounding: every clock is non-negative (a negative *now* returns
+        ``inf``).  Each end the pass writes is one rounded addition, ``W``
+        and ``C`` are sums of at most ``n`` non-negative terms, and ``U``
+        takes eight more rounded operations.  Together these move the
+        right-hand side by less than ``(3n + 9)·2⁻⁵³`` of itself, inside
+        the margin of ``(8n + 16)·2⁻⁵³``.
+        """
+        if self.now < 0.0:
+            return float("inf")
+        settle = self._settle
+        if settle is None:
+            settle = self._settle = max(self.now, max(self.ends, default=self.now))
+        bound = settle + self.pending_work(table) / lp
+        if lp > 1 and self.to_schedule:
+            chain = self._chain
+            if chain is None:
+                chain = self._chain = max(
+                    compress(cp, map(operator.ne, self.pp, repeat(-1)))
+                )
+            bound += (1.0 - 1.0 / lp) * chain
+        return bound * (1.0 + 4 * (table.n + 2) * 2.0**-52) + _EPS
 
 
 class CompiledSchedule:
@@ -428,24 +499,24 @@ class CompiledSchedule:
     def peak(self, from_time: Optional[float] = None) -> int:
         """Maximum concurrency (optionally only from *from_time* onwards).
 
-        From :data:`_NP_PEAK_MIN_ROWS` rows on, when the step function
-        itself was never asked for, the peak is computed directly from
-        the start/end columns with numpy (same filtering, grouping and
-        crop rules as :func:`~repro.core.schedule.concurrency_timeline`
-        — the value is identical); below it numpy's fixed cost loses to
-        the pure-Python sweep, and a memoized timeline is reused for
-        free at any size.
+        A memoized timeline is reused at any size.  Otherwise the peak is
+        read straight off the start/end columns, never building the step
+        function: with numpy from :data:`_NP_PEAK_MIN_ROWS` rows on
+        (:func:`_np_peak`), below it — where numpy's fixed cost loses —
+        by one pure-Python sweep (:func:`_sweep_peak`).  Both apply the
+        filtering, grouping and crop rules of
+        :func:`~repro.core.schedule.concurrency_timeline`, so the value
+        is identical.
         """
         cached = self._peaks.get(from_time)
         if cached is None:
-            if (
-                _np is not None
-                and len(self._starts) >= _NP_PEAK_MIN_ROWS
-                and from_time not in self._timelines
-            ):
+            timeline = self._timelines.get(from_time)
+            if timeline is not None:
+                cached = peak_concurrency(timeline)
+            elif _np is not None and len(self._starts) >= _NP_PEAK_MIN_ROWS:
                 cached = _np_peak(self._starts, self._ends, from_time)
             else:
-                cached = peak_concurrency(self.timeline(from_time))
+                cached = _sweep_peak(self._starts, self._ends, from_time)
             self._peaks[from_time] = cached
         return cached
 
@@ -454,6 +525,32 @@ class CompiledSchedule:
 
     def end_of(self, aid: int) -> float:
         return self._ends[aid]
+
+
+def _sweep_peak(starts: array, ends: array, from_time: Optional[float]) -> int:
+    """Peak concurrency straight from the schedule columns (pure Python).
+
+    One delta dict and one sorted pass over ``CompiledSchedule.timeline``'s
+    interval filter: zero-length intervals (``end - start <= _EPS``)
+    contribute nothing and a level is taken once per *distinct* time.  The
+    crop folds into the filter: every kept interval ends after
+    *from_time*, so before it the level only rises and the entry level
+    ``concurrency_timeline`` prepends is the highest of those levels —
+    the cropped peak is the uncropped one.
+    """
+    floor = -float("inf") if from_time is None else from_time
+    deltas: Dict[float, int] = {}
+    get = deltas.get
+    for s, e in zip(starts, ends):
+        if e > floor and e - s > _EPS:
+            deltas[s] = get(s, 0) + 1
+            deltas[e] = get(e, 0) - 1
+    level = best = 0
+    for _t, d in sorted(deltas.items()):
+        level += d
+        if level > best:
+            best = level
+    return best
 
 
 def _np_peak(starts: array, ends: array, from_time: Optional[float]) -> int:
