@@ -83,9 +83,9 @@ def assert_tables_bit_identical(skel, reg):
 def full_pass_walk(skel, reg):
     """The PR 9 from-scratch compiled analysis pass, unchanged."""
     table = walk_table(skel, reg)
-    best = compiled_best_effort(table, 0.0)
-    _cp, prio = compiled_critical_path(table)
     base = compiled_pin(table, 0.0)
+    best = compiled_best_effort(table, base)
+    _cp, prio = compiled_critical_path(table)
     compiled_schedule_pending(table, 0.0, 4, base, prio)
     compiled_minimal_lp(
         table, 0.0, best.wct * 1.5, max_lp=24, base=base, prio=prio
@@ -97,9 +97,9 @@ def full_pass_direct(skel, reg):
     """The PR 10 pass: direct compile, array-copied pin, shared peak."""
     plan = compile_structural(skel, reg)
     table = plan.table
-    best = compiled_best_effort(table, 0.0)
-    _cp, prio = compiled_critical_path(table)
     base = plan.pinned_fresh(0.0)
+    best = compiled_best_effort(table, base)
+    _cp, prio = compiled_critical_path(table)
     compiled_schedule_pending(table, 0.0, 4, base, prio)
     compiled_minimal_lp(
         table,

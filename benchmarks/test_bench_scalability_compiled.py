@@ -39,9 +39,9 @@ def compiled_analysis_pass(skel, reg):
     adg = ADG()
     project_skeleton(skel, adg, [], reg)
     table = PlanTable.compile(adg)
-    best = compiled_best_effort(table, 0.0)
-    _cp, prio = compiled_critical_path(table)
     base = compiled_pin(table, 0.0)
+    best = compiled_best_effort(table, base)
+    _cp, prio = compiled_critical_path(table)
     compiled_schedule_pending(table, 0.0, 4, base, prio)
     compiled_minimal_lp(
         table, 0.0, best.wct * 1.5, max_lp=24, base=base, prio=prio
@@ -56,14 +56,14 @@ def assert_decisions_identical(skel, reg):
     table = PlanTable.compile(adg)
     assert table is not None
 
+    base = compiled_pin(table, 0.0)
     best_ref = best_effort_schedule(adg, 0.0)
-    best = compiled_best_effort(table, 0.0)
+    best = compiled_best_effort(table, base)
     assert best.wct == best_ref.wct
     assert best.timeline() == best_ref.timeline()
     assert best.peak(from_time=0.0) == best_ref.peak(from_time=0.0)
 
     _cp, prio = compiled_critical_path(table)
-    base = compiled_pin(table, 0.0)
     lim_ref = limited_lp_schedule(adg, 0.0, 4)
     lim = compiled_schedule_pending(table, 0.0, 4, base, prio)
     assert lim.wct == lim_ref.wct

@@ -31,7 +31,6 @@ events); leave it ``None`` for the classic whole-platform behaviour.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import StateMachineError
@@ -42,6 +41,13 @@ from ..skeletons.base import Skeleton
 from .adg import ADG
 from .estimator import EstimatorRegistry
 from .planning import PlanCache, PlanEngine
+from .planning.table import (
+    CompiledPinnedBase,
+    CompiledSchedule,
+    PlanTable,
+    compiled_best_effort,
+    compiled_pin,
+)
 from .qos import QoS
 from .statemachines import UNSUPPORTED_KINDS, MachineRegistry
 
@@ -62,7 +68,6 @@ def is_analysis_point(event: Event) -> bool:
     return event.when is When.AFTER and event.where in ANALYSIS_WHERE
 
 
-@dataclass
 class AnalysisReport:
     """One Monitor/Analyze outcome for one (set of) execution(s).
 
@@ -70,33 +75,134 @@ class AnalysisReport:
     allocations (:meth:`wct_at`, :meth:`minimal_lp`) without paying the
     projection again.
 
-    Reports are consumed within the arbitration/controller pass that
-    requested them.  Since the delta pipeline, a *held-over* report's
-    ``adg`` may advance underneath it — a later analysis can patch the
-    same object in place instead of building a fresh one — so a stale
-    report re-queried after newer events answers from the newer actuals
-    (its cached plans were already retired by the revision bump).  An
-    analyzer hands the *same* report back for as long as nothing it was
-    derived from moved (see :meth:`ExecutionAnalyzer.analyze`).
+    **Frozen at** ``(rev, time)``, the graph revision and the instant the
+    report was built at: the paper's four quantities — ``deadline``,
+    ``wct_current_lp``, ``wct_best_effort`` and ``optimal_lp`` — and all
+    that derives from them (``slack``, ``goal_at_risk``,
+    ``remaining_best_effort``, :meth:`lp_ceiling`).  The first two are
+    computed when the report is built.  The best-effort pair is derived
+    on first read and memoized; most reports are never asked for it.  A
+    report built with ``None`` for them keeps a snapshot of its plan
+    table instead (:meth:`~repro.core.planning.table.PlanTable.snapshot`:
+    the columns an in-place refresh rewrites are copied), so a read after
+    the graph moved still answers for the graph as it was.  Values passed
+    in are taken as they are.
+
+    **Live**: :meth:`wct_at` and :meth:`minimal_lp` plan on ``adg`` as it
+    is when they are called.  Since the delta pipeline, a later analysis
+    may patch the same ADG object in place, so a held-over report
+    re-queried after newer events answers these from the newer actuals.
+    An analyzer hands the *same* report back for as long as nothing it
+    was derived from moved (see :meth:`ExecutionAnalyzer.analyze`).
     """
 
-    time: float
-    execution_id: Optional[int]
-    deadline: Optional[float]
-    current_lp: Optional[int]
-    wct_best_effort: float
-    wct_current_lp: Optional[float]
-    optimal_lp: int
-    adg: ADG
-    #: The planning engine that built this report: hypothetical
-    #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull its cached
-    #: plans instead of re-running schedules from scratch.
-    engine: PlanEngine = field(repr=False, compare=False)
-    #: ``(cap, start_lp) -> minimal LP`` answers of the engine for the
-    #: graph revision in ``_minimal_rev``: a report the analyzer serves
-    #: again answers the arbiter's scan without entering the engine.
-    _minimal: Dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _minimal_rev: int = field(default=-1, init=False, repr=False, compare=False)
+    __slots__ = (
+        "time",
+        "execution_id",
+        "deadline",
+        "current_lp",
+        "wct_current_lp",
+        "adg",
+        "engine",
+        "_wct",
+        "_peak",
+        "_rev",
+        "_table",
+        "_base",
+        "_schedule",
+        "_minimal",
+        "_minimal_rev",
+    )
+
+    def __init__(
+        self,
+        time: float,
+        execution_id: Optional[int],
+        deadline: Optional[float],
+        current_lp: Optional[int],
+        wct_best_effort: Optional[float],
+        wct_current_lp: Optional[float],
+        optimal_lp: Optional[int],
+        adg: ADG,
+        engine: PlanEngine,
+    ):
+        self.time = time
+        self.execution_id = execution_id
+        self.deadline = deadline
+        self.current_lp = current_lp
+        self.wct_current_lp = wct_current_lp
+        self.adg = adg
+        #: The planning engine that built this report: hypothetical
+        #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull its cached
+        #: plans instead of re-running schedules from scratch.
+        self.engine = engine
+        self._wct = wct_best_effort
+        self._peak = optimal_lp
+        self._rev = adg.rev
+        self._table: Optional[PlanTable] = None
+        if wct_best_effort is None or optimal_lp is None:
+            self._table = engine.table(adg).snapshot()
+        self._base: Optional[CompiledPinnedBase] = None
+        self._schedule: Optional[CompiledSchedule] = None
+        #: ``(cap, start_lp) -> minimal LP`` answers of the engine for the
+        #: graph revision in ``_minimal_rev``: a report the analyzer serves
+        #: again answers the arbiter's scan without entering the engine.
+        self._minimal: Dict = {}
+        self._minimal_rev = -1
+
+    def _live(self) -> bool:
+        """True while the engine's plans of ``adg`` are this report's:
+        the graph has not moved and the engine keeps what it computes."""
+        return self.adg.rev == self._rev and self.engine.cache.maxsize > 0
+
+    def _pinned(self) -> CompiledPinnedBase:
+        """The pinned base at ``(rev, time)`` — the engine's cached one,
+        which the minimal-LP scans share, while :meth:`_live`."""
+        base = self._base
+        if base is None:
+            if self._live():
+                base = self.engine.pinned(self.adg, self.time)
+            else:
+                base = compiled_pin(self._table, self.time)
+            self._base = base
+        return base
+
+    def _best_effort(self) -> CompiledSchedule:
+        """The best-effort schedule at ``(rev, time)``, derived once —
+        the engine's cached plan, the one a minimal-LP scan reads its top
+        from, while :meth:`_live`."""
+        schedule = self._schedule
+        if schedule is None:
+            if self._live():
+                schedule = self.engine.best_effort(self.adg, self.time)
+            else:
+                base = self._pinned()
+                schedule = compiled_best_effort(self._table, base)
+                if base.to_schedule:
+                    self.engine.cache.count_schedule_pass()
+            self._schedule = schedule
+        return schedule
+
+    @property
+    def wct_best_effort(self) -> float:
+        """WCT under infinite parallelism (the paper's best effort)."""
+        if self._wct is None:
+            self._wct = self._best_effort().wct
+        return self._wct
+
+    @property
+    def optimal_lp(self) -> int:
+        """Peak concurrency of the best-effort schedule from ``time`` on."""
+        if self._peak is None:
+            self._peak = self._best_effort().peak(from_time=self.time)
+        return self._peak
+
+    def lp_ceiling(self, k: int) -> int:
+        """``min(optimal_lp, k)``, with no schedule pass while the pinned
+        base's peak floor (a lower bound on the peak) reaches *k*."""
+        if self._peak is None and self._pinned().peak_floor >= k:
+            return k
+        return min(self.optimal_lp, k)
 
     @property
     def remaining_best_effort(self) -> float:
@@ -384,20 +490,20 @@ class ExecutionAnalyzer(Listener):
         adg: ADG,
         deadline: Optional[float],
     ) -> AnalysisReport:
-        """Derive the paper's quantities from (cached) plans of an ADG."""
-        best = self.plan.best_effort(adg, now)
+        """Derive the paper's quantities from (cached) plans of an ADG;
+        the best-effort pair only when read (see :class:`AnalysisReport`)."""
         return AnalysisReport(
             time=now,
             execution_id=self.execution_id,
             deadline=deadline,
             current_lp=current_lp,
-            wct_best_effort=best.wct,
+            wct_best_effort=None,
             wct_current_lp=(
                 self.plan.wct_at(adg, now, current_lp)
                 if current_lp is not None
                 else None
             ),
-            optimal_lp=best.peak(from_time=now),
+            optimal_lp=None,
             adg=adg,
             engine=self.plan,
         )

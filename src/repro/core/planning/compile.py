@@ -62,7 +62,7 @@ from ...skeletons.smap import Map
 from ..delta import ChangeDelta
 from ..estimator import EstimatorRegistry
 from ..projection import estimated_total_work
-from .table import CompiledPinnedBase, PlanTable
+from .table import _EPS, CompiledPinnedBase, PlanTable
 
 try:  # optional accelerator: stamping falls back to pure stdlib without it
     import numpy as _np
@@ -700,6 +700,7 @@ class CompiledProjection:
         """
         table = self.table
         n = table.n
+        duration = table.duration
         return CompiledPinnedBase(
             now,
             array("d", bytes(8 * n)),
@@ -708,6 +709,7 @@ class CompiledProjection:
             [],
             [(now, i) for i in self.sources],
             n,
+            sum(1 for i in self.sources if (now + duration[i]) - now > _EPS),
         )
 
 

@@ -22,10 +22,15 @@ behind explicit invalidation:
   (``compiled_critical_path``) are computed once per ``(revision,
   now)`` / per revision, and a limited-LP plan re-schedules only the
   pending frontier (``compiled_schedule_pending``, all three in
-  :mod:`repro.core.planning.table`).  A minimal-LP scan mostly runs no
+  :mod:`repro.core.planning.table`).  The best-effort pass is a pass
+  over the same pinned base, and nothing runs it unless a best-effort
+  quantity is read (:class:`~repro.core.analysis.AnalysisReport` keeps
+  the base instead of the pass).  A minimal-LP scan mostly runs no
   pass at all: it prunes an LP below the work bound, certifies one
   above Graham's list-scheduling bound, and runs a frontier pass only
-  for an LP in the gap (:meth:`PlanEngine.minimal_lp`);
+  for an LP in the gap.  Its top is the best-effort peak, asked for
+  only once a candidate exceeds the pinned base's peak floor, a count
+  read off the pin (:meth:`PlanEngine.minimal_lp`);
 * **admission arithmetic** schedules structural plans at ``start=0.0``,
   which is *now*-independent — held-queue re-evaluations hit the cache
   until an estimate actually changes.
@@ -85,7 +90,6 @@ from .compile import (
     structural_values_key,
 )
 from .table import (
-    PENDING,
     CompiledPinnedBase,
     CompiledSchedule,
     PlanTable,
@@ -95,7 +99,6 @@ from .table import (
     compiled_pin,
     compiled_pin_delta,
     compiled_schedule_pending,
-    compiled_settled,
 )
 
 __all__ = ["PlanEngine"]
@@ -497,20 +500,35 @@ class PlanEngine:
             return cached
         if rec is None:
             return self.cache.put(key, adg.pinned_fresh(now))
-        if rec.base is None:
+        base = rec.base
+        if base is None:
             base = compiled_pin(table, now)
-        else:
-            base = compiled_pin_delta(table, now, rec.base, rec.base_stale)
+        elif rec.base_stale or base.now != now:
+            base = compiled_pin_delta(table, now, base, rec.base_stale)
             self.cache.count_pin_patch()
+        # else: evicted from the store, still current
         rec.base = base
         rec.base_stale.clear()
         return self.cache.put(key, base)
 
+    def table(self, adg: ADG) -> PlanTable:
+        """The plan table of *adg* at its current revision."""
+        return self._resolve(adg)[1]
+
+    def pinned(self, adg: ADG, now: float) -> CompiledPinnedBase:
+        """The pinned base of *adg* at its current revision and *now*
+        (cached), the one every pass at that ``(rev, now)`` starts from.
+        Its ``peak_floor`` bounds the optimal LP from below."""
+        token, table, rec = self._resolve(adg)
+        return self._pinned_compiled(adg, now, token, table, rec)
+
     def best_effort(self, adg: ADG, now: float) -> CompiledSchedule:
         """Best-effort (infinite LP) schedule, cached per (rev, now).
 
-        A graph with nothing pending is not scheduled: its plan is its
-        pinned base (``compiled_settled``).
+        A pass over the pending rows of the pinned base — shared with the
+        frontier passes and the minimal-LP scan at the same ``(rev,
+        now)``.  A graph with nothing pending is not scheduled: its plan
+        is its pinned base.
         """
         token, table, rec = self._resolve(adg)
         key = ("cbe", token, now) if token is not None else None
@@ -518,12 +536,10 @@ class PlanEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached
-        if PENDING in table.state:
-            result = compiled_best_effort(table, now)
+        base = self._pinned_compiled(adg, now, token, table, rec)
+        result = compiled_best_effort(table, base)
+        if base.to_schedule:
             self.cache.count_schedule_pass()
-        else:
-            base = self._pinned_compiled(adg, now, token, table, rec)
-            result = compiled_settled(table, base, "best-effort", None)
         if key is not None:
             self.cache.put(key, result)
         return result
@@ -543,12 +559,11 @@ class PlanEngine:
             if cached is not None:
                 return cached
         base = self._pinned_compiled(adg, now, token, table, rec)
+        prio = None
         if base.to_schedule:
-            _cp, prio = self._critical_path_compiled(token, table, rec)
-            result = compiled_schedule_pending(table, now, lp, base, prio)
+            prio = self._critical_path_compiled(token, table, rec)[1]
             self.cache.count_schedule_pass()
-        else:
-            result = compiled_settled(table, base, "limited-lp", lp)
+        result = compiled_schedule_pending(table, now, lp, base, prio)
         if key is not None:
             self.cache.put(key, result)
         return result
@@ -586,6 +601,13 @@ class PlanEngine:
         accepts is the first LP the pass accepts.  ``U(1)`` needs no
         priority pair; it is requested once a candidate ``lp >= 2``
         survives the prune.
+
+        The scan's top, the optimal LP, is bounded from below by the
+        pinned base's peak floor (``CompiledPinnedBase.peak_floor``: the
+        rows the best-effort schedule runs at *now*).  The best-effort
+        pass behind the exact peak (:meth:`optimal_lp`) runs only once a
+        candidate exceeds that floor — never for a scan that stops at or
+        below it, nor for one capped there.
         """
         token, table, rec = self._resolve(adg)
         key = ("mlp", token, now, deadline, cap, start_lp) if token is not None else None
@@ -593,15 +615,28 @@ class PlanEngine:
             cached = self.cache.get(key)
             if cached is not None:
                 return cached[0]
-        upper = max(self.optimal_lp(adg, now), 1)
-        if cap is not None:
-            upper = min(upper, cap)
         answer: Optional[int] = None
         base = self._pinned_compiled(adg, now, token, table, rec)
         pending_work = base.pending_work(table)
         cp = None
-        for lp in range(max(1, start_lp), upper + 1):
+        # The scan's top is max(optimal LP, 1), capped.  The peak floor is
+        # at most the optimal LP, so up to it no candidate needs the peak.
+        upper = max(base.peak_floor, 1)
+        exact = cap is not None and cap <= upper
+        if exact:
+            upper = cap
+        lp = max(1, start_lp)
+        while True:
+            if lp > upper:
+                if exact:
+                    break
+                upper = max(self.optimal_lp(adg, now), 1)
+                if cap is not None:
+                    upper = min(upper, cap)
+                exact = True
+                continue
             if now + pending_work / lp > deadline + _EPS:
+                lp += 1
                 continue  # below the work bound: no pass can fit
             if lp > 1 and cp is None and base.to_schedule:
                 cp = self._critical_path_compiled(token, table, rec)[0]
@@ -611,6 +646,7 @@ class PlanEngine:
             ):
                 answer = lp
                 break
+            lp += 1
         if key is not None:
             self.cache.put(key, (answer,))
         return answer

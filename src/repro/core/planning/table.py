@@ -37,9 +37,10 @@ Every scheduler pass then runs as index arithmetic over these columns:
   the changelog'd activities);
 * :func:`compiled_best_effort` / :func:`compiled_schedule_pending` —
   the best-effort longest-path walk and the event-driven limited-LP
-  frontier pass, emitting :class:`CompiledSchedule` results that
-  materialize their ``entries`` dict lazily (a minimal-LP scan never
-  pays for entries it only asks ``.wct`` of).
+  frontier pass, both over the pending rows of a pinned base, emitting
+  :class:`CompiledSchedule` results that materialize their ``entries``
+  dict lazily (a minimal-LP scan never pays for entries it only asks
+  ``.wct`` of).
 
 **Bit-for-bit contract**: every compiled pass performs the *same
 floating-point operations in the same order* as the reference pass of
@@ -84,7 +85,6 @@ __all__ = [
     "compiled_pin_delta",
     "compiled_best_effort",
     "compiled_schedule_pending",
-    "compiled_settled",
     "compiled_minimal_lp",
 ]
 
@@ -262,6 +262,30 @@ class PlanTable:
                 FINISHED if e is not None else RUNNING if s is not None else PENDING
             )
 
+    def snapshot(self) -> "PlanTable":
+        """This table as it stands: the time columns :meth:`refresh`
+        rewrites in place are copied, the structure (immutable once
+        compiled) is shared."""
+        table = PlanTable()
+        table.n = self.n
+        table.names = self.names
+        table.roles = self.roles
+        table.npred = self.npred
+        table.pred0 = self.pred0
+        table.pred1 = self.pred1
+        table.pred_ptr = self.pred_ptr
+        table.pred_ext = self.pred_ext
+        table.nsucc = self.nsucc
+        table.succ0 = self.succ0
+        table.succ1 = self.succ1
+        table.succ_ptr = self.succ_ptr
+        table.succ_ext = self.succ_ext
+        table.start = array("d", self.start)
+        table.end = array("d", self.end)
+        table.duration = array("d", self.duration)
+        table.state = array("b", self.state)
+        return table
+
     def work_column(self) -> array:
         """``duration`` with the zero-length entries (``<= _EPS``, which
         never occupy a worker) stored as ``0.0`` — the column the
@@ -304,6 +328,16 @@ class CompiledPinnedBase:
     Immutable once built (schedule passes copy the columns they mutate);
     ``state`` is a snapshot so cached bases and results stay frozen when
     the table is later refreshed in place.
+
+    ``peak_floor`` counts the rows the best-effort schedule from this base
+    runs at *now*: running rows with ``start <= now < end``, and ready
+    pending rows (ready time ``== now``), each only when its interval
+    passes the peak sweep's ``end - start > EPS`` filter, evaluated with
+    the sweep's own float expression.  They share the instant *now*, so
+    the count is at most ``CompiledSchedule.peak(from_time=now)`` of
+    :func:`compiled_best_effort` — a lower bound on the optimal LP read
+    off the pin, with no schedule pass.  The pin computes it from the
+    table columns of its own revision.
     """
 
     __slots__ = (
@@ -314,12 +348,15 @@ class CompiledPinnedBase:
         "busy",
         "ready_items",
         "to_schedule",
+        "peak_floor",
         "_pending_work",
         "_settle",
         "_chain",
     )
 
-    def __init__(self, now, ends, pp, state, busy, ready_items, to_schedule):
+    def __init__(
+        self, now, ends, pp, state, busy, ready_items, to_schedule, peak_floor
+    ):
         self.now = now
         self.ends = ends  # array('d'): pinned end per activity (pending: 0.0)
         self.pp = pp  # array('q'): unpinned-pred count, -1 for pinned
@@ -327,6 +364,7 @@ class CompiledPinnedBase:
         self.busy = busy  # heapified worker-release times (running only)
         self.ready_items = ready_items  # [(ready_time, aid)] frontier
         self.to_schedule = to_schedule
+        self.peak_floor = peak_floor  # see the class docstring
         self._pending_work: Optional[float] = None
         self._settle: Optional[float] = None  # T0 of wct_bound
         self._chain: Optional[float] = None  # C of wct_bound
@@ -738,18 +776,22 @@ def compiled_pin(table: PlanTable, now: float) -> CompiledPinnedBase:
     busy: List[float] = []
     ready_items: List[Tuple[float, int]] = []
     to_schedule = 0
+    floor = 0
     for i in range(n):
         s = state[i]
         if s == FINISHED:
             ends[i] = end[i]
             pp[i] = -1
         elif s == RUNNING:
-            e = start[i] + duration[i]
+            b = start[i]
+            e = b + duration[i]
             if e < now:
                 e = now
             ends[i] = e
             pp[i] = -1
             busy.append(e)
+            if b <= now < e and e - b > _EPS:
+                floor += 1
         else:
             to_schedule += 1
             c = npred[i]
@@ -786,8 +828,12 @@ def compiled_pin(table: PlanTable, now: float) -> CompiledPinnedBase:
                             if e > r:
                                 r = e
                 ready_items.append((r, i))
+                if r == now and (r + duration[i]) - r > _EPS:
+                    floor += 1
     heapq.heapify(busy)
-    return CompiledPinnedBase(now, ends, pp, state, busy, ready_items, to_schedule)
+    return CompiledPinnedBase(
+        now, ends, pp, state, busy, ready_items, to_schedule, floor
+    )
 
 
 def compiled_pin_delta(
@@ -859,14 +905,20 @@ def compiled_pin_delta(
     # Untouched running activities re-clamp to the new now; the busy heap
     # is rebuilt from every still-running end (touched or not).
     busy: List[float] = []
+    floor = 0
     for i in range(n):
         if state[i] == RUNNING:
-            if i not in touched:
-                e = start[i] + duration[i]
+            b = start[i]
+            if i in touched:
+                e = ends[i]
+            else:
+                e = b + duration[i]
                 if e < now:
                     e = now
                 ends[i] = e
-            busy.append(ends[i])
+            busy.append(e)
+            if b <= now < e and e - b > _EPS:
+                floor += 1
     heapq.heapify(busy)
 
     npred = table.npred
@@ -897,16 +949,28 @@ def compiled_pin_delta(
                         if e > r:
                             r = e
             ready_items.append((r, i))
-    return CompiledPinnedBase(now, ends, pp, state, busy, ready_items, to_schedule)
+            if r == now and (r + duration[i]) - r > _EPS:
+                floor += 1
+    return CompiledPinnedBase(
+        now, ends, pp, state, busy, ready_items, to_schedule, floor
+    )
 
 
-def compiled_best_effort(table: PlanTable, now: float) -> CompiledSchedule:
-    """Infinite-LP schedule — array twin of
-    :func:`~repro.core.schedule.best_effort_schedule`."""
-    n = table.n
-    state = array("b", table.state)
+def compiled_best_effort(
+    table: PlanTable, base: CompiledPinnedBase
+) -> CompiledSchedule:
+    """Infinite-LP schedule from a pinned base — array twin of
+    :func:`~repro.core.schedule.best_effort_schedule`.
+
+    The pinned rows keep the base's ends (a running row's clamped to
+    ``base.now``) and the table's starts; only the unpinned rows are
+    walked, in index (topological) order, each starting at the latest of
+    ``base.now`` and its predecessors' ends.  These are the reference
+    pass's float operations, so the schedule is the same bit for bit.
+    *table* must stand at the revision *base* was pinned at.
+    """
+    now = base.now
     start = table.start
-    end = table.end
     duration = table.duration
     npred = table.npred
     pred0 = table.pred0
@@ -914,18 +978,10 @@ def compiled_best_effort(table: PlanTable, now: float) -> CompiledSchedule:
     pred_ptr = table.pred_ptr
     pred_ext = table.pred_ext
 
-    starts = array("d", bytes(8 * n))
-    ends = array("d", bytes(8 * n))
-    for i in range(n):
-        s = state[i]
-        if s == FINISHED:
-            starts[i] = start[i]
-            ends[i] = end[i]
-        elif s == RUNNING:
-            starts[i] = start[i]
-            e = start[i] + duration[i]
-            ends[i] = e if e >= now else now
-        else:
+    starts = array("d", start)
+    ends = array("d", base.ends)
+    if base.to_schedule:
+        for i in compress(range(table.n), map(operator.ne, base.pp, repeat(-1))):
             r = now
             c = npred[i]
             if c:
@@ -948,23 +1004,7 @@ def compiled_best_effort(table: PlanTable, now: float) -> CompiledSchedule:
             starts[i] = r
             ends[i] = r + duration[i]
     return CompiledSchedule(
-        "best-effort", now, None, starts, ends, state, table.names
-    )
-
-
-def compiled_settled(
-    table: PlanTable, base: CompiledPinnedBase, strategy: str, lp: Optional[int]
-) -> CompiledSchedule:
-    """The plan of a graph whose *base* left nothing to schedule: every
-    row is finished or running, so at any LP, best effort included, the
-    schedule *is* the pinned base.  Column for column what
-    :func:`compiled_best_effort` and :func:`compiled_schedule_pending`
-    return for such a graph (both copy a pinned row's start and clamp a
-    running row's end to *now*, as the pin does), without walking a row."""
-    if lp is not None and lp < 1:
-        raise SchedulingError(f"lp must be >= 1, got {lp}")
-    return CompiledSchedule(
-        strategy, base.now, lp, array("d", table.start), base.ends, base.state, table.names
+        "best-effort", now, None, starts, ends, base.state, table.names
     )
 
 
@@ -982,9 +1022,11 @@ def compiled_schedule_pending(
     *base* and *prio* are never mutated: the columns copy, the heaps are
     rebuilt, and *prio*'s prebuilt ``(-cp, aid)`` entries are shared by
     reference — one pinning pass plus one priority table seeds every LP
-    of a scan.  Invariant exploited over the reference pass: stale busy
-    entries are dropped eagerly, so the active-worker count is
-    ``len(busy)`` instead of a per-iteration scan.
+    of a scan.  A base with nothing to schedule never reads *prio*: the
+    plan at any LP is then the pinned base itself.  Invariant exploited
+    over the reference pass: stale busy entries are dropped eagerly, so
+    the active-worker count is ``len(busy)`` instead of a per-iteration
+    scan.
     """
     if lp < 1:
         raise SchedulingError(f"lp must be >= 1, got {lp}")
@@ -1120,15 +1162,15 @@ def compiled_minimal_lp(
     the greedy schedule's WCT, so the returned answer — first feasible
     LP, its schedule, or ``None`` — is identical to the unpruned scan.
     """
+    if base is None:
+        base = compiled_pin(table, now)
     if peak is None:
         # A caller that already ran the best-effort pass (every analysis
         # recipe does) passes its peak in and skips this duplicate pass.
-        peak = compiled_best_effort(table, now).peak(from_time=now)
+        peak = compiled_best_effort(table, base).peak(from_time=now)
     upper = max(peak, 1)
     if max_lp is not None:
         upper = min(upper, max_lp)
-    if base is None:
-        base = compiled_pin(table, now)
     if prio is None:
         _cp, prio = compiled_critical_path(table)
     pending_work = base.pending_work(table)

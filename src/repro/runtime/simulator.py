@@ -20,6 +20,12 @@ Model:
   FIFO policy is available for ablations.  Together with a deterministic
   tie-break on simultaneous completions every run is bit-for-bit
   reproducible;
+* the ready queue is indexed by execution: one deque per execution, its
+  tasks ordered by keys that place them in one queue, and a heap of the
+  deques' head keys.  A core takes the smallest head key among the
+  executions below their worker share — the task a scan of that one
+  queue from the front would start — and an execution at its share is
+  passed whole, not task by task;
 * muscle *semantics* run for real at dispatch time (results are correct
   Python values); BEFORE events carry the dispatch timestamp and AFTER
   events the timestamp ``start + duration``;
@@ -36,10 +42,10 @@ Model:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from collections import deque
-from typing import Any, Deque, List, Optional, Set, Tuple
+from heapq import heappop, heappush, heapreplace
+from typing import Any, Deque, Dict, List, Optional, Set, Tuple
 
 from ..errors import PlatformError
 from ..events.bus import EventBus
@@ -47,7 +53,7 @@ from .clock import VirtualClock
 from .costmodel import CostModel, ZeroCostModel
 from .futures import SkeletonFuture
 from .platform import Platform
-from .task import MuscleTask
+from .task import Execution, MuscleTask
 
 __all__ = ["SimulatedPlatform"]
 
@@ -93,7 +99,18 @@ class SimulatedPlatform(Platform):
             raise PlatformError(f"unknown scheduling policy {scheduling!r}")
         self.scheduling = scheduling
         self.cost_model = cost_model or ZeroCostModel()
-        self._ready: Deque[MuscleTask] = deque()
+        # The ready queue, indexed by execution: execution id ->
+        # (execution, deque of (key, task)).  Keys order the tasks of all
+        # executions as one queue would: an append takes the next key up,
+        # a depth-first prepend the next key down (see _dispatch).
+        self._queues: Dict[int, Tuple[Execution, Deque[Tuple[int, MuscleTask]]]] = {}
+        # Heap of (head key, execution id), one entry per execution with
+        # ready tasks; entries whose key is no longer the head are stale
+        # and dropped when they surface.
+        self._heads: List[Tuple[int, int]] = []
+        self._queued = 0
+        self._back_keys = itertools.count()
+        self._front_keys = itertools.count(-1, -1)
         self._batch: Optional[List[MuscleTask]] = None
         # (completion_time, tiebreak, core, task, result)
         self._completions: List[Tuple[float, int, int, MuscleTask, Any]] = []
@@ -117,7 +134,7 @@ class SimulatedPlatform(Platform):
             # the continuation finishes — depth-first scheduling.
             self._batch.append(task)
         else:
-            self._ready.append(task)
+            self._append(task)
 
     def current_worker(self) -> Optional[int]:
         return self._current_worker
@@ -178,28 +195,143 @@ class SimulatedPlatform(Platform):
         finally:
             self._running_loop = False
 
+    def _queue_of(self, task: MuscleTask) -> Deque[Tuple[int, MuscleTask]]:
+        """The ready deque of *task*'s execution, created on first use."""
+        execution = task.execution
+        entry = self._queues.get(execution.id)
+        if entry is None:
+            entry = self._queues[execution.id] = (execution, deque())
+        return entry[1]
+
+    def _append(self, task: MuscleTask) -> None:
+        """Queue *task* behind every ready task."""
+        key = next(self._back_keys)
+        execution = task.execution
+        entry = self._queues.get(execution.id)
+        if entry is None:
+            entry = self._queues[execution.id] = (execution, deque())
+            heappush(self._heads, (key, execution.id))
+        entry[1].append((key, task))
+        self._queued += 1
+
+    def _prepend(self, tasks: List[MuscleTask]) -> None:
+        """Queue *tasks*, in order, ahead of every ready task."""
+        queues = self._queues
+        keys = self._front_keys
+        fronts = {}
+        for task in reversed(tasks):
+            key = next(keys)
+            execution = task.execution
+            entry = queues.get(execution.id)
+            if entry is None:
+                entry = queues[execution.id] = (execution, deque())
+            entry[1].appendleft((key, task))
+            fronts[execution.id] = key
+        for eid, key in fronts.items():
+            heappush(self._heads, (key, eid))
+        self._queued += len(tasks)
+
     def _dispatch(self) -> None:
         """Assign ready tasks to free cores at the current virtual time.
 
-        Tasks of executions at their worker share (multi-tenant service)
-        are skipped but keep their queue position; they dispatch as soon
-        as one of their execution's tasks completes.
+        The order is that of one queue scanned from the front: each free
+        core takes the first task whose execution is below its worker
+        share (multi-tenant service); tasks of executions at their share
+        keep their position and dispatch as soon as one of their
+        execution's tasks completes.  A failed execution's tasks are
+        dropped as the scan passes them, and the scan stops at the first
+        task it could start when no core is free.
+
+        The scan visits executions, not tasks.  An execution's tasks sit
+        in its own deque in key order, so the scan's next task is the
+        head with the smallest key (``_heads``).  An execution found at
+        its share is *parked*: the scan passes all its tasks without
+        looking at them, unless a task started meanwhile fails it or
+        grows its share (:meth:`_unpark`).  Parked executions rejoin the
+        heap when the dispatch ends.
         """
-        skipped = []
-        while self._ready:
-            task = self._ready.popleft()
-            if task.execution.failed:
+        heads = self._heads
+        queues = self._queues
+        running = self._exec_running
+        shares = self._shares  # replaced wholesale by set_shares
+        # Executions passed at their share, and the tasks passed before
+        # one was scanned again (see _unpark); made on first use.
+        parked: Optional[Dict[int, Execution]] = None
+        held: Optional[Dict[int, List[Tuple[int, MuscleTask]]]] = None
+        while heads:
+            key, eid = heads[0]
+            entry = queues.get(eid)
+            if (
+                entry is None
+                or entry[1][0][0] != key
+                or (parked is not None and eid in parked)
+            ):
+                heappop(heads)  # stale
                 continue
-            if not self._share_allows(task):
-                skipped.append(task)
-                continue
-            core = self._acquire_core()
-            if core is None:
-                skipped.append(task)
-                break
-            self._start_task(task, core)
-        while skipped:
-            self._ready.appendleft(skipped.pop())
+            execution, queue = entry
+            task = None
+            if not execution.failed:
+                share = shares.get(eid)
+                if share is not None and running.get(eid, 0) >= share:
+                    heappop(heads)
+                    if parked is None:
+                        parked, held = {}, {}
+                    parked[eid] = execution
+                    continue
+                core = self._acquire_core()
+                if core is None:
+                    break
+                task = queue[0][1]
+            queue.popleft()
+            self._queued -= 1
+            if queue:
+                heapreplace(heads, (queue[0][0], eid))
+            else:
+                heappop(heads)
+                del queues[eid]
+            if task is not None:
+                self._start_task(task, core)
+                if parked:
+                    self._unpark(parked, held, key, shares)
+                shares = self._shares
+        if parked is None:
+            return
+        rejoin = parked
+        if held:
+            for passed in held.values():
+                self._queue_of(passed[0][1]).extendleft(reversed(passed))
+            rejoin = parked.keys() | held.keys()
+        for eid in rejoin:
+            heappush(heads, (queues[eid][1][0][0], eid))
+
+    def _unpark(
+        self,
+        parked: Dict[int, Execution],
+        held: Dict[int, List[Tuple[int, MuscleTask]]],
+        pos: int,
+        shares: Dict[int, int],
+    ) -> None:
+        """After a task started at key *pos*: a parked execution that
+        failed, or whose share grew, is scanned again from *pos* on.  Its
+        tasks up to *pos* were passed, and stay held until the dispatch
+        ends."""
+        moved = self._shares is not shares
+        for eid, execution in list(parked.items()):
+            if not execution.failed:
+                if not moved:
+                    continue
+                share = self._shares.get(eid)
+                if share is not None and self._exec_running.get(eid, 0) >= share:
+                    continue
+            del parked[eid]
+            queue = self._queues[eid][1]
+            passed = held.setdefault(eid, [])
+            while queue and queue[0][0] <= pos:
+                passed.append(queue.popleft())
+            if queue:
+                heappush(self._heads, (queue[0][0], eid))
+            else:
+                del self._queues[eid]
 
     def _start_task(self, task: MuscleTask, core: int) -> None:
         start = self.clock.now()
@@ -219,7 +351,7 @@ class SimulatedPlatform(Platform):
             return
         finally:
             self._current_worker = None
-        heapq.heappush(
+        heappush(
             self._completions,
             (start + duration, next(self._tiebreak), core, task, result),
         )
@@ -227,7 +359,7 @@ class SimulatedPlatform(Platform):
             self.task_log.append((start, start + duration, core, task.label))
 
     def _complete_next(self) -> None:
-        end, _tie, core, task, result = heapq.heappop(self._completions)
+        end, _tie, core, task, result = heappop(self._completions)
         self.clock.advance_to(end)
         self._exec_released(task)
         self._current_worker = core
@@ -252,8 +384,8 @@ class SimulatedPlatform(Platform):
             self._current_worker = None
             if self._batch is not None:
                 batch, self._batch = self._batch, None
-                for spawned in reversed(batch):
-                    self._ready.appendleft(spawned)
+                if batch:
+                    self._prepend(batch)
         self._record_metrics()
 
     def _free_core(self, core: int) -> None:
@@ -268,7 +400,7 @@ class SimulatedPlatform(Platform):
     @property
     def pending_tasks(self) -> int:
         """Ready tasks waiting for a free core."""
-        return len(self._ready)
+        return self._queued
 
     @property
     def running_tasks(self) -> int:

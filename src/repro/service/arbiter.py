@@ -347,7 +347,7 @@ class LPArbiter:
                     # Unreachable even with everything we can offer: flag
                     # it and give its best-effort peak (closest we get).
                     infeasible.append(eid)
-                    grant = min(report.optimal_lp, available)
+                    grant = report.lp_ceiling(available)
                 else:
                     grant = need
             grant = max(1, min(grant, available))
@@ -363,13 +363,15 @@ class LPArbiter:
         # whole budget for cold ones (their LP-1 start is a floor, not a
         # ceiling — an idle pool must not serialize a submission just
         # because its estimators are not warm yet); MaxLPGoal always caps.
+        # A warm ceiling runs no best-effort pass while the report's peak
+        # floor already reaches the capacity or cap it is clamped to.
         order = [eid for eid, _report in warm] + cold
-        ceilings: Dict[int, int] = {}
-        for eid, report in warm:
-            ceilings[eid] = self._ceiling(report.optimal_lp, caps[eid])
-        for eid in cold:
-            ceilings[eid] = self._ceiling(self.capacity, caps[eid])
         if budget > 0:
+            ceilings: Dict[int, int] = {}
+            for eid, report in warm:
+                ceilings[eid] = max(1, report.lp_ceiling(self._cap(caps[eid])))
+            for eid in cold:
+                ceilings[eid] = self._cap(caps[eid])
             aged = {
                 eid: self._aged_weight(eid, weights[eid], now) for eid in order
             }
@@ -409,11 +411,10 @@ class LPArbiter:
             priorities=priorities,
         )
 
-    def _ceiling(self, ceiling: int, cap: Optional[int]) -> int:
-        ceiling = min(ceiling, self.capacity)
-        if cap is not None:
-            ceiling = min(ceiling, cap)
-        return max(1, ceiling)
+    def _cap(self, cap: Optional[int]) -> int:
+        """The most workers one execution may hold: the capacity, or the
+        tenant's ``MaxLPGoal`` when lower (never below one)."""
+        return max(1, self.capacity if cap is None else min(self.capacity, cap))
 
     @staticmethod
     def _split_surplus(

@@ -328,13 +328,18 @@ class TestReportMemo:
         cache = PlanCache(maxsize=0)
         analyzer, _program, now = self.live_analyzer(plan_cache=cache)
         first = analyzer.analyze(now)
+        first.wct_best_effort  # the best-effort pass runs when read
         passes = cache.stats.schedule_passes
-        assert analyzer.analyze(now) is not first
+        second = analyzer.analyze(now)
+        assert second is not first
+        second.wct_best_effort
         assert cache.stats.schedule_passes > passes
+        # LP 1 is certified without a pass; a second scan still starts
+        # from scratch, compiling the table anew.
         first.minimal_lp(cap=8)
-        passes = cache.stats.schedule_passes
+        compiles = cache.stats.table_compiles
         first.minimal_lp(cap=8)
-        assert cache.stats.schedule_passes > passes
+        assert cache.stats.table_compiles > compiles
 
     def test_readiness_gate_is_memoized_per_version(self):
         analyzer, program, _now = self.live_analyzer()
