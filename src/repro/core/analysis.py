@@ -133,8 +133,9 @@ class AnalysisReport:
         self.wct_current_lp = wct_current_lp
         self.adg = adg
         #: The planning engine that built this report: hypothetical
-        #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull its cached
-        #: plans instead of re-running schedules from scratch.
+        #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull the plans
+        #: it keeps on its record of ``adg`` instead of re-running
+        #: schedules from scratch.
         self.engine = engine
         self._wct = wct_best_effort
         self._peak = optimal_lp
@@ -156,7 +157,7 @@ class AnalysisReport:
         return self.adg.rev == self._rev and self.engine.cache.maxsize > 0
 
     def _pinned(self) -> CompiledPinnedBase:
-        """The pinned base at ``(rev, time)`` — the engine's cached one,
+        """The pinned base at ``(rev, time)`` — the engine's kept one,
         which the minimal-LP scans share, while :meth:`_live`."""
         base = self._base
         if base is None:
@@ -169,7 +170,7 @@ class AnalysisReport:
 
     def _best_effort(self) -> CompiledSchedule:
         """The best-effort schedule at ``(rev, time)``, derived once —
-        the engine's cached plan, the one a minimal-LP scan reads its top
+        the engine's kept plan, the one a minimal-LP scan reads its top
         from, while :meth:`_live`."""
         schedule = self._schedule
         if schedule is None:
@@ -490,7 +491,7 @@ class ExecutionAnalyzer(Listener):
         adg: ADG,
         deadline: Optional[float],
     ) -> AnalysisReport:
-        """Derive the paper's quantities from (cached) plans of an ADG;
+        """Derive the paper's quantities from (kept) plans of an ADG;
         the best-effort pair only when read (see :class:`AnalysisReport`)."""
         return AnalysisReport(
             time=now,

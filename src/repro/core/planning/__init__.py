@@ -8,10 +8,12 @@ dicts as the reference the tests compare against):
 
 * :class:`~repro.core.planning.engine.PlanEngine` — per-execution facade
   owning projection + scheduling behind explicit invalidation (ADG
-  revision counters, estimator version stamps);
+  revision counters, estimator version stamps); a live graph's plans
+  live on the engine's record of that graph;
 * :class:`~repro.core.planning.cache.PlanCache` — the shared bounded
-  store with recompute accounting; ``PlanCache(maxsize=0)`` is the
-  from-scratch baseline;
+  store of what engines share (the structural memo and the plans
+  derived from it) with recompute accounting; ``PlanCache(maxsize=0)``
+  is the from-scratch baseline;
 * :class:`~repro.core.planning.table.PlanTable` — a projected ADG
   compiled once into struct-of-arrays form, over which the engine runs
   every scheduling pass as index arithmetic;
@@ -25,7 +27,7 @@ Consumers: :class:`~repro.core.analysis.ExecutionAnalyzer` builds its
 reports through the engine, :class:`~repro.service.admission.
 AdmissionController` runs its feasibility gates on cached structural
 plans, and :class:`~repro.service.arbiter.LPArbiter` pulls per-execution
-minimal/optimal LPs from cached plans during rebalances.
+minimal/optimal LPs from kept plans during rebalances.
 """
 
 from .cache import PlanCache, PlanCacheStats

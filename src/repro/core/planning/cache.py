@@ -1,27 +1,31 @@
-"""Shared, bounded plan cache with hit/recompute accounting.
+"""Shared, bounded plan store with hit/recompute accounting.
 
 One :class:`PlanCache` may back many :class:`~repro.core.planning.engine.
 PlanEngine` instances (the service shares one across all live executions
-and the admission path): every key is namespaced by the owning engine, so
-entries never collide even though each execution has its own estimator
-registry and machine state.
+and the admission path).  What it stores is what engines share: the
+structural memo — skeleton structures compiled to tables, keyed by
+``(structural fingerprint, estimate values)`` — and the schedules derived
+from those shared structural plans, keyed by the plan's engine-independent
+token.  A live graph's plans are not here: each engine keeps them on the
+graph's carried record, for the graph's current revision and *now*.
 
-Keys embed monotonic version stamps — the ADG/machine revision and the
-estimator version — so stale entries are never *served*; they are merely
-garbage, and the LRU bound reclaims them.  Live schedules are keyed on
-the exact ``now`` they were planned at, so a cached answer is bit for
-bit the one a recompute would give.
+Keys embed the estimate values a plan was built from, so stale entries
+are never *served*; they are merely garbage, and the LRU bound reclaims
+them.  Schedules are keyed on the exact ``now`` they were planned at, so
+a stored answer is bit for bit the one a recompute would give.
 
 ``maxsize=0`` disables storage entirely (every lookup misses) **and is
 the from-scratch baseline by itself**: an engine over a cache that
 stores nothing carries nothing between calls either — no previous
-projection to patch, no table, no pinned base, no priority pair — so
-every analysis walks, compiles, pins and sweeps anew.  That is how the
-rebalance-overhead and retime benchmarks build their baselines.
+projection to patch, no table, no pinned base, no priority pair, no plan
+on a record — so every analysis walks, compiles, pins and sweeps anew.
+That is how the rebalance-overhead and retime benchmarks build their
+baselines.
 
-Besides hits and misses, the cache carries the planning layer's full
-recompute accounting — full projection walks versus in-place projection
-**patches**, pinning passes versus delta re-pins, and schedule passes —
+Besides the store's hits, misses, evictions and size — which count the
+shared store only — the cache carries the planning layer's full
+recompute accounting: full projection walks versus in-place projection
+**patches**, pinning passes versus delta re-pins, and schedule passes,
 so benchmarks and operators can see exactly how much of the event→plan
 work the delta pipeline avoided (see ``stats_dict``).
 """
@@ -60,7 +64,8 @@ class PlanCacheStats:
 
 
 class PlanCache:
-    """Thread-safe LRU mapping plan keys to schedule/LP answers.
+    """Thread-safe LRU of the plans engines share: the structural memo
+    and the schedule/LP answers of shared structural plans (module docs).
 
     Besides the store it carries the planning layer's cost counters:
 
@@ -221,7 +226,11 @@ class PlanCache:
             self._struct_memo_hits = 0
 
     def stats_dict(self) -> Dict[str, Any]:
-        """Counters as a plain dict (for reports and benches)."""
+        """Counters as a plain dict (for reports and benches).
+
+        ``hits``, ``misses``, ``evictions`` and ``size`` count the shared
+        store only; plans kept on a live graph's record are neither.
+        """
         s = self.stats
         return {
             "hits": s.hits,

@@ -701,15 +701,18 @@ class CompiledProjection:
         table = self.table
         n = table.n
         duration = table.duration
+        sources = self.sources
         return CompiledPinnedBase(
             now,
             array("d", bytes(8 * n)),
             array("q", table.npred),
             array("b", table.state),
             [],
-            [(now, i) for i in self.sources],
+            [(now, i) for i in sources],
             n,
-            sum(1 for i in self.sources if (now + duration[i]) - now > _EPS),
+            sum(1 for i in sources if (now + duration[i]) - now > _EPS),
+            [],
+            sources,
         )
 
 

@@ -7,21 +7,27 @@ algorithms over ``Activity`` dicts as the readable reference of the
 paper's §4; nothing here calls it.)  :class:`PlanEngine` owns that path
 behind explicit invalidation:
 
-* **projections** are cached on ``(machine revision, estimator
+* **projections** are kept per ``(machine revision, estimator
   version)`` — an execution that produced no events since the last
   rebalance reuses its projected ADG outright (projection walks machine
   state and estimates only; it is independent of *now*);
 * **structural plans** (pre-start analysis, admission gates) are
   compiled straight from the skeleton and memoized *across engines* by
-  ``(structural fingerprint, estimate values)``, so same-shape
+  ``(structural fingerprint, estimate values)`` in the shared
+  :class:`~repro.core.planning.cache.PlanCache`, so same-shape
   submissions share one table without any walk
-  (:meth:`PlanEngine.structural_plan`);
-* **schedules** are cached on ``(adg revision, estimator version, lp,
-  now)`` and recomputed *incrementally*: the pinned actuals
-  (``compiled_pin``) and the critical-path priorities
-  (``compiled_critical_path``) are computed once per ``(revision,
-  now)`` / per revision, and a limited-LP plan re-schedules only the
-  pending frontier (``compiled_schedule_pending``, all three in
+  (:meth:`PlanEngine.structural_plan`), and every schedule derived from
+  one is kept beside it under the plan's engine-independent token;
+* **a live graph's plans live on its record** — the pinned base, the
+  critical-path priorities, the best-effort and limited-LP schedules
+  and the minimal-LP answers, for the graph's current revision and one
+  *now*, dropped when either moves.  They key on the *graph's*
+  revision, so a window of pure no-ops, which moves the machine
+  revision but not the graph, keeps them.  The pinned actuals
+  (``compiled_pin``) and the priorities (``compiled_critical_path``)
+  are computed once per ``(revision, now)`` / per revision, and a
+  limited-LP plan re-schedules only the pending frontier
+  (``compiled_schedule_pending``, all three in
   :mod:`repro.core.planning.table`).  The best-effort pass is a pass
   over the same pinned base, and nothing runs it unless a best-effort
   quantity is read (:class:`~repro.core.analysis.AnalysisReport` keeps
@@ -35,7 +41,7 @@ behind explicit invalidation:
   which is *now*-independent — held-queue re-evaluations hit the cache
   until an estimate actually changes.
 
-Cache *misses* are incremental too — the delta pipeline:
+What moved is paid for by what moved — the delta pipeline:
 
 * **projection patching** — when the machine changelog
   (:meth:`~repro.core.statemachines.MachineRegistry.delta_since`)
@@ -49,18 +55,22 @@ Cache *misses* are incremental too — the delta pipeline:
   window's events moved are re-read in place — instead of re-walking
   every machine (``count_projection_patch``);
 * **carried state** — per live graph the engine keeps one record: its
-  table, its last pinned base and its last priority pair.  One place
-  (:meth:`PlanEngine._sync`) reads the ADG changelog: a non-structural
-  window is written through to the table (``count_table_patch``) and
-  its rows noted against the base and the pair, which the next miss
-  advances over exactly those rows (``compiled_pin_delta``,
-  ``count_pin_patch``; ``compiled_critical_path_delta``); a structural
-  window recompiles the table and drops both.
+  table, its last pinned base, its last priority pair and its plans.
+  One place (:meth:`PlanEngine._sync`) reads the ADG changelog: a
+  non-structural window is written through to the table
+  (``count_table_patch``) and its rows noted against the base and the
+  pair, which are next advanced over exactly those rows
+  (``compiled_pin_delta``, which walks only the base's running and
+  frontier rows besides, ``count_pin_patch``;
+  ``compiled_critical_path_delta``); a structural window recompiles the
+  table and drops both.  The record a report's engine calls reach is
+  resolved once per graph revision (:meth:`PlanEngine._resolve`).
 
 **The from-scratch baseline** is ``PlanCache(maxsize=0)`` and nothing
 else: an engine over a cache that stores nothing carries nothing either
-— no previous projection, no table, no pinned base, no priority pair —
-so every call walks, compiles, pins and sweeps anew.
+— no previous projection, no table, no pinned base, no priority pair, no
+plan on any record — so every call walks, compiles, pins and sweeps
+anew.
 
 Every answer is bit-for-bit equal to a from-scratch
 :mod:`repro.core.schedule` recompute at the same arguments (a patched
@@ -71,7 +81,6 @@ plan-engine property tests pin.
 
 from __future__ import annotations
 
-import itertools
 import threading
 import weakref
 from typing import Dict, List, Optional, Set, Tuple
@@ -105,34 +114,43 @@ __all__ = ["PlanEngine"]
 
 _EPS = 1e-9
 
-_engine_ids = itertools.count(1)
-
 
 class _Carried:
     """What the engine carries between plan calls for one ADG.
 
-    Held by graph identity, weakly.  ``token`` is the version token of a
-    graph this engine built (``None``: a foreign graph — its table is
-    kept, nothing derived from it is cached or carried).  ``table`` is
-    synced to graph revision ``rev``; ``base`` and ``pair`` are the last
-    pinned base and ``(cp, prio)`` pair built for the graph, each with
-    the rows the table has had written through since (what the next
-    delta advances them over).
+    Held by graph identity, weakly.  ``built`` marks a graph this engine
+    built; of a foreign graph only the table is kept, nothing derived
+    from it.  ``table`` is synced to graph revision ``rev``; ``base`` and
+    ``pair`` are the last pinned base and ``(cp, prio)`` pair built for
+    the graph, each with the rows the table has had written through
+    since (what the next delta advances them over).  ``plans`` is
+    ``(now, {key: plan})``: the graph's best-effort and limited-LP
+    schedules and minimal-LP answers at revision ``rev`` and one *now*,
+    dropped when either moves.
     """
 
     __slots__ = (
-        "ref", "token", "table", "rev", "base", "base_stale", "pair", "pair_stale"
+        "ref",
+        "built",
+        "table",
+        "rev",
+        "base",
+        "base_stale",
+        "pair",
+        "pair_stale",
+        "plans",
     )
 
     def __init__(self, adg: ADG):
         self.ref = weakref.ref(adg)
-        self.token: Optional[Tuple] = None
+        self.built = False
         self.table: Optional[PlanTable] = None
         self.rev = -1
         self.base: Optional[CompiledPinnedBase] = None
         self.base_stale: Set[int] = set()
         self.pair: Optional[Tuple] = None
         self.pair_stale: Set[int] = set()
+        self.plans: Optional[Tuple[float, Dict]] = None
 
 
 class PlanEngine:
@@ -144,17 +162,18 @@ class PlanEngine:
         The execution's tracking-machine registry (live projections key
         on its :attr:`~repro.core.statemachines.MachineRegistry.rev`).
     estimators:
-        The execution's estimator registry (every cache key embeds its
+        The execution's estimator registry (projections key on its
         :attr:`~repro.core.estimator.EstimatorRegistry.version`).
     skeleton:
         Optional program structure, enabling the structural plan used by
         pre-start analysis and the admission gates.
     cache:
-        The backing :class:`~repro.core.planning.cache.PlanCache`.  May
-        be shared across engines (the service shares one service-wide);
-        every key is namespaced by this engine's id.  ``None`` creates a
-        private cache.  ``PlanCache(maxsize=0)`` is the from-scratch
-        baseline: the engine then carries nothing between calls either.
+        The backing :class:`~repro.core.planning.cache.PlanCache`: the
+        structural memo and the plans derived from structural plans,
+        shared across engines (the service shares one service-wide), and
+        the work counters.  ``None`` creates a private cache.
+        ``PlanCache(maxsize=0)`` is the from-scratch baseline: the engine
+        then carries nothing between calls either.
     """
 
     def __init__(
@@ -168,14 +187,17 @@ class PlanEngine:
         self.estimators = estimators
         self.skeleton = skeleton
         self.cache = cache if cache is not None else PlanCache()
-        self._uid = next(_engine_ids)
         # id(adg) -> carried record of every graph plan calls were
         # handed; empty for good over a cache that stores nothing.
         self._carried: Dict[int, _Carried] = {}
         # roots_key -> (machines rev, estimator version, adg, adg rev at
-        # build/patch): the previous live projection, i.e. the patch
-        # candidate for the next one.
+        # build/patch): the previous live projection — the projection
+        # itself while both versions stand, else the patch candidate.
         self._live_prev: Dict[Tuple, Tuple[int, int, ADG, int]] = {}
+        # (estimator version, adg, adg rev at build): the structural ADG.
+        self._struct_adg: Optional[Tuple[int, ADG, int]] = None
+        # (adg, adg rev, table, record): the graph resolved last.
+        self._resolved: Optional[Tuple] = None
         # Lazy identity of the skeleton's structure (stable for the
         # engine's lifetime) and the estimate values the structural memo
         # keys on, re-derived only when the estimator version moves.
@@ -188,7 +210,8 @@ class PlanEngine:
     def _record(self, adg: ADG) -> _Carried:
         """The carried record of *adg*, created on first sight — and
         kept, unless the cache stores nothing: then each call gets a
-        blank one (a graph never seen, no token) that nobody holds."""
+        blank one (a graph never seen, not built here) that nobody
+        holds."""
         with self._lock:
             rec = self._carried.get(id(adg))
             if rec is None or rec.ref() is not adg:
@@ -203,9 +226,11 @@ class PlanEngine:
                     self._carried[id(adg)] = rec
         return rec
 
-    def _remember(self, adg: ADG, token: Tuple) -> None:
-        """Stamp *adg* as built by this engine at version *token*."""
-        self._record(adg).token = token
+    def _remember(self, adg: ADG) -> None:
+        """Mark *adg* as built by this engine: its plans are kept."""
+        with self._lock:
+            self._record(adg).built = True
+            self._resolved = None
 
     def _sync(self, rec: _Carried, adg: ADG) -> None:
         """Bring *rec* to *adg*'s revision — the one reader of the ADG
@@ -213,11 +238,13 @@ class PlanEngine:
 
         A non-structural window is written through to the table in place
         (``count_table_patch``) and its rows noted against the carried
-        base and pair; anything else — first sight, a structural change,
-        a window some caller compacted away — compiles afresh
-        (``count_table_compile``) and drops both.  The changelog of an
-        engine-built graph is then compacted up to here: the record now
-        holds all that a later delta needs.
+        base and pair, which are next advanced over exactly those rows;
+        anything else — first sight, a structural change, a window
+        some caller compacted away — compiles afresh
+        (``count_table_compile``) and drops both.  The plans kept for the
+        old revision go either way.  The changelog of an engine-built
+        graph is then compacted up to here: the record now holds all
+        that a later delta needs.
         """
         if rec.rev == adg.rev:
             return
@@ -233,53 +260,97 @@ class PlanEngine:
                 rec.base_stale.update(delta.touched)
             if rec.pair is not None:
                 rec.pair_stale.update(delta.touched)
+        rec.plans = None
         rec.rev = adg.rev
-        if rec.token is not None:
+        if rec.built:
             adg.compact_changelog(adg.rev)
 
     def _resolve(
         self, adg: ADG
     ) -> Tuple[Optional[Tuple], PlanTable, Optional[_Carried]]:
-        """``(version token, table, carried record)`` of *adg*.
+        """``(shared token, table, record)`` of *adg*: the table, and
+        where plans derived from it are kept.
 
-        The token keys every plan derived from the graph; ``None`` means
-        "compute, never cache" (a foreign graph, or nothing is carried).
-        The ADG's own revision counter is folded in live, so mutating a
-        projected ADG (``add``/``touch``) retires every plan derived
-        from the old revision — the stale entries become LRU garbage.
-        A :class:`CompiledProjection` *is* its table (immutable, no
-        record) and carries an engine-independent token (shape
-        fingerprint + estimate values, revision frozen at 0), so
-        schedules derived from a shared structural plan are shared
-        across engines too.
+        An engine-built graph keeps its plans on its record (token
+        ``None``).  A :class:`CompiledProjection` *is* its table
+        (immutable, no record) and carries an engine-independent token
+        (shape fingerprint + estimate values), so schedules derived from
+        a shared structural plan are kept in the shared cache under it,
+        across engines.  Neither — a foreign graph, or nothing carried —
+        means "compute, keep nothing".  Mutating a projected ADG
+        (``add``/``touch``) moves its revision, which drops every plan
+        the record held for the old one.
+
+        The graph resolved last is remembered at its revision, so the
+        engine calls one report makes over one graph reach the record
+        without another lookup or sync until the graph moves.
         """
         if type(adg) is CompiledProjection:
-            return adg.token + (0,), adg.table, None
-        rec = self._record(adg)
-        self._sync(rec, adg)
-        token = rec.token + (adg.rev,) if rec.token is not None else None
-        return token, rec.table, rec
+            return adg.token, adg.table, None
+        last = self._resolved
+        if last is not None and last[0] is adg and last[1] == adg.rev:
+            return None, last[2], last[3]
+        with self._lock:
+            rec = self._record(adg)
+            self._sync(rec, adg)
+            kept = rec if rec.built else None
+            if self.cache.maxsize:
+                self._resolved = (adg, rec.rev, rec.table, kept)
+        return None, rec.table, kept
+
+    def _kept(
+        self, token: Optional[Tuple], rec: Optional[_Carried], now: float, key: Tuple
+    ):
+        """The plan kept under *key* for the graph at *now*, or ``None``."""
+        if rec is not None:
+            with self._lock:
+                plans = rec.plans
+                if plans is not None and plans[0] == now:
+                    return plans[1].get(key)
+            return None
+        if token is not None:
+            return self.cache.get((token, now) + key)
+        return None
+
+    def _keep(
+        self,
+        token: Optional[Tuple],
+        rec: Optional[_Carried],
+        now: float,
+        key: Tuple,
+        plan,
+    ):
+        """Keep *plan* under *key* for the graph at *now*; returns it."""
+        if rec is not None:
+            with self._lock:
+                plans = rec.plans
+                if plans is None or plans[0] != now:
+                    plans = rec.plans = (now, {})
+                plans[1][key] = plan
+        elif token is not None:
+            self.cache.put((token, now) + key, plan)
+        return plan
 
     # -- projections ---------------------------------------------------------------
 
     def projection(self, now: float, roots: Optional[List] = None) -> ADG:
-        """The live execution's projected ADG (cached per revision).
+        """The live execution's projected ADG (kept per revision).
 
         Projection reads machine state and estimates only — *now* is
         threaded through for interface compatibility but does not shape
-        the result — so the cache key is ``(machines.rev,
-        estimators.version, root set)`` and an execution with no new
-        events reuses its ADG across rebalances.
+        the result — so the previous projection of the same root set is
+        served again while ``(machines.rev, estimators.version)`` stands
+        and nobody mutated it: an execution with no new events reuses
+        its ADG across rebalances.
 
-        On a miss, the **patch path** runs first
-        (:meth:`_patch_projection`): when the machine changelog holds
-        nothing structural since the previous projection, the previous
-        ADG is kept and retimed, re-bound and refreshed in place — no
-        machine is re-walked, no table recompiled.  A structural change
-        (a new or finished root, a cardinality other than the projected
-        one, condition outcomes), a ``|m|`` estimate that crossed an
-        integer or a bind that finds another shape fall back to the
-        full walk.
+        Otherwise the **patch path** runs first (:meth:`_patch_projection`):
+        when the machine changelog holds nothing structural since the
+        previous projection, the previous ADG is kept and retimed,
+        re-bound and refreshed in place — no machine is re-walked, no
+        table recompiled.  A structural change (a new or finished root, a
+        cardinality other than the projected one, condition outcomes), a
+        ``|m|`` estimate that crossed an integer or a bind that finds
+        another shape fall back to the full walk.
         """
         roots_key = (
             None if roots is None else tuple(m.index for m in roots)
@@ -289,44 +360,51 @@ class PlanEngine:
         with self.machines.lock:
             rev = self.machines.rev
             est_version = self.estimators.version
-            token = (self._uid, "live", rev, est_version, roots_key)
-            key = ("proj", token)
-            adg = self._cached_projection(key)
+            with self._lock:
+                prev = self._live_prev.get(roots_key)
+            if prev is not None:
+                prev_rev, prev_est_version, adg, adg_rev = prev
+                if adg.rev != adg_rev:
+                    # Mutated behind the engine: rebuilt, not served or
+                    # patched — matching the pre-engine behaviour, where
+                    # each analysis projected fresh.
+                    prev = None
+                elif prev_rev == rev and prev_est_version == est_version:
+                    return adg
+            adg = None
+            if prev is not None:
+                adg = self._patch_projection(prev, rev, est_version, now)
             if adg is None:
-                adg = self._patch_projection(roots_key, rev, est_version, now)
-                if adg is None:
-                    adg, _terminals = self.machines.project_roots(now, roots)
-                    self.cache.count_projection_pass()
-                self.cache.put(key, (adg, adg.rev))
-                self._remember(adg, token)
-                with self._lock:
-                    if self.cache.maxsize:  # else nothing is carried
-                        self._live_prev[roots_key] = (rev, est_version, adg, adg.rev)
-                    while len(self._live_prev) > 4:
-                        # Evict the stalest candidate (root sets that are
-                        # gone never patch again); keeping the map tiny
-                        # also lets the changelog compact close behind
-                        # the live frontier.
-                        stalest = min(
-                            self._live_prev, key=lambda k: self._live_prev[k][0]
-                        )
-                        del self._live_prev[stalest]
-                    oldest = min(
-                        (r for r, _v, _a, _ar in self._live_prev.values()),
-                        default=rev,
+                adg, _terminals = self.machines.project_roots(now, roots)
+                self.cache.count_projection_pass()
+                self._remember(adg)
+            with self._lock:
+                if self.cache.maxsize:  # else nothing is carried
+                    self._live_prev[roots_key] = (rev, est_version, adg, adg.rev)
+                while len(self._live_prev) > 4:
+                    # Evict the stalest candidate (root sets that are
+                    # gone never patch again); keeping the map tiny
+                    # also lets the changelog compact close behind
+                    # the live frontier.
+                    stalest = min(
+                        self._live_prev, key=lambda k: self._live_prev[k][0]
                     )
-                self.machines.compact_changelog(oldest)
+                    del self._live_prev[stalest]
+                oldest = min(
+                    (r for r, _v, _a, _ar in self._live_prev.values()),
+                    default=rev,
+                )
+            self.machines.compact_changelog(oldest)
             return adg
 
     def _patch_projection(
-        self, roots_key: Tuple, rev: int, est_version: int, now: float
+        self, prev: Tuple[int, int, ADG, int], rev: int, est_version: int, now: float
     ) -> Optional[ADG]:
-        """Patch the previous projection for *roots_key*, or ``None``.
+        """Patch the previous projection *prev* (an entry of
+        ``_live_prev``, unmutated since), or ``None``.
 
-        ``None`` means "no sound patch exists — do the full walk": no
-        previous projection (the first one, or nothing is carried), a
-        structural delta, a compacted changelog window, a previous ADG
-        some caller mutated behind the engine's back, estimates whose
+        ``None`` means "no sound patch exists — do the full walk": a
+        structural delta, a compacted changelog window, estimates whose
         move may reshape the graph (a ``|m|`` that crossed an integer,
         an ``If`` branch picked by estimated work), or an attached
         machine whose projection does not fit the ids held for it
@@ -339,13 +417,7 @@ class PlanEngine:
         ADG.retime` writes each one's current estimate through the rows
         it times — first, then the binds, then the span refresh.
         """
-        with self._lock:
-            prev = self._live_prev.get(roots_key)
-        if prev is None:
-            return None
-        prev_rev, prev_est_version, adg, adg_rev = prev
-        if adg.rev != adg_rev:
-            return None
+        prev_rev, prev_est_version, adg, _adg_rev = prev
         delta = self.machines.delta_since(prev_rev)
         if delta is None or delta.structural:
             return None
@@ -369,38 +441,26 @@ class PlanEngine:
         self.cache.count_projection_patch()
         return adg
 
-    def _cached_projection(self, key: Tuple) -> Optional[ADG]:
-        """A cached projection, unless it was mutated since it was built.
-
-        Entries store the ADG's revision at build time; a caller that
-        mutated a served graph in place (``add``/``touch``) gets it
-        rebuilt instead of poisoning every later analysis — matching the
-        pre-engine behaviour, where each analysis projected fresh.
-        """
-        cached = self.cache.get(key)
-        if cached is None:
-            return None
-        adg, rev_at_build = cached
-        return adg if adg.rev == rev_at_build else None
-
     def structural_projection(self) -> Optional[ADG]:
-        """The skeleton's structural ADG (cached per estimator version).
+        """The skeleton's structural ADG (kept per estimator version).
 
         The ``Activity`` form of :meth:`structural_plan`, for callers
         that want a graph to look at; plans are made from the compiled
-        one.  ``None`` exactly when that is.
+        one.  ``None`` exactly when that is.  A graph mutated since it
+        was served is rebuilt, not served again.
         """
         if self.skeleton is None or not self.estimators.ready_for(self.skeleton):
             return None
-        token = (self._uid, "struct", self.estimators.version)
-        key = ("proj", token)
-        adg = self._cached_projection(key)
-        if adg is None:
-            adg = ADG()
-            project_skeleton(self.skeleton, adg, [], self.estimators)
-            self.cache.count_projection_pass()
-            self.cache.put(key, (adg, adg.rev))
-            self._remember(adg, token)
+        version = self.estimators.version
+        held = self._struct_adg
+        if held is not None and held[0] == version and held[1].rev == held[2]:
+            return held[1]
+        adg = ADG()
+        project_skeleton(self.skeleton, adg, [], self.estimators)
+        self.cache.count_projection_pass()
+        if self.cache.maxsize:
+            self._struct_adg = (version, adg, adg.rev)
+        self._remember(adg)
         return adg
 
     def structural_plan(self) -> Optional[CompiledProjection]:
@@ -443,35 +503,36 @@ class PlanEngine:
         self.cache.count_struct_compile()
         return self.cache.put(key, plan)
 
-    # -- cached schedule primitives -------------------------------------------------
+    # -- kept schedule primitives ------------------------------------------------------
 
     def _critical_path_compiled(
         self, token: Optional[Tuple], table: PlanTable, rec: Optional[_Carried]
     ) -> Tuple:
-        """``(cp array, prio heap entries)`` for *table*, cached per rev.
+        """``(cp array, prio heap entries)`` for *table*, kept per rev.
 
-        A miss on a live graph first tries the **delta**: the pair last
-        built for the graph is advanced over the rows written through
-        since by :func:`~repro.core.planning.table.
-        compiled_critical_path_delta`, which recomputes only those rows
-        and the predecessors a changed value reaches.
+        The pair of a live graph is its record's, advanced over the rows
+        written through since it was built by :func:`~repro.core.
+        planning.table.compiled_critical_path_delta`, which recomputes
+        only those rows and the predecessors a changed value reaches.
         """
+        if rec is not None:
+            with self._lock:
+                pair = rec.pair
+                if pair is None:
+                    pair = compiled_critical_path(table)
+                elif rec.pair_stale:
+                    pair = compiled_critical_path_delta(table, pair, rec.pair_stale)
+                else:
+                    return pair
+                rec.pair = pair
+                rec.pair_stale.clear()
+            return pair
         if token is None:
             return compiled_critical_path(table)
         key = ("ccp", token)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        if rec is None or rec.pair is None:
-            pair = compiled_critical_path(table)
-        elif rec.pair_stale:
-            pair = compiled_critical_path_delta(table, rec.pair, rec.pair_stale)
-        else:
-            pair = rec.pair  # evicted from the store, still current
-        self.cache.put(key, pair)
-        if rec is not None:
-            rec.pair = pair
-            rec.pair_stale.clear()
+        pair = self.cache.get(key)
+        if pair is None:
+            pair = self.cache.put(key, compiled_critical_path(table))
         return pair
 
     def _pinned_compiled(
@@ -484,32 +545,35 @@ class PlanEngine:
     ) -> CompiledPinnedBase:
         """The pinned-actuals base for (adg, now), patched when possible.
 
-        A miss on a live graph first tries the **delta re-pin**: the
-        base last built for the graph is advanced to the new *now* over
-        the rows written through since (:func:`~repro.core.planning.
-        table.compiled_pin_delta`, ``count_pin_patch``) — equal, bit for
-        bit, to a full :func:`~repro.core.planning.table.compiled_pin`
-        pass.  An all-pending structural plan pins by pure array copies
+        The base of a live graph is its record's at the current revision
+        and *now*; any other is the **delta re-pin** of it — advanced to
+        the new *now* over the rows written through since
+        (:func:`~repro.core.planning.table.compiled_pin_delta`,
+        ``count_pin_patch``), equal, bit for bit, to a full
+        :func:`~repro.core.planning.table.compiled_pin` pass.  An
+        all-pending structural plan pins by pure array copies
         (:meth:`CompiledProjection.pinned_fresh`).
         """
+        if rec is not None:
+            with self._lock:
+                base = rec.base
+                if base is None:
+                    base = compiled_pin(table, now)
+                elif rec.base_stale or base.now != now:
+                    base = compiled_pin_delta(table, now, base, rec.base_stale)
+                    self.cache.count_pin_patch()
+                else:
+                    return base
+                rec.base = base
+                rec.base_stale.clear()
+            return base
         if token is None:
             return compiled_pin(table, now)
-        key = ("cpin", token, now)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return cached
-        if rec is None:
-            return self.cache.put(key, adg.pinned_fresh(now))
-        base = rec.base
+        key = (token, now, "cpin")
+        base = self.cache.get(key)
         if base is None:
-            base = compiled_pin(table, now)
-        elif rec.base_stale or base.now != now:
-            base = compiled_pin_delta(table, now, base, rec.base_stale)
-            self.cache.count_pin_patch()
-        # else: evicted from the store, still current
-        rec.base = base
-        rec.base_stale.clear()
-        return self.cache.put(key, base)
+            base = self.cache.put(key, adg.pinned_fresh(now))
+        return base
 
     def table(self, adg: ADG) -> PlanTable:
         """The plan table of *adg* at its current revision."""
@@ -517,13 +581,13 @@ class PlanEngine:
 
     def pinned(self, adg: ADG, now: float) -> CompiledPinnedBase:
         """The pinned base of *adg* at its current revision and *now*
-        (cached), the one every pass at that ``(rev, now)`` starts from.
+        (kept), the one every pass at that ``(rev, now)`` starts from.
         Its ``peak_floor`` bounds the optimal LP from below."""
         token, table, rec = self._resolve(adg)
         return self._pinned_compiled(adg, now, token, table, rec)
 
     def best_effort(self, adg: ADG, now: float) -> CompiledSchedule:
-        """Best-effort (infinite LP) schedule, cached per (rev, now).
+        """Best-effort (infinite LP) schedule, kept per (rev, now).
 
         A pass over the pending rows of the pinned base — shared with the
         frontier passes and the minimal-LP scan at the same ``(rev,
@@ -531,42 +595,35 @@ class PlanEngine:
         is its pinned base.
         """
         token, table, rec = self._resolve(adg)
-        key = ("cbe", token, now) if token is not None else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
+        result = self._kept(token, rec, now, ("cbe",))
+        if result is not None:
+            return result
         base = self._pinned_compiled(adg, now, token, table, rec)
         result = compiled_best_effort(table, base)
         if base.to_schedule:
             self.cache.count_schedule_pass()
-        if key is not None:
-            self.cache.put(key, result)
-        return result
+        return self._keep(token, rec, now, ("cbe",), result)
 
     def limited(self, adg: ADG, now: float, lp: int) -> CompiledSchedule:
-        """Limited-LP list schedule, cached per (rev, now, lp).
+        """Limited-LP list schedule, kept per (rev, now, lp).
 
-        On a miss only the pending frontier is re-scheduled: the pinned
-        actuals and the priority pair come from their own caches, shared
+        Otherwise only the pending frontier is re-scheduled: the pinned
+        actuals and the priority pair are kept on their own, shared
         across every LP of a scan; a base that left nothing to schedule
         is the plan at any LP, without the pair.
         """
         token, table, rec = self._resolve(adg)
-        key = ("clim", token, now, lp) if token is not None else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached
+        key = ("clim", lp)
+        result = self._kept(token, rec, now, key)
+        if result is not None:
+            return result
         base = self._pinned_compiled(adg, now, token, table, rec)
         prio = None
         if base.to_schedule:
             prio = self._critical_path_compiled(token, table, rec)[1]
             self.cache.count_schedule_pass()
         result = compiled_schedule_pending(table, now, lp, base, prio)
-        if key is not None:
-            self.cache.put(key, result)
-        return result
+        return self._keep(token, rec, now, key, result)
 
     # -- derived quantities -----------------------------------------------------------
 
@@ -610,11 +667,10 @@ class PlanEngine:
         below it, nor for one capped there.
         """
         token, table, rec = self._resolve(adg)
-        key = ("mlp", token, now, deadline, cap, start_lp) if token is not None else None
-        if key is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return cached[0]
+        key = ("mlp", deadline, cap, start_lp)
+        kept = self._kept(token, rec, now, key)
+        if kept is not None:
+            return kept[0]
         answer: Optional[int] = None
         base = self._pinned_compiled(adg, now, token, table, rec)
         pending_work = base.pending_work(table)
@@ -647,8 +703,7 @@ class PlanEngine:
                 answer = lp
                 break
             lp += 1
-        if key is not None:
-            self.cache.put(key, (answer,))
+        self._keep(token, rec, now, key, (answer,))
         return answer
 
     # -- structural (admission) arithmetic ---------------------------------------------

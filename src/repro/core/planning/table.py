@@ -338,6 +338,11 @@ class CompiledPinnedBase:
     :func:`compiled_best_effort` — a lower bound on the optimal LP read
     off the pin, with no schedule pass.  The pin computes it from the
     table columns of its own revision.
+
+    ``running`` and ``frontier`` list, in index order, the running rows
+    and the ready pending rows (unpinned-pred count 0): the only rows
+    whose pinned end, ``busy`` entry, ready time or floor share can move
+    with *now* alone — what :func:`compiled_pin_delta` walks.
     """
 
     __slots__ = (
@@ -349,13 +354,25 @@ class CompiledPinnedBase:
         "ready_items",
         "to_schedule",
         "peak_floor",
+        "running",
+        "frontier",
         "_pending_work",
         "_settle",
         "_chain",
     )
 
     def __init__(
-        self, now, ends, pp, state, busy, ready_items, to_schedule, peak_floor
+        self,
+        now,
+        ends,
+        pp,
+        state,
+        busy,
+        ready_items,
+        to_schedule,
+        peak_floor,
+        running,
+        frontier,
     ):
         self.now = now
         self.ends = ends  # array('d'): pinned end per activity (pending: 0.0)
@@ -365,6 +382,8 @@ class CompiledPinnedBase:
         self.ready_items = ready_items  # [(ready_time, aid)] frontier
         self.to_schedule = to_schedule
         self.peak_floor = peak_floor  # see the class docstring
+        self.running = running  # [aid] running rows, index order
+        self.frontier = frontier  # [aid] ready pending rows, index order
         self._pending_work: Optional[float] = None
         self._settle: Optional[float] = None  # T0 of wct_bound
         self._chain: Optional[float] = None  # C of wct_bound
@@ -775,6 +794,8 @@ def compiled_pin(table: PlanTable, now: float) -> CompiledPinnedBase:
     pp = array("q", bytes(8 * n))
     busy: List[float] = []
     ready_items: List[Tuple[float, int]] = []
+    running: List[int] = []
+    frontier: List[int] = []
     to_schedule = 0
     floor = 0
     for i in range(n):
@@ -790,6 +811,7 @@ def compiled_pin(table: PlanTable, now: float) -> CompiledPinnedBase:
             ends[i] = e
             pp[i] = -1
             busy.append(e)
+            running.append(i)
             if b <= now < e and e - b > _EPS:
                 floor += 1
         else:
@@ -828,11 +850,13 @@ def compiled_pin(table: PlanTable, now: float) -> CompiledPinnedBase:
                             if e > r:
                                 r = e
                 ready_items.append((r, i))
+                frontier.append(i)
                 if r == now and (r + duration[i]) - r > _EPS:
                     floor += 1
     heapq.heapify(busy)
     return CompiledPinnedBase(
-        now, ends, pp, state, busy, ready_items, to_schedule, floor
+        now, ends, pp, state, busy, ready_items, to_schedule, floor,
+        running, frontier,
     )
 
 
@@ -842,83 +866,88 @@ def compiled_pin_delta(
     prev: CompiledPinnedBase,
     touched: Iterable[int],
 ) -> CompiledPinnedBase:
-    """Advance *prev* to *now* touching only what changed.
+    """Advance *prev* to *now*, paying for the rows that moved.
 
     *prev* must have been pinned from the **same table structure**, with
     only the activities in *touched* having changed times since —
     exactly what a non-structural changelog window
     (:meth:`~repro.core.adg.ADG.delta_since`) written through by
-    :meth:`PlanTable.refresh` certifies.  The per-activity columns copy
-    at C speed; only the touched activities (a pending → pinned
-    transition decrements its successors' counts), the running re-clamp
-    to the new *now* and the frontier re-derivation do Python-level
-    work.  The result equals :func:`compiled_pin` bit for bit.
+    :meth:`PlanTable.refresh` certifies.  Only a touched row changes
+    state, and a row newly pinned releases its successors (their
+    unpinned-pred counts fall, some to zero).  So the running rows are
+    *prev*'s untouched ones plus the touched rows now running, and the
+    frontier is *prev*'s rows still unpinned plus the released ones.
+    The per-activity columns copy at C speed; Python-level work runs
+    over the touched rows, the running rows (their ends re-clamped to
+    *now*, rebuilding ``busy``) and the frontier rows (their ready
+    times, rebuilding ``ready_items``), which together recount
+    ``peak_floor``.  The result equals :func:`compiled_pin` bit for bit,
+    with ``busy`` and ``ready_items`` equal as multisets.
     """
-    n = table.n
     touched = set(touched)
     state = array("b", table.state)  # post-refresh truth == prev + touches
     start = table.start
     end = table.end
     duration = table.duration
-
-    ends = array("d", prev.ends)
-    pp = array("q", prev.pp)
-    to_schedule = prev.to_schedule
-    newly_pinned: List[int] = []
-    for aid in sorted(touched):
-        s = state[aid]
-        if s == PENDING:
-            continue  # still pending: counts and (estimate) duration unchanged
-        if pp[aid] != -1:
-            pp[aid] = -1
-            to_schedule -= 1
-            newly_pinned.append(aid)
-        if s == FINISHED:
-            ends[aid] = end[aid]
-        else:
-            e = start[aid] + duration[aid]
-            if e < now:
-                e = now
-            ends[aid] = e
-
     nsucc = table.nsucc
     succ0 = table.succ0
     succ1 = table.succ1
     succ_ptr = table.succ_ptr
     succ_ext = table.succ_ext
-    for aid in newly_pinned:
-        c = nsucc[aid]
-        if c:
-            if c == 1:
-                s0 = succ0[aid]
-                if pp[s0] >= 0:
-                    pp[s0] -= 1
-            elif c == 2:
-                for s0 in (succ0[aid], succ1[aid]):
-                    if pp[s0] >= 0:
-                        pp[s0] -= 1
-            else:
-                for s0 in succ_ext[succ_ptr[aid]:succ_ptr[aid + 1]]:
-                    if pp[s0] >= 0:
-                        pp[s0] -= 1
 
-    # Untouched running activities re-clamp to the new now; the busy heap
-    # is rebuilt from every still-running end (touched or not).
+    ends = array("d", prev.ends)
+    pp = array("q", prev.pp)
+    to_schedule = prev.to_schedule
+    running = prev.running
+    frontier = prev.frontier
+    if touched:
+        running = [i for i in running if i not in touched]
+        released: List[int] = []
+        for aid in sorted(touched):
+            s = state[aid]
+            if s == PENDING:
+                continue  # still pending: counts and (estimate) duration unchanged
+            if s == FINISHED:
+                ends[aid] = end[aid]
+            else:
+                running.append(aid)
+            if pp[aid] == -1:
+                continue
+            pp[aid] = -1
+            to_schedule -= 1
+            c = nsucc[aid]
+            if c:
+                if c == 1:
+                    succs = (succ0[aid],)
+                elif c == 2:
+                    succs = (succ0[aid], succ1[aid])
+                else:
+                    succs = succ_ext[succ_ptr[aid]:succ_ptr[aid + 1]]
+                for s0 in succs:
+                    cnt = pp[s0]
+                    if cnt > 0:
+                        pp[s0] = cnt - 1
+                        if cnt == 1:
+                            released.append(s0)
+        running.sort()
+        # A row released by one touched row may be pinned by a later one.
+        frontier = [i for i in frontier if pp[i] == 0]
+        if released:
+            frontier.extend(i for i in released if pp[i] == 0)
+            frontier.sort()
+
+    # The running rows re-clamp to the new now, rebuilding the busy heap.
     busy: List[float] = []
     floor = 0
-    for i in range(n):
-        if state[i] == RUNNING:
-            b = start[i]
-            if i in touched:
-                e = ends[i]
-            else:
-                e = b + duration[i]
-                if e < now:
-                    e = now
-                ends[i] = e
-            busy.append(e)
-            if b <= now < e and e - b > _EPS:
-                floor += 1
+    for i in running:
+        b = start[i]
+        e = b + duration[i]
+        if e < now:
+            e = now
+        ends[i] = e
+        busy.append(e)
+        if b <= now < e and e - b > _EPS:
+            floor += 1
     heapq.heapify(busy)
 
     npred = table.npred
@@ -927,32 +956,32 @@ def compiled_pin_delta(
     pred_ptr = table.pred_ptr
     pred_ext = table.pred_ext
     ready_items: List[Tuple[float, int]] = []
-    for i in range(n):
-        if pp[i] == 0:
-            r = now
-            c = npred[i]
-            if c:
-                if c == 1:
-                    e = ends[pred0[i]]
+    for i in frontier:
+        r = now
+        c = npred[i]
+        if c:
+            if c == 1:
+                e = ends[pred0[i]]
+                if e > r:
+                    r = e
+            elif c == 2:
+                e = ends[pred0[i]]
+                if e > r:
+                    r = e
+                e = ends[pred1[i]]
+                if e > r:
+                    r = e
+            else:
+                for p in pred_ext[pred_ptr[i]:pred_ptr[i + 1]]:
+                    e = ends[p]
                     if e > r:
                         r = e
-                elif c == 2:
-                    e = ends[pred0[i]]
-                    if e > r:
-                        r = e
-                    e = ends[pred1[i]]
-                    if e > r:
-                        r = e
-                else:
-                    for p in pred_ext[pred_ptr[i]:pred_ptr[i + 1]]:
-                        e = ends[p]
-                        if e > r:
-                            r = e
-            ready_items.append((r, i))
-            if r == now and (r + duration[i]) - r > _EPS:
-                floor += 1
+        ready_items.append((r, i))
+        if r == now and (r + duration[i]) - r > _EPS:
+            floor += 1
     return CompiledPinnedBase(
-        now, ends, pp, state, busy, ready_items, to_schedule, floor
+        now, ends, pp, state, busy, ready_items, to_schedule, floor,
+        running, frontier,
     )
 
 

@@ -846,9 +846,13 @@ class SkeletonService:
         benchmarks and operators read the event→plan cost of the service
         without reaching into planner internals.  Counters are
         service-lifetime cumulative; ``plan_cache.reset_stats()`` zeroes
-        them.  With an :class:`~repro.obs.Observability` facade bound,
-        the same counters export as the ``repro_plan_cache`` callback
-        gauges — this dict stays the compatibility surface.
+        them.  ``hits``/``misses``/``evictions``/``size`` count the
+        shared store only (the structural memo and the plans derived
+        from it); a live execution's plans are kept on its engine's
+        record of the graph and count in none of them.  With an
+        :class:`~repro.obs.Observability` facade bound, the same
+        counters export as the ``repro_plan_cache`` callback gauges —
+        this dict stays the compatibility surface.
         """
         return self.plan_cache.stats_dict()
 

@@ -294,6 +294,40 @@ class TestReportMemo:
         assert second is not first
         assert second.wct_best_effort == first.wct_best_effort
 
+    def test_plans_survive_a_window_of_pure_no_ops(self):
+        """A fan-out marker moves the machine revision, not the graph:
+        the next analysis at the same instant is a fresh report over the
+        same graph, and its plans are the ones the graph's record kept —
+        no schedule pass, no re-pin."""
+        from repro.events.types import Event
+
+        analyzer, program, now = self.live_analyzer()
+        first = analyzer.analyze(now, current_lp=2)
+        first.minimal_lp(cap=8)
+        assert first.wct_best_effort > now
+        before = analyzer.plan.cache.stats
+        root = analyzer.machines.roots[0]
+        analyzer.observe(
+            Event(
+                skeleton=program,
+                kind=program.kind,
+                when=When.BEFORE,
+                where=Where.NESTED,
+                index=root.index,
+                parent_index=None,
+                value=None,
+                timestamp=now,
+            )
+        )
+        second = analyzer.analyze(now, current_lp=2)
+        assert second is not first and second.adg is first.adg
+        assert second.minimal_lp(cap=8) == first.minimal_lp(cap=8)
+        assert second.wct_best_effort == first.wct_best_effort
+        after = analyzer.plan.cache.stats
+        assert after.schedule_passes == before.schedule_passes
+        assert after.pin_patches == before.pin_patches
+        assert after.projection_patches == before.projection_patches + 1
+
     def test_fresh_after_the_estimator_version_moves(self):
         analyzer, program, now = self.live_analyzer()
         first = analyzer.analyze(now)
@@ -307,7 +341,7 @@ class TestReportMemo:
         analyzer, _program, now = self.live_analyzer()
         first = analyzer.analyze(now)
         answer = first.minimal_lp(cap=8)
-        first.adg.touch()  # mutated behind the engine, like _cached_projection
+        first.adg.touch()  # mutated behind the engine
         second = analyzer.analyze(now)
         assert second is not first and second.adg is not first.adg
         # The held-over report does not answer from its retired revision.

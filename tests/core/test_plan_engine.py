@@ -40,6 +40,7 @@ from repro.core.planning.compile import (
 )
 from repro.errors import SchedulingError
 from repro.core.planning.table import (
+    RUNNING,
     compiled_best_effort,
     compiled_critical_path,
     compiled_minimal_lp,
@@ -414,6 +415,12 @@ def assert_compiled_pinned_equal(cbase, full) -> None:
     assert sorted(cbase.busy) == sorted(full.busy)
     assert {aid: r for r, aid in cbase.ready_items} == full.ready_time
     assert cbase.to_schedule == full.to_schedule
+    # The rows a delta re-pin walks: the running ones (each holds a
+    # worker until its pinned end) and the ready frontier, in index order.
+    assert cbase.running == sorted(cbase.running)
+    assert sorted(cbase.ends[i] for i in cbase.running) == sorted(full.busy)
+    assert set(cbase.running) == {i for i in pinned if cbase.state[i] == RUNNING}
+    assert cbase.frontier == sorted(full.ready_time)
 
 
 class _PatchPathChecker(Listener):
@@ -929,6 +936,8 @@ def assert_pinned_bases_equal(fresh, pinned) -> None:
     assert fresh.busy == pinned.busy
     assert fresh.ready_items == pinned.ready_items
     assert fresh.to_schedule == pinned.to_schedule
+    assert fresh.running == pinned.running
+    assert fresh.frontier == pinned.frontier
 
 
 @pytest.mark.service_stress
