@@ -18,10 +18,11 @@ into growing ``array`` buffers — no ``Activity``, no intermediate
   into a relocatable :class:`_Template`: durations, roles and
   degree-bounded adjacency with ids relative to the template base, the
   external entry predecessor encoded as the :data:`EXT` sentinel.
-  Stamping the template ``|fs|``/cardinality times is then C-speed
+  Stamping the template ``|fs|``/cardinality times is then
   ``array.extend`` calls plus an index translation done by ``map`` over
   a prebuilt translation list — the exponential D&C fan-out costs
-  O(depth) compile work plus O(n) element copies;
+  O(depth) compile work plus O(n) element copies, and a wide fan-out
+  stamps all its copies at once when numpy is installed;
 * **structural memoization** — :func:`compile_structural` wraps the
   finished table in a :class:`CompiledProjection` that the
   :class:`~repro.core.planning.engine.PlanEngine` memoizes in the shared
@@ -64,16 +65,29 @@ from ..estimator import EstimatorRegistry
 from ..projection import estimated_total_work
 from .table import _EPS, CompiledPinnedBase, PlanTable
 
-try:  # optional accelerator: stamping falls back to pure stdlib without it
-    import numpy as _np
-except ImportError:  # exercised by CI's numpy-free tier-1 leg
-    _np = None
-if _np is not None and array("q").itemsize != 8:  # pragma: no cover
-    _np = None  # exotic ABI: int64 buffers would not alias array('q')
-
-#: Below this template size the per-call numpy overhead exceeds the
-#: per-element win of fancy indexing; small templates keep the map path.
+#: A fan-out of fewer rows stamps copy by copy: below this the fixed cost
+#: of the numpy calls exceeds the per-element win of tiled adds.
 _NP_STAMP_MIN = 16
+
+#: numpy once a wide fan-out asked for it (False: not installed, or an
+#: exotic ABI whose int64 buffers would not alias ``array('q')``).
+#: ``import repro`` never loads it.
+_np = None
+
+
+def _numpy():
+    """numpy, imported by the first wide fan-out; ``None`` without it."""
+    global _np
+    if _np is None:
+        try:
+            import numpy
+        except ImportError:
+            numpy = False
+        if numpy and array("q").itemsize != 8:  # pragma: no cover
+            numpy = False
+        _np = numpy
+    return _np or None
+
 
 __all__ = [
     "EXT",
@@ -119,6 +133,40 @@ class _Template:
         "terminals",
         "np_cols",
         "np_masks",
+    )
+
+
+def _np_columns(tmpl: _Template) -> None:
+    """The int64 views and sentinel masks a bulk stamp of *tmpl* reads."""
+    np_pred0 = _np.frombuffer(tmpl.pred0, dtype=_np.int64)
+    np_pred1 = _np.frombuffer(tmpl.pred1, dtype=_np.int64)
+    np_pred_ext = (
+        _np.frombuffer(tmpl.pred_ext, dtype=_np.int64) if tmpl.pred_ext else None
+    )
+    np_succ0 = _np.frombuffer(tmpl.succ0, dtype=_np.int64)
+    np_succ1 = _np.frombuffer(tmpl.succ1, dtype=_np.int64)
+    tmpl.np_cols = (
+        _np.arange(tmpl.n, dtype=_np.int64),
+        np_pred0,
+        np_pred1,
+        _np.frombuffer(tmpl.pred_ptr, dtype=_np.int64),
+        np_pred_ext,
+        np_succ0,
+        np_succ1,
+    )
+    # Per-column sentinel masks (None when a column has no occurrences
+    # of that sentinel — the fixup is skipped outright).
+    tmpl.np_masks = tuple(
+        mask if mask is not None and mask.any() else None
+        for mask in (
+            np_pred0 == -1,
+            np_pred0 == EXT,
+            np_pred1 == -1,
+            np_pred1 == EXT,
+            None if np_pred_ext is None else np_pred_ext == EXT,
+            np_succ0 == -1,
+            np_succ1 == -1,
+        )
     )
 
 
@@ -218,11 +266,13 @@ class ProjectionCompiler:
     def stamp(self, tmpl: _Template, ext_pred: int) -> List[int]:
         """Copy *tmpl* in at the current end, depending on *ext_pred*.
 
-        Everything per-element runs at C speed: the column payloads are
+        No bytecode runs per copied element: the column payloads are
         ``array.extend`` / list concatenation, and id relocation is
         ``map`` over a translation list whose two trailing slots resolve
         the negative sentinels (``tr[-1] == -1``, ``tr[-2] == ext_pred``)
-        by plain indexing.  Returns the stamped terminals' absolute ids.
+        by plain indexing.  The Python-level work is a fixed dozen calls
+        per stamp plus the template's overflow lists and entries.
+        Returns the stamped terminals' absolute ids.
         """
         base = len(self.names)
         self.names += tmpl.names
@@ -234,35 +284,14 @@ class ProjectionCompiler:
         tr.append(ext_pred)  # EXT (-2) resolves here
         tr.append(-1)  # "none" (-1) resolves here
         relocate = tr.__getitem__
-        if tmpl.np_cols is not None and tmpl.n >= _NP_STAMP_MIN:
-            # Fancy indexing relocates whole columns in C: the trailing
-            # two translation slots resolve the negative sentinels
-            # (``tr[-2] == ext_pred``, ``tr[-1] == -1``) exactly like the
-            # list path below, and int64 round-trips ``array('q')``
-            # losslessly (guarded at import).
-            np_arange, np_pred0, np_pred1, np_pred_ptr, np_pred_ext, \
-                np_succ0, np_succ1 = tmpl.np_cols
-            tr_np = _np.empty(tmpl.n + 2, dtype=_np.int64)
-            _np.add(np_arange, base, out=tr_np[: tmpl.n])
-            tr_np[tmpl.n] = ext_pred
-            tr_np[tmpl.n + 1] = -1
-            self.pred0.frombytes(tr_np[np_pred0].tobytes())
-            self.pred1.frombytes(tr_np[np_pred1].tobytes())
-            self.pred_ptr.frombytes((np_pred_ptr + ext_base).tobytes())
-            if np_pred_ext is not None:
-                self.pred_ext.frombytes(tr_np[np_pred_ext].tobytes())
-            self.nsucc.extend(tmpl.nsucc)
-            self.succ0.frombytes(tr_np[np_succ0].tobytes())
-            self.succ1.frombytes(tr_np[np_succ1].tobytes())
-        else:
-            self.pred0.extend(map(relocate, tmpl.pred0))
-            self.pred1.extend(map(relocate, tmpl.pred1))
-            self.pred_ptr.extend(map(ext_base.__add__, tmpl.pred_ptr))
-            if tmpl.pred_ext:
-                self.pred_ext.extend(map(relocate, tmpl.pred_ext))
-            self.nsucc.extend(tmpl.nsucc)
-            self.succ0.extend(map(relocate, tmpl.succ0))
-            self.succ1.extend(map(relocate, tmpl.succ1))
+        self.pred0.extend(map(relocate, tmpl.pred0))
+        self.pred1.extend(map(relocate, tmpl.pred1))
+        self.pred_ptr.extend(map(ext_base.__add__, tmpl.pred_ptr))
+        if tmpl.pred_ext:
+            self.pred_ext.extend(map(relocate, tmpl.pred_ext))
+        self.nsucc.extend(tmpl.nsucc)
+        self.succ0.extend(map(relocate, tmpl.succ0))
+        self.succ1.extend(map(relocate, tmpl.succ1))
         if tmpl.overflow:
             ov = self._overflow
             for rel, extras in tmpl.overflow:
@@ -296,19 +325,22 @@ class ProjectionCompiler:
         at once: list/array repetition for the base-independent columns,
         one tiled-add per id column with the (precomputed) sentinel
         positions fixed up by mask, so the per-stamp Python overhead is
-        paid once per fan-out instead of once per copy.
+        paid once per fan-out instead of once per copy.  Without numpy,
+        and below :data:`_NP_STAMP_MIN` rows, it is exactly that loop.
         """
         if (
             k == 1
             or tmpl.n == 0
-            or tmpl.np_cols is None
             or k * tmpl.n < _NP_STAMP_MIN
             or min(tmpl.terminals, default=0) < 0
+            or _numpy() is None
         ):
             out: List[int] = []
             for _ in range(k):
                 out.extend(self.stamp(tmpl, ext_pred))
             return out
+        if tmpl.np_cols is None:
+            _np_columns(tmpl)
         n = tmpl.n
         base0 = len(self.names)
         self.names += tmpl.names * k
@@ -439,41 +471,8 @@ class ProjectionCompiler:
                         entries.append(i)
         tmpl.entries = entries
         tmpl.terminals = terminals
-        if _np is not None and tmpl.n > 0:
-            np_pred0 = _np.frombuffer(pred0, dtype=_np.int64)
-            np_pred1 = _np.frombuffer(pred1, dtype=_np.int64)
-            np_pred_ext = (
-                _np.frombuffer(pred_ext, dtype=_np.int64) if pred_ext else None
-            )
-            np_succ0 = _np.frombuffer(self.succ0, dtype=_np.int64)
-            np_succ1 = _np.frombuffer(self.succ1, dtype=_np.int64)
-            tmpl.np_cols = (
-                _np.arange(tmpl.n, dtype=_np.int64),
-                np_pred0,
-                np_pred1,
-                _np.frombuffer(pred_ptr, dtype=_np.int64),
-                np_pred_ext,
-                np_succ0,
-                np_succ1,
-            )
-            # Per-column sentinel masks for bulk stamping (None when a
-            # column has no occurrences of that sentinel — the fixup is
-            # skipped outright).
-            tmpl.np_masks = tuple(
-                mask if mask is not None and mask.any() else None
-                for mask in (
-                    np_pred0 == -1,
-                    np_pred0 == EXT,
-                    np_pred1 == -1,
-                    np_pred1 == EXT,
-                    None if np_pred_ext is None else np_pred_ext == EXT,
-                    np_succ0 == -1,
-                    np_succ1 == -1,
-                )
-            )
-        else:
-            tmpl.np_cols = None
-            tmpl.np_masks = None
+        tmpl.np_cols = None  # built by the first bulk stamp
+        tmpl.np_masks = None
         return tmpl
 
     # -- skeleton walk -----------------------------------------------------------

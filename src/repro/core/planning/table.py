@@ -70,11 +70,6 @@ from ..schedule import (
     peak_concurrency,
 )
 
-try:  # optional accelerator; every user keeps a pure-stdlib fallback
-    import numpy as _np
-except ImportError:  # exercised by CI's numpy-free tier-1 leg
-    _np = None
-
 __all__ = [
     "PlanTable",
     "CompiledPinnedBase",
@@ -89,19 +84,6 @@ __all__ = [
 ]
 
 _EPS = 1e-9
-
-#: Table size from which :meth:`CompiledSchedule.peak` goes through numpy.
-#: Measured on a 2-CPU host (CPython 3.11, numpy 2.4) over every analysis
-#: point's best-effort schedule, cropped at *now*, of two-level maps on the
-#: virtual clock.  In a tight loop ``_np_peak`` costs 21 / 23 / 25 / 29 us
-#: at 24 / 112 / 222 / 442 rows (seven array calls, nearly flat) and the
-#: pure-Python sweep 6 / 21 / 38 / 73 us (it grows with the unfinished
-#: rows): they cross near 128 rows.  Inside a service storm, between other
-#: work, numpy's fixed cost doubles (40-57 us per call at every size from
-#: 23 to 222 rows) while the sweep costs 11 / 19 / 32 / 50 us at 23 / 68 /
-#: 130 / 222 rows: there they cross just above 222 rows.  The gate follows
-#: the second measurement, the one the planner lives in.
-_NP_PEAK_MIN_ROWS = 256
 
 #: state byte -> ScheduledActivity.status string (index = state)
 _STATUS = ("pending", "running", "finished")
@@ -556,12 +538,10 @@ class CompiledSchedule:
     def peak(self, from_time: Optional[float] = None) -> int:
         """Maximum concurrency (optionally only from *from_time* onwards).
 
-        A memoized timeline is reused at any size.  Otherwise the peak is
-        read straight off the start/end columns, never building the step
-        function: with numpy from :data:`_NP_PEAK_MIN_ROWS` rows on
-        (:func:`_np_peak`), below it — where numpy's fixed cost loses —
-        by one pure-Python sweep (:func:`_sweep_peak`).  Both apply the
-        filtering, grouping and crop rules of
+        A memoized timeline is reused.  Otherwise the peak is read
+        straight off the start/end columns by one sweep
+        (:func:`_sweep_peak`), never building the step function; the
+        sweep applies the filtering, grouping and crop rules of
         :func:`~repro.core.schedule.concurrency_timeline`, so the value
         is identical.
         """
@@ -570,8 +550,6 @@ class CompiledSchedule:
             timeline = self._timelines.get(from_time)
             if timeline is not None:
                 cached = peak_concurrency(timeline)
-            elif _np is not None and len(self._starts) >= _NP_PEAK_MIN_ROWS:
-                cached = _np_peak(self._starts, self._ends, from_time)
             else:
                 cached = _sweep_peak(self._starts, self._ends, from_time)
             self._peaks[from_time] = cached
@@ -585,7 +563,7 @@ class CompiledSchedule:
 
 
 def _sweep_peak(starts: array, ends: array, from_time: Optional[float]) -> int:
-    """Peak concurrency straight from the schedule columns (pure Python).
+    """Peak concurrency straight from the schedule columns.
 
     One delta dict and one sorted pass over ``CompiledSchedule.timeline``'s
     interval filter: zero-length intervals (``end - start <= _EPS``)
@@ -607,52 +585,6 @@ def _sweep_peak(starts: array, ends: array, from_time: Optional[float]) -> int:
         level += d
         if level > best:
             best = level
-    return best
-
-
-def _np_peak(starts: array, ends: array, from_time: Optional[float]) -> int:
-    """Peak concurrency straight from the schedule columns (numpy).
-
-    Reproduces ``peak_concurrency(concurrency_timeline(intervals,
-    from_time))`` over ``CompiledSchedule.timeline``'s interval filter
-    exactly: zero-length intervals (``end - start <= _EPS``) contribute
-    nothing, deltas aggregate per *distinct* time before a level is
-    recorded (the cumulative sum at each time-group's end — order inside
-    a group cannot matter), and the crop keeps levels at ``t >=
-    from_time`` plus the entry level when the first kept time lies
-    strictly after *from_time*.  Levels are exact small-integer sums, so
-    the value is bit-identical to the dict computation.
-    """
-    s = _np.frombuffer(starts, dtype=_np.float64)
-    e = _np.frombuffer(ends, dtype=_np.float64)
-    keep = e - s > _EPS
-    if from_time is not None:
-        keep &= e > from_time
-    s = s[keep]
-    e = e[keep]
-    if not s.size:
-        return 0
-    t = _np.concatenate((s, e))
-    d = _np.concatenate(
-        (_np.ones(s.size, dtype=_np.int64), _np.full(e.size, -1, dtype=_np.int64))
-    )
-    order = _np.argsort(t)
-    t = t[order]
-    levels = _np.cumsum(d[order])
-    group_end = _np.empty(t.size, dtype=bool)
-    group_end[:-1] = t[1:] != t[:-1]
-    group_end[-1] = True
-    t = t[group_end]
-    levels = levels[group_end]
-    if from_time is None:
-        return int(levels.max())
-    at = int(_np.searchsorted(t, from_time, side="left"))
-    level_at = int(levels[at - 1]) if at else 0
-    if at == t.size:
-        return level_at  # the crop degenerates to [(from_time, level_at)]
-    best = int(levels[at:].max())
-    if t[at] > from_time and level_at > best:
-        best = level_at
     return best
 
 

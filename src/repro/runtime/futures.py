@@ -10,12 +10,13 @@ callback wakes a loop-bound waiter via ``call_soon_threadsafe``, so a
 coroutine can ``await`` a result produced by pool worker threads without
 blocking the event loop.  The service's
 :class:`~repro.service.handle.ExecutionHandle` builds its async facade
-(``await handle``, ``async for status``) on top of it.
+(``await handle``, ``async for status``) on top of it.  ``asyncio`` is
+imported on the first await that has to wait, so a process that never
+awaits a future never loads it.
 """
 
 from __future__ import annotations
 
-import asyncio
 import threading
 from typing import Any, Callable, List, Optional
 
@@ -121,6 +122,8 @@ class SkeletonFuture:
             self._driver(self)
         if self.done():
             return True
+        import asyncio  # its only user: ``import repro`` stays asyncio-free
+
         loop = asyncio.get_running_loop()
         waiter: "asyncio.Future[None]" = loop.create_future()
 

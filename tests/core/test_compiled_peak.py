@@ -1,17 +1,14 @@
-"""``CompiledSchedule.peak`` — the size gate and its two paths.
+"""``CompiledSchedule.peak`` — the sweep against the step-function oracle.
 
-Below ``_NP_PEAK_MIN_ROWS`` rows the peak is the pure-Python sweep of the
-step function, from it on numpy reads it straight off the start/end
-columns.  Both must equal the dict scheduler's
-``peak_concurrency(concurrency_timeline(...))`` on every input, so the
-gate can only ever move time, never a decision.
-
-Runs without numpy too (CI's numpy-free leg): the numpy path is then
-unreachable and every gate value must still answer, through the sweep.
+The peak is read straight off the start/end columns by one sweep
+(``_sweep_peak``).  It must equal the dict scheduler's
+``peak_concurrency(concurrency_timeline(...))`` on every input and at
+every size, so reading it off the columns can only ever move time, never
+a decision.
 """
 
+import random
 from array import array
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,12 +16,6 @@ from hypothesis import given, strategies as st
 from repro.core.planning import table as table_module
 from repro.core.planning.table import CompiledSchedule
 from repro.core.schedule import concurrency_timeline, peak_concurrency
-
-HAS_NUMPY = table_module._np is not None
-
-#: (gate, label): 0 sends every table through numpy (when present), the
-#: huge one through the pure-Python sweep.
-GATES = ((0, "numpy"), (10**9, "python"))
 
 
 def schedule(intervals):
@@ -41,19 +32,8 @@ def reference(intervals, from_time):
     return peak_concurrency(concurrency_timeline(kept, from_time=from_time))
 
 
-@contextmanager
-def gate_at(rows):
-    shipped = table_module._NP_PEAK_MIN_ROWS
-    table_module._NP_PEAK_MIN_ROWS = rows
-    try:
-        yield
-    finally:
-        table_module._NP_PEAK_MIN_ROWS = shipped
-
-
-def peak_through(gate, intervals, from_time):
-    with gate_at(gate):
-        return schedule(intervals).peak(from_time=from_time)
+def peak(intervals, from_time):
+    return schedule(intervals).peak(from_time=from_time)
 
 
 #: Times on a coarse grid (ties, zero-length and sub-epsilon intervals are
@@ -66,14 +46,11 @@ interval_lists = st.lists(
 crops = st.one_of(st.none(), st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 6.0, 9.5, 20.0)))
 
 
-class TestBothPathsEqualTheReference:
+class TestThePeakEqualsTheReference:
     @given(interval_lists, crops)
     def test_generated_schedules(self, intervals, from_time):
-        expected = reference(intervals, from_time)
-        for gate, _label in GATES:
-            assert peak_through(gate, intervals, from_time) == expected
+        assert peak(intervals, from_time) == reference(intervals, from_time)
 
-    @pytest.mark.parametrize("gate,label", GATES)
     @pytest.mark.parametrize(
         "from_time,expected",
         [
@@ -87,59 +64,57 @@ class TestBothPathsEqualTheReference:
             (9.0, 0),  # past everything
         ],
     )
-    def test_crop_edges(self, gate, label, from_time, expected):
+    def test_crop_edges(self, from_time, expected):
         intervals = [(0.0, 2.0), (1.0, 3.0), (1.0, 4.0)]
         assert reference(intervals, from_time) == expected
-        assert peak_through(gate, intervals, from_time) == expected
+        assert peak(intervals, from_time) == expected
 
-    @pytest.mark.parametrize("gate,label", GATES)
-    def test_zero_length_intervals_occupy_nothing(self, gate, label):
+    def test_zero_length_intervals_occupy_nothing(self):
         intervals = [(1.0, 1.0), (1.0, 1.0 + 5e-10), (1.0, 2.0), (2.0, 2.0)]
         for from_time in (None, 0.0, 1.0, 1.5):
-            assert peak_through(gate, intervals, from_time) == 1
+            assert peak(intervals, from_time) == 1
         only_empty = [(1.0, 1.0), (3.0, 3.0)]
         for from_time in (None, 0.0, 2.0):
-            assert peak_through(gate, only_empty, from_time) == 0
+            assert peak(only_empty, from_time) == 0
 
-    @pytest.mark.parametrize("gate,label", GATES)
-    def test_empty_schedule(self, gate, label):
-        assert peak_through(gate, [], None) == 0
-        assert peak_through(gate, [], 1.0) == 0
+    def test_empty_schedule(self):
+        assert peak([], None) == 0
+        assert peak([], 1.0) == 0
 
 
-class TestTheGate:
-    def wide(self, rows):
+class TestWideTables:
+    """The sizes of the planner's largest best-effort schedules."""
+
+    @staticmethod
+    def tied(rows):
         return [(float(i % 7), float(i % 7) + 1.0 + (i % 3)) for i in range(rows)]
 
-    def test_both_sides_of_the_shipped_gate_agree(self):
-        gate = table_module._NP_PEAK_MIN_ROWS
-        for rows in (gate - 1, gate, gate + 1):
-            intervals = self.wide(rows)
-            for from_time in (None, 0.0, 2.0, 3.0, 7.5):
-                assert schedule(intervals).peak(from_time=from_time) == reference(
-                    intervals, from_time
-                )
+    @staticmethod
+    def scattered(rows, seed):
+        rng = random.Random(seed)
+        out = []
+        for _ in range(rows):
+            s = rng.randrange(0, 400) * 0.25
+            out.append((s, s + rng.choice((0.0, 5e-10, 0.25, 1.0, 7.5, 40.0))))
+        return out
 
-    def test_small_tables_never_enter_numpy(self, monkeypatch):
-        called = []
-        monkeypatch.setattr(
-            table_module, "_np_peak", lambda *args: called.append(args) or 0
-        )
-        gate = table_module._NP_PEAK_MIN_ROWS
-        intervals = self.wide(gate - 1)
-        assert schedule(intervals).peak(from_time=1.0) == reference(intervals, 1.0)
-        assert not called
+    @pytest.mark.parametrize("shape", ["tied", "scattered"])
+    @pytest.mark.parametrize("rows", [256, 842, 1000])
+    def test_wide_schedules_match_the_reference(self, rows, shape):
+        if shape == "tied":
+            intervals = self.tied(rows)
+        else:
+            intervals = self.scattered(rows, seed=rows)
+        for from_time in (None, 0.0, 2.0, 3.0, 7.5, 50.0, 200.0):
+            assert peak(intervals, from_time) == reference(intervals, from_time)
 
-    @pytest.mark.skipif(not HAS_NUMPY, reason="numpy path needs numpy")
-    def test_large_tables_do_unless_the_timeline_is_already_there(self, monkeypatch):
+    def test_peaks_are_memoized_and_reuse_a_memoized_timeline(self, monkeypatch):
         called = []
-        real = table_module._np_peak
+        real = table_module._sweep_peak
         monkeypatch.setattr(
-            table_module,
-            "_np_peak",
-            lambda *args: called.append(1) or real(*args),
+            table_module, "_sweep_peak", lambda *args: called.append(1) or real(*args)
         )
-        intervals = self.wide(table_module._NP_PEAK_MIN_ROWS)
+        intervals = self.tied(842)
         result = schedule(intervals)
         assert result.peak(from_time=1.0) == reference(intervals, 1.0)
         assert called == [1]
@@ -148,11 +123,3 @@ class TestTheGate:
         result.timeline(2.0)
         assert result.peak(from_time=2.0) == reference(intervals, 2.0)
         assert called == [1]  # a memoized timeline is reused for free
-
-    def test_without_numpy_every_size_takes_the_sweep(self, monkeypatch):
-        monkeypatch.setattr(table_module, "_np", None)
-        intervals = self.wide(table_module._NP_PEAK_MIN_ROWS + 5)
-        for from_time in (None, 2.0):
-            assert schedule(intervals).peak(from_time=from_time) == reference(
-                intervals, from_time
-            )

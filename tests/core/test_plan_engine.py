@@ -25,7 +25,7 @@ runs them alongside the arbiter property harness.
 """
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, strategies as st
 
 from repro import SimulatedPlatform, run
 from repro.core.adg import ADG
@@ -33,6 +33,7 @@ from repro.core.analysis import ExecutionAnalyzer, is_analysis_point
 from repro.core.estimator import EstimatorRegistry
 from repro.core.persistence import snapshot_from_names
 from repro.core.planning import PlanCache, PlanTable
+from repro.core.planning import compile as compile_module
 from repro.core.planning.compile import (
     CompiledProjection,
     compile_structural,
@@ -59,7 +60,7 @@ from repro.core.schedule import (
 from repro.events.bus import Listener
 from repro.events.recorder import EventRecorder
 from repro.runtime.costmodel import CallableCostModel, ConstantCostModel
-from repro.skeletons import Execute, Map, Merge, Seq, Split
+from repro.skeletons import Execute, For, Fork, Map, Merge, Seq, Split
 from tests.conftest import build_program, program_descriptions
 
 
@@ -940,6 +941,40 @@ def assert_pinned_bases_equal(fresh, pinned) -> None:
     assert fresh.frontier == pinned.frontier
 
 
+def compiled_like_the_walk(program, cards) -> PlanTable:
+    """Assert the direct compile of *program* is its walked table, with
+    every muscle estimated at 1.0 and the split cardinalities *cards*;
+    returns the walked table."""
+    est = EstimatorRegistry()
+    for muscle in program.muscles():
+        est.initialize_time(muscle, 1.0)
+    for split, card in cards.items():
+        est.initialize_card(split, card)
+    fresh = ADG()
+    project_skeleton(program, fresh, [], est)
+    walked = PlanTable.compile(fresh)
+    assert_tables_bit_equal(compile_structural(program, est).table, walked)
+    return walked
+
+
+#: Fan-outs the small generated programs rarely reach: a map of 4-6
+#: copies over a body of at least 4 rows stamps k·n >= 16 rows from one
+#: template, and a 3-branch fork body (or a nested map of 3-4) gives
+#: every copy a > 2-predecessor merge (``pred_ext``) and a > 2-successor
+#: split (overflow successors) to relocate.
+wide_fanouts = st.tuples(
+    st.just("map"),
+    st.integers(4, 6),
+    st.one_of(
+        st.tuples(
+            st.just("fork"),
+            st.lists(program_descriptions, min_size=3, max_size=3).map(tuple),
+        ),
+        st.tuples(st.just("map"), st.integers(3, 4), program_descriptions),
+    ),
+)
+
+
 @pytest.mark.service_stress
 class TestProjectionCompilerTwin:
     """ISSUE 10 acceptance: the :class:`~repro.core.planning.compile.
@@ -951,7 +986,7 @@ class TestProjectionCompilerTwin:
     structural memo must serve repeats without a walk yet never survive
     an estimate-value change."""
 
-    @given(program_descriptions)
+    @given(st.one_of(program_descriptions, wide_fanouts))
     def test_direct_compiled_tables_equal_activity_walk(self, desc):
         program = build_program(desc)
         platform = timed_sim()
@@ -984,6 +1019,43 @@ class TestProjectionCompilerTwin:
         assert_tables_bit_equal(served.table, walked)
         for lp in (1, 3):
             assert engine.structural_wct(lp) == projected_wct(program, est, lp)
+
+    def test_empty_template_stamps_its_external_predecessor(self):
+        """A zero-trip For body compiles to a template with no rows whose
+        one terminal is the stamp site's split (the ``EXT`` sentinel):
+        every stamp adds nothing, and the merge waits on the split once
+        per copy — three duplicate predecessors, so ``pred_ext``.  The
+        generated harness cannot reach it: the body never runs, so its
+        estimates never arrive."""
+        split = Split(lambda v: [v] * 3, name="split")
+        work = Execute(lambda v: v, name="work")
+        merge = Merge(sum, name="merge")
+        program = Map(split, For(0, Seq(work)), merge)
+        walked = compiled_like_the_walk(program, {split: 3})
+        assert list(walked.pred_ext) == [0, 0, 0]
+
+    @pytest.mark.parametrize("numpy_present", [True, False], ids=["numpy", "no-numpy"])
+    def test_wide_fanout_equals_the_walk_with_and_without_numpy(
+        self, monkeypatch, numpy_present
+    ):
+        """A fan-out of 6 copies of a 5-row fork (30 rows, a 3-predecessor
+        merge and a 3-successor split per copy) is stamped in bulk through
+        numpy when it is installed and copy by copy when it is not; both
+        tables are the walked one."""
+        if numpy_present:
+            pytest.importorskip("numpy")
+        else:
+            monkeypatch.setattr(compile_module, "_np", False)  # as if absent
+        split = Split(lambda v: [v] * 6, name="split")
+        fork_split = Split(lambda v: [v] * 3, name="fsplit")
+        legs = [Execute(lambda v: v, name=f"leg{i}") for i in range(3)]
+        fork_merge = Merge(sum, name="fmerge")
+        merge = Merge(sum, name="merge")
+        program = Map(
+            split, Fork(fork_split, [Seq(leg) for leg in legs], fork_merge), merge
+        )
+        walked = compiled_like_the_walk(program, {split: 6, fork_split: 3})
+        assert walked.n == 2 + 6 * 5
 
     def test_memo_shared_across_engines_walk_counter_flat(self):
         """N same-shape, same-estimate submissions share ONE compiled

@@ -11,9 +11,6 @@ reference oracle for every ``lp`` in 1..8, including LPs below the number
 of running rows.  The scan's answers are checked against
 ``minimal_lp_greedy`` at deadlines on and one float below every
 ``wct(lp)``, at 4x and 0.5x the best-effort remaining time, and at *now*.
-
-Pure standard library (the bound and the sweep peak are the stdlib side
-of every gate), so CI's numpy-free leg runs it too.
 """
 
 import math
