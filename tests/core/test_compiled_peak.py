@@ -1,7 +1,8 @@
 """``CompiledSchedule.peak`` — the sweep against the step-function oracle.
 
 The peak is read straight off the start/end columns by one sweep
-(``_sweep_peak``).  It must equal the dict scheduler's
+(``_sweep_peak``), or off the step function when a timeline at the same
+crop is already memoized.  Both must equal the dict scheduler's
 ``peak_concurrency(concurrency_timeline(...))`` on every input and at
 every size, so reading it off the columns can only ever move time, never
 a decision.
@@ -32,8 +33,16 @@ def reference(intervals, from_time):
     return peak_concurrency(concurrency_timeline(kept, from_time=from_time))
 
 
-def peak(intervals, from_time):
-    return schedule(intervals).peak(from_time=from_time)
+#: The two ways ``peak`` answers: the column sweep on a fresh schedule,
+#: or ``peak_concurrency`` of a timeline memoized at the same crop.
+PATHS = ("sweep", "timeline")
+
+
+def peak(intervals, from_time, path="sweep"):
+    result = schedule(intervals)
+    if path == "timeline":
+        result.timeline(from_time)
+    return result.peak(from_time=from_time)
 
 
 #: Times on a coarse grid (ties, zero-length and sub-epsilon intervals are
@@ -49,8 +58,11 @@ crops = st.one_of(st.none(), st.sampled_from((-1.0, 0.0, 0.5, 1.0, 2.0, 3.0, 6.0
 class TestThePeakEqualsTheReference:
     @given(interval_lists, crops)
     def test_generated_schedules(self, intervals, from_time):
-        assert peak(intervals, from_time) == reference(intervals, from_time)
+        expected = reference(intervals, from_time)
+        for path in PATHS:
+            assert peak(intervals, from_time, path) == expected
 
+    @pytest.mark.parametrize("path", PATHS)
     @pytest.mark.parametrize(
         "from_time,expected",
         [
@@ -64,22 +76,24 @@ class TestThePeakEqualsTheReference:
             (9.0, 0),  # past everything
         ],
     )
-    def test_crop_edges(self, from_time, expected):
+    def test_crop_edges(self, from_time, expected, path):
         intervals = [(0.0, 2.0), (1.0, 3.0), (1.0, 4.0)]
         assert reference(intervals, from_time) == expected
-        assert peak(intervals, from_time) == expected
+        assert peak(intervals, from_time, path) == expected
 
-    def test_zero_length_intervals_occupy_nothing(self):
+    @pytest.mark.parametrize("path", PATHS)
+    def test_zero_length_intervals_occupy_nothing(self, path):
         intervals = [(1.0, 1.0), (1.0, 1.0 + 5e-10), (1.0, 2.0), (2.0, 2.0)]
         for from_time in (None, 0.0, 1.0, 1.5):
-            assert peak(intervals, from_time) == 1
+            assert peak(intervals, from_time, path) == 1
         only_empty = [(1.0, 1.0), (3.0, 3.0)]
         for from_time in (None, 0.0, 2.0):
-            assert peak(only_empty, from_time) == 0
+            assert peak(only_empty, from_time, path) == 0
 
-    def test_empty_schedule(self):
-        assert peak([], None) == 0
-        assert peak([], 1.0) == 0
+    @pytest.mark.parametrize("path", PATHS)
+    def test_empty_schedule(self, path):
+        assert peak([], None, path) == 0
+        assert peak([], 1.0, path) == 0
 
 
 class TestWideTables:
