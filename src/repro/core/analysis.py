@@ -410,10 +410,7 @@ class ExecutionAnalyzer(Listener):
         )
 
     def analyze(
-        self,
-        now: float,
-        current_lp: Optional[int] = None,
-        roots: Optional[List] = None,
+        self, now: float, current_lp: Optional[int] = None
     ) -> Optional[AnalysisReport]:
         """Project the live execution(s) and derive the paper's quantities.
 
@@ -430,14 +427,14 @@ class ExecutionAnalyzer(Listener):
         global planner pays for an execution that did not move since
         the previous rebalance at this instant.  The revision is read
         before anything is projected, so a hit is never older than the
-        revision the caller could see.  Explicit *roots*, a
-        ``PlanCache(maxsize=0)`` (the from-scratch baseline) and a
-        served graph mutated behind the engine all bypass the slot.
+        revision the caller could see.  A ``PlanCache(maxsize=0)`` (the
+        from-scratch baseline) and a served graph mutated behind the
+        engine both bypass the slot.
         """
-        if roots is None and self.cold:
+        if self.cold:
             return None
         memo_key = None
-        if roots is None and self.plan.cache.maxsize:
+        if self.plan.cache.maxsize:
             memo_key = (
                 self.machines.rev, self.estimators.version, now, current_lp
             )
@@ -448,15 +445,15 @@ class ExecutionAnalyzer(Listener):
                 and last[1].adg.rev == last[2]
             ):
                 return last[1]
-        report = self._analyze(now, current_lp, roots)
+        report = self._analyze(now, current_lp)
         if memo_key is not None and report is not None:
             self._last_report = (memo_key, report, report.adg.rev)
         return report
 
     def _analyze(
-        self, now: float, current_lp: Optional[int], roots: Optional[List]
+        self, now: float, current_lp: Optional[int]
     ) -> Optional[AnalysisReport]:
-        roots = roots if roots is not None else self.unfinished_roots()
+        roots = self.unfinished_roots()
         if not roots and not self.machines.roots:
             return self._structural_report(now, current_lp)
         if not self.ready(roots):

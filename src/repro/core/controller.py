@@ -96,9 +96,6 @@ class AutonomicController(Listener):
         ``"halving"`` (paper) or ``"none"`` (never shrink — ablation).
     extensions:
         Allow If/Fork tracking (off by default, as in the paper).
-    min_analysis_interval:
-        Throttle: skip analyses closer than this many (platform clock)
-        seconds to the previous one.  0 analyzes on every analysis point.
     execution_id:
         When given, the controller only monitors that execution's events
         (scoped operation on a shared bus); default observes everything
@@ -114,7 +111,6 @@ class AutonomicController(Listener):
         increase_policy: str = "minimal",
         decrease_policy: str = "halving",
         extensions: bool = False,
-        min_analysis_interval: float = 0.0,
         estimators: Optional[EstimatorRegistry] = None,
         execution_id: Optional[int] = None,
     ):
@@ -136,9 +132,7 @@ class AutonomicController(Listener):
         )
         self.increase_policy = increase_policy
         self.decrease_policy = decrease_policy
-        self.min_analysis_interval = min_analysis_interval
         self.decisions: List[Decision] = []
-        self._last_analysis: Optional[float] = None
         self._lock = threading.RLock()
         self._attached = False
         # Effective LP ceiling: intersect the QoS max with the platform max.
@@ -223,19 +217,11 @@ class AutonomicController(Listener):
             return  # nothing to plan for; max LP is enforced by clamping
         now = self.platform.now()
         with self._lock:
-            if (
-                self._last_analysis is not None
-                and self.min_analysis_interval > 0
-                and now - self._last_analysis < self.min_analysis_interval
-            ):
-                return
             report = self.analyzer.analyze(
                 now, current_lp=self.platform.get_parallelism()
             )
-            if report is None:
-                return
-            self._last_analysis = now
-            self._plan_and_execute(report, trigger)
+            if report is not None:
+                self._plan_and_execute(report, trigger)
 
     def _plan_and_execute(self, report: AnalysisReport, trigger: Event) -> None:
         """Plan against the deadline and apply the LP change (if any).

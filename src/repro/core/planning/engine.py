@@ -190,10 +190,11 @@ class PlanEngine:
         # id(adg) -> carried record of every graph plan calls were
         # handed; empty for good over a cache that stores nothing.
         self._carried: Dict[int, _Carried] = {}
-        # roots_key -> (machines rev, estimator version, adg, adg rev at
+        # (roots_key, machines rev, estimator version, adg, adg rev at
         # build/patch): the previous live projection — the projection
-        # itself while both versions stand, else the patch candidate.
-        self._live_prev: Dict[Tuple, Tuple[int, int, ADG, int]] = {}
+        # itself while the root set and both versions stand, else the
+        # patch candidate.
+        self._live_prev: Optional[Tuple[Tuple, int, int, ADG, int]] = None
         # (estimator version, adg, adg rev at build): the structural ADG.
         self._struct_adg: Optional[Tuple[int, ADG, int]] = None
         # (adg, adg rev, table, record): the graph resolved last.
@@ -361,13 +362,14 @@ class PlanEngine:
             rev = self.machines.rev
             est_version = self.estimators.version
             with self._lock:
-                prev = self._live_prev.get(roots_key)
+                prev = self._live_prev
             if prev is not None:
-                prev_rev, prev_est_version, adg, adg_rev = prev
-                if adg.rev != adg_rev:
-                    # Mutated behind the engine: rebuilt, not served or
-                    # patched — matching the pre-engine behaviour, where
-                    # each analysis projected fresh.
+                prev_key, prev_rev, prev_est_version, adg, adg_rev = prev
+                if prev_key != roots_key or adg.rev != adg_rev:
+                    # Another root set, or mutated behind the engine:
+                    # rebuilt, not served or patched — matching the
+                    # pre-engine behaviour, where each analysis projected
+                    # fresh.
                     prev = None
                 elif prev_rev == rev and prev_est_version == est_version:
                     return adg
@@ -378,30 +380,22 @@ class PlanEngine:
                 adg, _terminals = self.machines.project_roots(now, roots)
                 self.cache.count_projection_pass()
                 self._remember(adg)
-            with self._lock:
-                if self.cache.maxsize:  # else nothing is carried
-                    self._live_prev[roots_key] = (rev, est_version, adg, adg.rev)
-                while len(self._live_prev) > 4:
-                    # Evict the stalest candidate (root sets that are
-                    # gone never patch again); keeping the map tiny
-                    # also lets the changelog compact close behind
-                    # the live frontier.
-                    stalest = min(
-                        self._live_prev, key=lambda k: self._live_prev[k][0]
-                    )
-                    del self._live_prev[stalest]
-                oldest = min(
-                    (r for r, _v, _a, _ar in self._live_prev.values()),
-                    default=rev,
-                )
-            self.machines.compact_changelog(oldest)
+            if self.cache.maxsize:  # else nothing is carried
+                with self._lock:
+                    self._live_prev = (roots_key, rev, est_version, adg, adg.rev)
+            # The next patch reads the changelog from this revision on.
+            self.machines.compact_changelog(rev)
             return adg
 
     def _patch_projection(
-        self, prev: Tuple[int, int, ADG, int], rev: int, est_version: int, now: float
+        self,
+        prev: Tuple[Tuple, int, int, ADG, int],
+        rev: int,
+        est_version: int,
+        now: float,
     ) -> Optional[ADG]:
-        """Patch the previous projection *prev* (an entry of
-        ``_live_prev``, unmutated since), or ``None``.
+        """Patch the previous projection *prev* (the ``_live_prev``
+        slot, same root set and unmutated since), or ``None``.
 
         ``None`` means "no sound patch exists — do the full walk": a
         structural delta, a compacted changelog window, estimates whose
@@ -417,7 +411,7 @@ class PlanEngine:
         ADG.retime` writes each one's current estimate through the rows
         it times — first, then the binds, then the span refresh.
         """
-        prev_rev, prev_est_version, adg, _adg_rev = prev
+        _key, prev_rev, prev_est_version, adg, _adg_rev = prev
         delta = self.machines.delta_since(prev_rev)
         if delta is None or delta.structural:
             return None

@@ -281,28 +281,6 @@ class PlanTable:
             )
         return work
 
-    def preds_of(self, i: int) -> Tuple[int, ...]:
-        """Predecessor ids of *i* (test/debug helper, not the hot path)."""
-        c = self.npred[i]
-        if c == 0:
-            return ()
-        if c == 1:
-            return (self.pred0[i],)
-        if c == 2:
-            return (self.pred0[i], self.pred1[i])
-        return tuple(self.pred_ext[self.pred_ptr[i]:self.pred_ptr[i + 1]])
-
-    def succs_of(self, i: int) -> Tuple[int, ...]:
-        """Successor ids of *i* (test/debug helper, not the hot path)."""
-        c = self.nsucc[i]
-        if c == 0:
-            return ()
-        if c == 1:
-            return (self.succ0[i],)
-        if c == 2:
-            return (self.succ0[i], self.succ1[i])
-        return tuple(self.succ_ext[self.succ_ptr[i]:self.succ_ptr[i + 1]])
-
 
 class CompiledPinnedBase:
     """Array form of :class:`~repro.core.schedule.PinnedPlanBase`.

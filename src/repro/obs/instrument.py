@@ -61,11 +61,9 @@ class BusInstrument(Listener):
         self,
         metrics: MetricsRegistry,
         tracer: Optional[Tracer] = None,
-        span_batches: bool = True,
     ) -> None:
         self.metrics = metrics
         self.tracer = tracer
-        self.span_batches = span_batches
         self.events_total = metrics.counter(
             "repro_events_total", "Skeleton events published on the bus"
         )
@@ -96,7 +94,7 @@ class BusInstrument(Listener):
         self.batches_total.inc()
         for event in events:
             self._observe(event)
-        if self.span_batches and self.tracer is not None and self.tracer.enabled:
+        if self.tracer is not None and self.tracer.enabled:
             ctx = None
             for event in events:
                 ctx = _event_context(event)

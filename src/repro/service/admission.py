@@ -101,10 +101,6 @@ class AdmissionController:
     max_live:
         Optional global bound on concurrently running executions
         (``None``: bounded only by worker shares and tenant quotas).
-    load_aware:
-        Gate warm goal-carrying submissions against the *currently
-        available* budget, not just the idle machine (see module docs).
-        On by default; pass ``False`` for the PR-2 behaviour.
     """
 
     def __init__(
@@ -113,7 +109,6 @@ class AdmissionController:
         tenants: Optional[TenantBook] = None,
         policy: str = HOLD,
         max_live: Optional[int] = None,
-        load_aware: bool = True,
     ):
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
@@ -125,7 +120,6 @@ class AdmissionController:
         self.tenants = tenants or TenantBook()
         self.policy = policy
         self.max_live = max_live
-        self.load_aware = load_aware
 
     # -- feasibility ------------------------------------------------------------
 
@@ -185,7 +179,7 @@ class AdmissionController:
     ) -> Optional[str]:
         """Reason the goal cannot be met under the *current* load.
 
-        ``None`` when the gate does not apply (disabled, no goal, cold
+        ``None`` when the gate does not apply (no goal, cold
         estimates, unknown load) or the goal fits the available budget.
         *available_lp* arrives with the held-queue head's backfill
         reservation already subtracted; *reserved* says how much, so a
@@ -193,7 +187,7 @@ class AdmissionController:
         without it the one-worker floor below would let every tiny goal
         keep backfilling past the held head.
         """
-        if not self.load_aware or available_lp is None or projection is None:
+        if available_lp is None or projection is None:
             return None
         if reserved > 0 and available_lp < 1:
             return (

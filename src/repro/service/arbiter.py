@@ -94,12 +94,6 @@ class LPArbiter:
     min_interval:
         Throttle: skip rebalances closer than this many platform-clock
         seconds to the previous one (completions always rebalance).
-    min_events:
-        Event-count throttle, layered on the time-based one: a non-forced
-        rebalance also requires at least this many analysis ticks
-        (:meth:`note_tick`) since the last applied rebalance.  Bounds
-        arbitration overhead under storms of very fine-grained muscles,
-        where wall-clock alone would still admit a rebalance per event.
     starvation_base:
         Aging base of the fair-share decay: a starved execution competes
         with weight ``weight * starvation_base**k``, where *k* is the
@@ -121,7 +115,6 @@ class LPArbiter:
         platform: Platform,
         capacity: Optional[int] = None,
         min_interval: float = 0.0,
-        min_events: int = 1,
         starvation_base: float = 2.0,
         starvation_unit: float = 1.0,
         history: int = 1024,
@@ -132,8 +125,6 @@ class LPArbiter:
                 "LPArbiter needs a worker budget: pass capacity or give the "
                 "platform a max_parallelism"
             )
-        if min_events < 1:
-            raise ValueError(f"min_events must be >= 1, got {min_events}")
         if starvation_base < 1.0:
             raise ValueError(
                 f"starvation_base must be >= 1.0, got {starvation_base}"
@@ -145,7 +136,6 @@ class LPArbiter:
         self.platform = platform
         self.capacity = int(capacity)
         self.min_interval = min_interval
-        self.min_events = int(min_events)
         self.starvation_base = float(starvation_base)
         self.starvation_unit = float(starvation_unit)
         self.rebalances: Deque[Rebalance] = deque(maxlen=history)
@@ -159,7 +149,6 @@ class LPArbiter:
             Callable[[Rebalance, Tuple[int, ...]], None]
         ] = None
         self._last: Optional[float] = None
-        self._ticks = 0
         #: execution id -> (consecutive passed-over rounds, time first
         #: passed over): the aging clock reads the time, the round count
         #: is observability (:meth:`starved_rounds`).
@@ -173,15 +162,6 @@ class LPArbiter:
 
     # -- arbitration ------------------------------------------------------------
 
-    def note_tick(self) -> None:
-        """Count one analysis point toward the event throttle.
-
-        Deliberately lock-free: a lost increment under a worker-thread
-        race only delays a throttled rebalance by one event, while taking
-        the lock here would serialize every analysis point.
-        """
-        self._ticks += 1
-
     def due(self, now: float) -> bool:
         """Cheap lock-free throttle pre-check for hot event paths.
 
@@ -189,8 +169,6 @@ class LPArbiter:
         locked check in :meth:`rebalance` is authoritative); it never
         spuriously returns ``False`` for a tick that should run.
         """
-        if self.min_events > 1 and self._ticks < self.min_events:
-            return False
         last = self._last
         return (
             self.min_interval <= 0
@@ -211,22 +189,19 @@ class LPArbiter:
         or nothing is live.  Thread-safe; concurrent callers serialize.
         """
         with self._lock:
-            if not force:
-                if self.min_events > 1 and self._ticks < self.min_events:
-                    return None
-                if (
-                    self._last is not None
-                    and self.min_interval > 0
-                    and now - self._last < self.min_interval
-                ):
-                    return None
+            if (
+                not force
+                and self._last is not None
+                and self.min_interval > 0
+                and now - self._last < self.min_interval
+            ):
+                return None
             if not analyzers:
                 self._starved.clear()
                 self._classes.clear()
                 self.platform.set_shares({})
                 return None
             self._last = now
-            self._ticks = 0
             outcome = self._allocate(now, analyzers, trigger)
             self.platform.set_parallelism(outcome.total_lp)
             self.platform.set_shares(outcome.shares)

@@ -126,7 +126,9 @@ class SkeletonService:
     admission_policy:
         ``"hold"`` (default) parks submissions that cannot start yet;
         ``"reject"`` refuses them.  Infeasible WCT goals are always
-        rejected.
+        rejected.  A warm goal feasible only on an idle machine is held
+        by the load gate, and while it heads the queue its minimal LP is
+        reserved against later same-or-lower-priority submissions.
     max_live:
         Optional global cap on concurrently running executions.
     rho / extensions:
@@ -139,24 +141,6 @@ class SkeletonService:
         executions on the worker thread that published the event; pass
         0.0 to re-arbitrate on every analysis point (e.g. on the
         simulator, where ticks are virtual-time).
-    min_rebalance_events:
-        Event-count throttle layered on the time-based one: a tick-driven
-        rebalance also requires at least this many analysis points since
-        the previous applied rebalance.  Useful against storms of very
-        fine-grained muscles, where thousands of events can land inside
-        one ``min_rebalance_interval`` window and each one pays the
-        throttle pre-check; the default 1 disables it.
-    load_aware_admission:
-        Gate warm goal-carrying submissions against the budget the
-        arbiter could actually grant them now (capacity minus same-or-
-        higher-priority commitments), holding goals that are feasible
-        only on an idle machine until load drains.  Default on.
-    backfill_reservation:
-        While the held queue's head is load-held with a warm WCT goal,
-        reserve its admission-time minimal LP against later same-or-
-        lower-priority submissions (their load gate sees that much less
-        budget), so a steady stream of small feasible goals cannot
-        indefinitely backfill past a held wide goal.  Default on.
     plan_cache:
         The shared :class:`~repro.core.planning.PlanCache` backing every
         execution's :class:`~repro.core.planning.PlanEngine` and the
@@ -194,9 +178,6 @@ class SkeletonService:
         rho: float = 0.5,
         extensions: bool = False,
         min_rebalance_interval: float = 0.05,
-        min_rebalance_events: int = 1,
-        load_aware_admission: bool = True,
-        backfill_reservation: bool = True,
         plan_cache: Optional[PlanCache] = None,
         checkpoints: Optional[CheckpointStore] = None,
         observability: Optional[Any] = None,
@@ -226,7 +207,6 @@ class SkeletonService:
         self.capacity = int(capacity)
         self.rho = rho
         self.extensions = extensions
-        self.backfill_reservation = backfill_reservation
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.tenants = TenantBook(default_quota=default_quota, quotas=quotas)
         self.admission = AdmissionController(
@@ -234,13 +214,11 @@ class SkeletonService:
             tenants=self.tenants,
             policy=admission_policy,
             max_live=max_live,
-            load_aware=load_aware_admission,
         )
         self.arbiter = LPArbiter(
             platform,
             capacity=self.capacity,
             min_interval=min_rebalance_interval,
-            min_events=min_rebalance_events,
         )
         self.stats = ServiceStats()
         self._lock = threading.RLock()
@@ -418,10 +396,9 @@ class SkeletonService:
                 self.tenants.queued(tenant)
                 record = _ExecutionRecord(handle, analyzer)
                 record.load_held = decision.load_blocked
-                if self.backfill_reservation:
-                    record.reserved_lp = self.admission.reservation_for(
-                        qos, analyzer.plan
-                    )
+                record.reserved_lp = self.admission.reservation_for(
+                    qos, analyzer.plan
+                )
                 self._held.append(record)
                 return handle
             self._launch_locked(handle, analyzer)
@@ -650,7 +627,7 @@ class SkeletonService:
         anyway — and quota-held heads reserve nothing: workers are not
         what they are waiting for.
         """
-        if not self.backfill_reservation or head is None or not head.reserved_lp:
+        if head is None or not head.reserved_lp:
             return 0
         if not (head.load_held or head.blocked_usable is not None):
             return 0
@@ -735,7 +712,6 @@ class SkeletonService:
         # Throttle pre-check before the global lock: fine-grained muscles
         # publish analysis points far more often than rebalances are due,
         # and a discarded tick must not serialize the worker threads.
-        self.arbiter.note_tick()
         if not self.arbiter.due(self.platform.now()):
             return
         with self._lock:

@@ -348,14 +348,6 @@ class TestReportMemo:
         assert first.minimal_lp(cap=8) == answer
         assert first._minimal_rev == first.adg.rev
 
-    def test_explicit_roots_bypass_the_slot(self):
-        analyzer, _program, now = self.live_analyzer()
-        roots = analyzer.unfinished_roots()
-        first = analyzer.analyze(now, roots=roots)
-        assert first is not None
-        assert analyzer.analyze(now, roots=roots) is not first
-        assert analyzer.analyze(now) is not first
-
     def test_disabled_cache_is_the_from_scratch_baseline(self):
         from repro.core.planning import PlanCache
 

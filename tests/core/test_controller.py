@@ -161,11 +161,6 @@ class TestSelfOptimization:
         max_opt = max(d.lp_after for d in optimal.decisions)
         assert max_opt >= max_min
 
-    def test_min_analysis_interval_throttles(self):
-        _, every, _ = autonomic_run(goal=10.0)
-        _, throttled, _ = autonomic_run(goal=10.0, min_analysis_interval=1.0)
-        assert len(throttled.decisions) < len(every.decisions)
-
 
 class TestDecisionLog:
     def test_summary_fields(self):

@@ -251,14 +251,6 @@ class TestLoadGate:
         )
         assert decision.admitted
 
-    def test_load_aware_false_restores_pr2_behaviour(self):
-        engine = self.warm_map(width=4, duration=1.0)
-        controller = self.controller(load_aware=False)
-        decision = controller.evaluate(
-            QoS.wall_clock(2.0), engine, "t", 1, available_lp=1
-        )
-        assert decision.admitted
-
     def test_reject_policy_rejects_load_blocked(self):
         engine = self.warm_map(width=4, duration=1.0)
         controller = self.controller(policy="reject")

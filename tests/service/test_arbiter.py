@@ -38,7 +38,7 @@ class StubAnalyzer:
         self._width = width
         self._duration = duration
 
-    def analyze(self, now, current_lp=None, roots=None):
+    def analyze(self, now, current_lp=None):
         if self._cold:
             return None
         adg = pending_fanout_adg(self._width, self._duration)

@@ -400,59 +400,30 @@ class TestPriorityClasses:
 
 
 class TestEventCountThrottle:
-    """Satellite: rebalance throttling by analysis-event count."""
+    """Rebalance throttling: forced rebalances bypass the time throttle."""
 
     def analyzers(self):
         return {1: StubAnalyzer(1, deadline=1e6, width=4, duration=1.0)}
-
-    def test_non_forced_rebalance_waits_for_min_events(self):
-        platform = Platform(
-            parallelism=1, max_parallelism=4, clock=VirtualClock()
-        )
-        arbiter = LPArbiter(platform, capacity=4, min_events=3)
-        analyzers = self.analyzers()
-        for tick in range(2):
-            arbiter.note_tick()
-            assert not arbiter.due(float(tick))
-            assert arbiter.rebalance(float(tick), analyzers) is None
-        arbiter.note_tick()
-        assert arbiter.due(2.0)
-        assert arbiter.rebalance(2.0, analyzers) is not None
-        # the applied rebalance resets the event counter
-        arbiter.note_tick()
-        assert arbiter.rebalance(3.0, analyzers) is None
-
-    def test_forced_rebalance_bypasses_and_resets(self):
-        platform = Platform(
-            parallelism=1, max_parallelism=4, clock=VirtualClock()
-        )
-        arbiter = LPArbiter(platform, capacity=4, min_events=5)
-        analyzers = self.analyzers()
-        assert arbiter.rebalance(0.0, analyzers, force=True) is not None
-        arbiter.note_tick()
-        assert arbiter.rebalance(1.0, analyzers) is None  # 1 < 5 again
 
     def test_layered_with_time_throttle(self):
         platform = Platform(
             parallelism=1, max_parallelism=4, clock=VirtualClock()
         )
-        arbiter = LPArbiter(
-            platform, capacity=4, min_interval=1.0, min_events=2
-        )
+        arbiter = LPArbiter(platform, capacity=4, min_interval=1.0)
         analyzers = self.analyzers()
         assert arbiter.rebalance(0.0, analyzers, force=True) is not None
-        # enough events, not enough time
-        arbiter.note_tick()
-        arbiter.note_tick()
+        # not enough time: a tick is throttled, a forced rebalance is not
+        assert not arbiter.due(0.5)
         assert arbiter.rebalance(0.5, analyzers) is None
-        # enough time, events preserved from above
+        assert arbiter.rebalance(0.5, analyzers, force=True) is not None
+        # the forced rebalance restarted the interval
+        assert arbiter.rebalance(1.0, analyzers) is None
+        assert arbiter.due(2.0)
         assert arbiter.rebalance(2.0, analyzers) is not None
 
     def test_validation(self):
         platform = Platform(
             parallelism=1, max_parallelism=4, clock=VirtualClock()
         )
-        with pytest.raises(ValueError, match="min_events"):
-            LPArbiter(platform, capacity=4, min_events=0)
         with pytest.raises(ValueError, match="starvation_base"):
             LPArbiter(platform, capacity=4, starvation_base=0.5)

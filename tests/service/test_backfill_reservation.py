@@ -81,24 +81,6 @@ class TestBackfillReservation:
             assert wide.goal_met() is True
             assert service.stats.tenant("wide").goals_missed == 0
 
-    def test_flag_off_restores_backfilling(self):
-        """``backfill_reservation=False`` reproduces the pre-reservation
-        behaviour: small goals are admitted straight past the held head."""
-        with make_service(backfill_reservation=False) as service:
-            hog = submit_map(service, "hog", qos=QoS.wall_clock(0.4), **HOG)
-            wide = submit_map(
-                service, "wide", value=2, qos=QoS.wall_clock(0.28), **WIDE
-            )
-            assert wide.status() is ExecutionStatus.QUEUED
-            small = submit_map(
-                service, "small", value=3, qos=QoS.wall_clock(5.0), **SMALL
-            )
-            assert small.status() is ExecutionStatus.RUNNING
-            assert service.held_count == 1
-            assert hog.result(timeout=30.0) == 8
-            assert wide.result(timeout=30.0) == 8
-            assert small.result(timeout=30.0) == 3
-
     def test_higher_priority_submissions_pass_the_reservation(self):
         """The reservation binds same-or-lower classes only: a HIGH-class
         small goal is admitted past a NORMAL-class held head (it would
