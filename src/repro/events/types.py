@@ -64,7 +64,9 @@ def event_label(kind: str, when: When, where: Where) -> str:
     concatenates the :class:`When` code and the :class:`Where` code, as in
     the paper's notation ``Δ@event``.
     """
-    return f"{kind}@{when.value}{where.value}"
+    # ``_value_`` is the member's plain attribute; ``.value`` is a
+    # descriptor call, and every event's label passes through here.
+    return f"{kind}@{when._value_}{where._value_}"
 
 
 @dataclass

@@ -109,13 +109,6 @@ class FlightRecorder(Listener):
         self._records: List[Any] = []
         self.dropped = 0
 
-    def _append(self, record: Dict[str, Any]) -> None:
-        with self._lock:
-            if len(self._records) >= self.max_records:
-                self.dropped += 1
-                return
-            self._records.append(record)
-
     def _append_many(self, records: List[Dict[str, Any]]) -> None:
         with self._lock:
             room = self.max_records - len(self._records)
@@ -130,7 +123,11 @@ class FlightRecorder(Listener):
     # -- bus listener --------------------------------------------------
 
     def on_event(self, event: Event):
-        self._append(event)
+        with self._lock:
+            if len(self._records) < self.max_records:
+                self._records.append(event)
+            else:
+                self.dropped += 1
         return event.value
 
     def on_batch(self, events: Sequence[Event]) -> None:
@@ -145,7 +142,9 @@ class FlightRecorder(Listener):
         self.record_spans(tracer.drain())
 
     def record_metrics(self, registry: MetricsRegistry, label: str = "snapshot") -> None:
-        self._append({"type": "metrics", "label": label, "snapshot": registry.snapshot()})
+        self._append_many(
+            [{"type": "metrics", "label": label, "snapshot": registry.snapshot()}]
+        )
 
     # -- readback ------------------------------------------------------
 

@@ -16,7 +16,8 @@ Cost model: when observability is off the instrument simply is not
 registered on the bus, so the hot path pays nothing at all.  When on,
 the per-event cost is one counter increment (dict lookup + add under a
 small lock) and, for AFTER events with a start stamp, one histogram
-observe.
+observe; both are bound once per label value, so the event path never
+builds a label key.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Sequence
 
 from ..events.bus import Listener
-from ..events.types import Event, When
+from ..events.types import Event, When, event_label
 from .registry import MetricsRegistry
-from .tracing import Tracer
+from .tracing import TraceContext, Tracer
 
 __all__ = ["BusInstrument", "bind_stats_gauges"]
 
@@ -74,26 +75,34 @@ class BusInstrument(Listener):
             "repro_muscle_latency_seconds",
             "Muscle execution latency (AFTER.timestamp - started_at)",
         )
-
-    def _observe(self, event: Event) -> None:
-        self.events_total.inc(label=event.label)
-        if event.when is When.AFTER:
-            started = event.extra.get("started_at")
-            if started is not None:
-                self.muscle_latency.observe(
-                    max(0.0, event.timestamp - started), kind=event.kind
-                )
+        #: label -> its bound ``inc``; kind -> its bound ``observe``.
+        self._count_label: Dict[str, Callable[[], None]] = {}
+        self._latency_kind: Dict[str, Callable[[float], None]] = {}
 
     def on_event(self, event: Event):
         # No span for a lone event: it is already in the flight log with
         # its trace ids, and a zero-duration span would only add cost.
-        self._observe(event)
+        label = event_label(event.kind, event.when, event.where)
+        inc = self._count_label.get(label)
+        if inc is None:
+            inc = self._count_label[label] = self.events_total.bound_inc(label=label)
+        inc()
+        if event.when is When.AFTER:
+            started = event.extra.get("started_at")
+            if started is not None:
+                kind = event.kind
+                observe = self._latency_kind.get(kind)
+                if observe is None:
+                    observe = self._latency_kind[kind] = (
+                        self.muscle_latency.bound_observe(kind=kind)
+                    )
+                observe(max(0.0, event.timestamp - started))
         return event.value
 
     def on_batch(self, events: Sequence[Event]) -> None:
         self.batches_total.inc()
         for event in events:
-            self._observe(event)
+            self.on_event(event)
         if self.tracer is not None and self.tracer.enabled:
             ctx = None
             for event in events:
@@ -101,17 +110,14 @@ class BusInstrument(Listener):
                 if ctx is not None:
                     break
             if ctx is not None:
-                start = min(e.timestamp for e in events)
-                end = max(e.timestamp for e in events)
+                stamps = [e.timestamp for e in events]
                 span = self.tracer.start_span(
-                    "event_batch", context=ctx, start=start, size=len(events)
+                    "event_batch", context=ctx, start=min(stamps), size=len(events)
                 )
-                span.finish(end=end)
+                span.finish(end=max(stamps))
 
 
 def _event_context(event: Event):
-    from .tracing import TraceContext
-
     if event.trace_id is None:
         return None
     return TraceContext(event.trace_id, event.span_id or "", sampled=True)

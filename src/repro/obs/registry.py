@@ -26,6 +26,8 @@ Design notes
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
@@ -63,9 +65,15 @@ class Counter:
         self._children: Dict[LabelTuple, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
+        self._add(_label_tuple(labels), amount)
+
+    def bound_inc(self, **labels: str) -> Callable[..., None]:
+        """``inc`` for one label set, its key resolved once (for hot paths)."""
+        return partial(self._add, _label_tuple(labels))
+
+    def _add(self, key: LabelTuple, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError("counters can only increase")
-        key = _label_tuple(labels)
         with self._lock:
             self._children[key] = self._children.get(key, 0.0) + amount
 
@@ -147,9 +155,8 @@ class _HistogramChild:
 class Histogram:
     """Fixed-bucket histogram family with quantile queries.
 
-    ``observe`` is O(#buckets) worst case (a short linear scan beats
-    bisect for ~15 buckets); ``quantile`` interpolates linearly within
-    the winning bucket.
+    ``observe`` bisects the bucket bounds; ``quantile`` interpolates
+    linearly within the winning bucket.
     """
 
     kind = "histogram"
@@ -175,14 +182,18 @@ class Histogram:
         return child
 
     def observe(self, value: float, **labels: str) -> None:
-        key = _label_tuple(labels)
-        idx = len(self.buckets)  # +Inf bucket
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                idx = i
-                break
+        self._observe(_label_tuple(labels), value)
+
+    def bound_observe(self, **labels: str) -> Callable[[float], None]:
+        """``observe`` for one label set, its key resolved once (for hot paths)."""
+        return partial(self._observe, _label_tuple(labels))
+
+    def _observe(self, key: LabelTuple, value: float) -> None:
+        # The first bound >= value; NaN compares false to every bound
+        # and lands in the +Inf bucket.
+        idx = bisect_left(self.buckets, value) if value == value else len(self.buckets)
         with self._lock:
-            child = self._child(key)
+            child = self._children.get(key) or self._child(key)
             child.counts[idx] += 1
             child.total += value
             child.count += 1

@@ -32,18 +32,17 @@ from typing import Callable, Dict, Iterator, List, Optional
 
 __all__ = ["TraceContext", "Span", "Tracer", "new_trace_id", "new_span_id"]
 
-_id_lock = threading.Lock()
+#: ``getrandbits`` is one call into C, so concurrent callers need no
+#: lock around it.
 _id_rng = random.Random()
 
 
 def new_trace_id() -> str:
-    with _id_lock:
-        return "%016x" % _id_rng.getrandbits(64)
+    return "%016x" % _id_rng.getrandbits(64)
 
 
 def new_span_id() -> str:
-    with _id_lock:
-        return "%08x" % _id_rng.getrandbits(32)
+    return "%08x" % _id_rng.getrandbits(32)
 
 
 class TraceContext:
@@ -105,9 +104,8 @@ class Span:
         self.status = "ok"
         self._tracer = tracer
 
-    @property
-    def recording(self) -> bool:
-        return True
+    #: A real span records; the shared no-op span says ``False``.
+    recording = True
 
     @property
     def duration(self) -> Optional[float]:
@@ -269,8 +267,8 @@ class Tracer:
             new_span_id(),
             parent_id,
             self._clock() if start is None else start,
-            tracer=self,
-            attrs=attrs or None,
+            self,
+            attrs,
         )
 
     def span(self, name: str, context: Optional[TraceContext] = None, **attrs):

@@ -245,7 +245,7 @@ class SkeletonService:
             self._rebalance_duration = observability.metrics.histogram(
                 "repro_rebalance_duration_seconds",
                 "Wall-clock cost of one applied arbiter rebalance",
-            )
+            ).bound_observe()
             self._ckpt_counter = observability.metrics.counter(
                 "repro_checkpoints_total",
                 "Checkpoints committed, by kind (initial/boundary/final)",
@@ -723,23 +723,21 @@ class SkeletonService:
 
     def _rebalance_locked(self, trigger: str, force: bool) -> Optional[Any]:
         analyzers = {eid: rec.analyzer for eid, rec in self._live.items()}
-        started = (
-            self.platform.now() if self._rebalance_duration is not None else None
-        )
+        # The span and the duration histogram share two platform-clock
+        # reads, one on each side of the arbitration.
+        now = self.platform.now()
         span = self.platform.tracer.start_span(
-            "rebalance", context=self._service_trace, trigger=trigger
+            "rebalance", context=self._service_trace, start=now, trigger=trigger
         )
-        outcome = self.arbiter.rebalance(
-            self.platform.now(), analyzers, trigger=trigger, force=force
-        )
-        if span.recording:
-            span.set_attr("applied", outcome is not None)
-            span.set_attr("live", len(analyzers))
-            span.finish()
-        if started is not None and outcome is not None:
-            self._rebalance_duration.observe(
-                max(0.0, self.platform.now() - started)
-            )
+        outcome = self.arbiter.rebalance(now, analyzers, trigger=trigger, force=force)
+        timed = self._rebalance_duration is not None and outcome is not None
+        if span.recording or timed:
+            ended = self.platform.now()
+            if span.recording:
+                span.attrs.update(applied=outcome is not None, live=len(analyzers))
+                span.finish(end=ended)
+            if timed:
+                self._rebalance_duration(max(0.0, ended - now))
         if outcome is not None:
             infeasible = set(outcome.infeasible)
             cold = set(outcome.cold)

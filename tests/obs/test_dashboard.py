@@ -98,6 +98,14 @@ class TestObservabilityFacade:
         with pytest.raises(RuntimeError):
             obs.attach(b)
 
+    def test_the_tracer_keeps_the_platform_time(self):
+        platform = SimulatedPlatform(parallelism=2, cost_model=ConstantCostModel(1.0))
+        obs = Observability(sample_rate=1.0)
+        obs.attach(platform)
+        run(sim_program(), 3, platform)
+        assert platform.now() > 0.0
+        assert obs.tracer.now() == platform.now()
+
     def test_export_surfaces(self, tmp_path):
         platform = SimulatedPlatform(parallelism=2, cost_model=ConstantCostModel(1.0))
         obs = Observability(sample_rate=1.0)

@@ -39,6 +39,17 @@ class TestCounter:
         with pytest.raises(ValueError):
             Counter("x").inc(-1)
 
+    def test_bound_inc_counts_into_its_labels(self):
+        c = Counter("events_total")
+        inc = c.bound_inc(label="map@bs")
+        inc()
+        inc(2)
+        c.inc(label="map@bs")
+        assert c.value(label="map@bs") == 4
+        assert c.samples() == [((("label", "map@bs"),), 4.0)]
+        with pytest.raises(ValueError):
+            inc(-1)
+
     def test_concurrent_increments_are_lost_update_free(self):
         c = Counter("x")
 
@@ -86,6 +97,27 @@ class TestHistogram:
         assert h.sum() == pytest.approx(55.55)
         ((_, counts, _, _),) = h.samples()
         assert counts == [1, 1, 1, 1]  # one per bucket incl. +Inf
+
+    def test_a_bound_is_inclusive_and_nan_lands_in_inf(self):
+        h = Histogram("lat", buckets=(0.1, 1.0, 10.0))
+        for v in (0.1, 1.0, 10.0, 10.5, float("nan")):
+            h.observe(v)
+        ((_, counts, _, count),) = h.samples()
+        assert counts == [1, 1, 1, 2]
+        assert count == 5
+
+    def test_bound_observe_counts_into_its_labels(self):
+        h = Histogram("lat", buckets=(1.0, 2.0))
+        observe = h.bound_observe(kind="map")
+        observe(0.5)
+        observe(1.5)
+        h.observe(3.0, kind="map")
+        assert h.count(kind="map") == 3
+        assert h.sum(kind="map") == pytest.approx(5.0)
+        assert h.count() == 0
+        ((labels, counts, _, _),) = h.samples()
+        assert labels == (("kind", "map"),)
+        assert counts == [1, 1, 1]
 
     def test_quantiles_interpolate(self):
         h = Histogram("lat", buckets=(1.0, 2.0, 4.0))

@@ -405,6 +405,21 @@ class TestEventCountThrottle:
     def analyzers(self):
         return {1: StubAnalyzer(1, deadline=1e6, width=4, duration=1.0)}
 
+    def test_forced_rebalance_bypasses_and_resets(self):
+        platform = Platform(
+            parallelism=1, max_parallelism=4, clock=VirtualClock()
+        )
+        arbiter = LPArbiter(platform, capacity=4, min_interval=5.0)
+        analyzers = self.analyzers()
+        assert arbiter.rebalance(0.0, analyzers) is not None
+        assert arbiter.rebalance(1.0, analyzers) is None
+        assert arbiter.rebalance(1.0, analyzers, force=True) is not None
+        # the forced rebalance restarted the interval from 1.0
+        assert arbiter.rebalance(5.5, analyzers) is None
+        assert not arbiter.due(5.5)
+        assert arbiter.due(6.0)
+        assert arbiter.rebalance(6.0, analyzers) is not None
+
     def test_layered_with_time_throttle(self):
         platform = Platform(
             parallelism=1, max_parallelism=4, clock=VirtualClock()
