@@ -19,9 +19,10 @@ behind explicit invalidation:
   (:meth:`PlanEngine.structural_plan`), and every schedule derived from
   one is kept beside it under the plan's engine-independent token;
 * **a live graph's plans live on its record** — the pinned base, the
-  critical-path priorities, the best-effort and limited-LP schedules
-  and the minimal-LP answers, for the graph's current revision and one
-  *now*, dropped when either moves.  They key on the *graph's*
+  critical-path priorities and the best-effort and limited-LP schedules,
+  for the graph's current revision and one *now*, dropped when either
+  moves.  (Minimal-LP answers are kept once, per report:
+  :class:`~repro.core.analysis.AnalysisReport`.)  They key on the *graph's*
   revision, so a window of pure no-ops, which moves the machine
   revision but not the graph, keeps them.  The pinned actuals
   (``compiled_pin``) and the priorities (``compiled_critical_path``)
@@ -125,8 +126,8 @@ class _Carried:
     the graph, each with the rows the table has had written through
     since (what the next delta advances them over).  ``plans`` is
     ``(now, {key: plan})``: the graph's best-effort and limited-LP
-    schedules and minimal-LP answers at revision ``rev`` and one *now*,
-    dropped when either moves.
+    schedules at revision ``rev`` and one *now*, dropped when either
+    moves.
     """
 
     __slots__ = (
@@ -661,10 +662,6 @@ class PlanEngine:
         below it, nor for one capped there.
         """
         token, table, rec = self._resolve(adg)
-        key = ("mlp", deadline, cap, start_lp)
-        kept = self._kept(token, rec, now, key)
-        if kept is not None:
-            return kept[0]
         answer: Optional[int] = None
         base = self._pinned_compiled(adg, now, token, table, rec)
         pending_work = base.pending_work(table)
@@ -697,7 +694,6 @@ class PlanEngine:
                 answer = lp
                 break
             lp += 1
-        self._keep(token, rec, now, key, (answer,))
         return answer
 
     # -- structural (admission) arithmetic ---------------------------------------------

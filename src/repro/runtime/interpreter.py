@@ -22,6 +22,12 @@ Design rules:
   inline at start (Seq/Map/Fork/If/D&C children qualify; Farm/Pipe/
   While/For children emit their own ``@b`` during ``_start``, so their
   markers stay per-event to preserve the exact event order);
+* **three shapes, each written once**: around its nested skeletons every
+  pattern is a *fan-out* (split task → one child per part → barrier →
+  merge task: Map, Fork, a D&C division), a *condition step* (one
+  condition task whose boolean picks what runs next: While, If, a D&C
+  node) or a *stage loop* (nested instances one after another: Pipe,
+  For); Seq is one task and Farm wraps its one nested instance;
 * **instance indices**: every skeleton-instance execution draws a fresh
   index; all its events carry that index (the ``i`` of the paper), plus
   the parent instance's index, which is how the autonomic layer attaches
@@ -265,13 +271,16 @@ def _submit_task(
 
 _NO_EXTRA = lambda _v: {}
 
+#: The extras of an instance whose events carry none (shared, never mutated).
+_NO_EXTRAS: dict = {}
+
 #: Skeletons whose ``_start`` publishes events inline before any task is
 #: submitted; starting them must stay interleaved with their fan-out
 #: markers, so marker batching is skipped for children of these kinds.
 _INLINE_EMITTING = (Farm, Pipe, While, For)
 
 
-def _fanout_markers(inst: _Instance, parts, make_extra) -> Optional[list]:
+def _fanout_markers(inst: _Instance, parts, extra: dict) -> Optional[list]:
     """Batch-publish a fan-out's per-child ``BEFORE NESTED`` markers.
 
     Returns the listener-transformed child values (one bus transaction
@@ -287,7 +296,7 @@ def _fanout_markers(inst: _Instance, parts, make_extra) -> Optional[list]:
     worker = platform.current_worker()
     batch = EventBatch(
         inst.build_event(
-            When.BEFORE, Where.NESTED, part, worker=worker, **make_extra(j)
+            When.BEFORE, Where.NESTED, part, worker=worker, child=j, **extra
         )
         for j, part in enumerate(parts)
     )
@@ -295,7 +304,173 @@ def _fanout_markers(inst: _Instance, parts, make_extra) -> Optional[list]:
 
 
 # ---------------------------------------------------------------------------
-# seq
+# the three shapes (see the design rules above)
+
+
+def _fan_out(
+    skel,
+    value: Any,
+    state: _ExecState,
+    inst: _Instance,
+    cont: Continuation,
+    subs,
+    start_child: Callable[..., None],
+    extra: dict = _NO_EXTRAS,
+    begins: bool = True,
+) -> None:
+    """Split → one nested child per part → barrier → merge.
+
+    *subs* is the sub-skeleton every part runs (Map; a D&C division,
+    whose parts are nodes of the D&C itself) or the tuple of one
+    sub-skeleton per part (Fork, whose split must produce exactly that
+    many parts).  ``start_child(sub, part, state, inst, cont)`` starts one
+    child, with :func:`_start`'s signature.  *extra* holds the extras every
+    event of the instance carries (a D&C node's ``depth``; read-only);
+    *begins* says whether the split task also emits the instance's ``@b``
+    (a D&C node emitted it with its condition).
+    """
+    per_part = isinstance(subs, tuple)
+    inline = (
+        any(isinstance(s, _INLINE_EMITTING) for s in subs)
+        if per_part
+        else isinstance(subs, _INLINE_EMITTING)
+    )
+    same = lambda _v: extra
+    if extra:
+        def nested(when: When, v: Any, j: int) -> Any:
+            return inst.emit(when, Where.NESTED, v, child=j, **extra)
+    else:
+        def nested(when: When, v: Any, j: int) -> Any:
+            return inst.emit(when, Where.NESTED, v, child=j)
+
+    def merge_ready(results) -> None:
+        _submit_task(
+            state,
+            inst,
+            skel.merge,
+            results,
+            before_events=[(When.BEFORE, Where.MERGE, same)],
+            after_events=[
+                (When.AFTER, Where.MERGE, same),
+                (When.AFTER, Where.SKELETON, same),
+            ],
+            continuation=cont,
+        )
+
+    def split_done(parts) -> None:
+        parts = list(parts)
+        if per_part and len(parts) != len(subs):
+            raise ExecutionError(
+                f"fork split produced {len(parts)} sub-problems for "
+                f"{len(subs)} nested skeletons"
+            )
+        barrier = Barrier(len(parts), _guarded(state, merge_ready))
+        batched = None if inline else _fanout_markers(inst, parts, extra)
+        for j, part in enumerate(parts if batched is None else batched):
+            if batched is None:
+                part = nested(When.BEFORE, part, j)
+
+            def child_done(result: Any, j: int = j) -> None:
+                barrier.arrive(j, nested(When.AFTER, result, j))
+
+            sub = subs[j] if per_part else subs
+            start_child(sub, part, state, inst, _guarded(state, child_done))
+
+    split_before = [(When.BEFORE, Where.SPLIT, same)]
+    if begins:
+        split_before.insert(0, (When.BEFORE, Where.SKELETON, same))
+    _submit_task(
+        state,
+        inst,
+        skel.split,
+        value,
+        before_events=split_before,
+        after_events=[
+            (When.AFTER, Where.SPLIT, lambda parts: {**extra, "fs_card": len(parts)})
+        ],
+        continuation=split_done,
+    )
+
+
+def _submit_condition(
+    skel,
+    value: Any,
+    state: _ExecState,
+    inst: _Instance,
+    cont: Continuation,
+    extra: dict = _NO_EXTRAS,
+    begins: bool = False,
+) -> None:
+    """Run *skel*'s condition muscle as one task.
+
+    The task computes a ``(value, flag)`` pair: its events carry only the
+    value (plus ``cond_result`` after), listeners transform only that,
+    and *cont* receives the rebuilt pair.  *extra* rides every event
+    (read-only); *begins* says whether the task also emits the instance's
+    ``@b`` (While emitted it inline before its first condition).
+    """
+    same = lambda _v: extra
+    before = [(When.BEFORE, Where.CONDITION, same)]
+    if begins:
+        before.insert(0, (When.BEFORE, Where.SKELETON, same))
+    _submit_task(
+        state,
+        inst,
+        skel.condition,
+        value,
+        before_events=before,
+        after_events=[
+            (When.AFTER, Where.CONDITION, lambda pair: {**extra, "cond_result": pair[1]})
+        ],
+        continuation=cont,
+        body=ConditionBody(skel.condition),
+        event_payload=lambda pair: pair[0],
+        rebuild=lambda pair, v: (v, pair[1]),
+    )
+
+
+def _run_stages(
+    stages, key: str, value: Any, state: _ExecState, inst: _Instance, cont: Continuation
+) -> None:
+    """Run *stages* one after another, each a nested instance.
+
+    ``@b``, then per stage ``k`` a ``@bn``/``@an`` pair carrying
+    ``{key: k}`` around it, then ``@a``.
+    """
+    value = inst.emit(When.BEFORE, Where.SKELETON, value)
+
+    def run_stage(k: int, current: Any) -> None:
+        if k == len(stages):
+            cont(inst.emit(When.AFTER, Where.SKELETON, current))
+            return
+        current = inst.emit(When.BEFORE, Where.NESTED, current, **{key: k})
+
+        def stage_done(result: Any, k: int = k) -> None:
+            run_stage(k + 1, inst.emit(When.AFTER, Where.NESTED, result, **{key: k}))
+
+        _start(stages[k], current, state, inst, _guarded(state, stage_done))
+
+    run_stage(0, value)
+
+
+def _start_last(
+    sub: Skeleton,
+    value: Any,
+    state: _ExecState,
+    inst: _Instance,
+    cont: Continuation,
+    extra: dict = _NO_EXTRAS,
+) -> None:
+    """Start *sub* as the instance's last step; its result ends the instance."""
+
+    def done(result: Any) -> None:
+        cont(inst.emit(When.AFTER, Where.SKELETON, result, **extra))
+
+    _start(sub, value, state, inst, _guarded(state, done))
+
+
+# ---------------------------------------------------------------------------
+# the patterns
 
 
 def _start_seq(skel: Seq, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
@@ -310,46 +485,17 @@ def _start_seq(skel: Seq, value: Any, state: _ExecState, inst: _Instance, cont: 
     )
 
 
-# ---------------------------------------------------------------------------
-# farm
-
-
 def _start_farm(skel: Farm, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
     value = inst.emit(When.BEFORE, Where.SKELETON, value)
-
-    def done(result: Any) -> None:
-        result = inst.emit(When.AFTER, Where.SKELETON, result)
-        cont(result)
-
-    _start(skel.subskel, value, state, inst, _guarded(state, done))
-
-
-# ---------------------------------------------------------------------------
-# pipe
+    _start_last(skel.subskel, value, state, inst, cont)
 
 
 def _start_pipe(skel: Pipe, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
-    value = inst.emit(When.BEFORE, Where.SKELETON, value)
-    stages = skel.stages
-
-    def run_stage(k: int, current: Any) -> None:
-        if k == len(stages):
-            current = inst.emit(When.AFTER, Where.SKELETON, current)
-            cont(current)
-            return
-        current = inst.emit(When.BEFORE, Where.NESTED, current, stage=k)
-
-        def stage_done(result: Any, k: int = k) -> None:
-            result = inst.emit(When.AFTER, Where.NESTED, result, stage=k)
-            run_stage(k + 1, result)
-
-        _start(stages[k], current, state, inst, _guarded(state, stage_done))
-
-    run_stage(0, value)
+    _run_stages(skel.stages, "stage", value, state, inst, cont)
 
 
-# ---------------------------------------------------------------------------
-# while
+def _start_for(skel: For, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
+    _run_stages((skel.subskel,) * skel.times, "iteration", value, state, inst, cont)
 
 
 def _start_while(skel: While, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
@@ -358,210 +504,34 @@ def _start_while(skel: While, value: Any, state: _ExecState, inst: _Instance, co
     def evaluate_condition(current: Any, iteration: int) -> None:
         def cond_done(pair) -> None:
             v, flag = pair
-            if flag:
-                def body_done(result: Any) -> None:
-                    evaluate_condition(result, iteration + 1)
+            if not flag:
+                cont(inst.emit(When.AFTER, Where.SKELETON, v))
+                return
 
-                _start(skel.subskel, v, state, inst, _guarded(state, body_done))
-            else:
-                out = inst.emit(When.AFTER, Where.SKELETON, v)
-                cont(out)
+            def body_done(result: Any) -> None:
+                evaluate_condition(result, iteration + 1)
 
-        _submit_task(
-            state,
-            inst,
-            skel.condition,
-            current,
-            before_events=[
-                (When.BEFORE, Where.CONDITION, lambda _v, k=iteration: {"iteration": k})
-            ],
-            after_events=[
-                (
-                    When.AFTER,
-                    Where.CONDITION,
-                    lambda pair, k=iteration: {"iteration": k, "cond_result": pair[1]},
-                )
-            ],
-            continuation=cond_done,
-            body=ConditionBody(skel.condition),
-            event_payload=lambda pair: pair[0],
-            rebuild=lambda pair, v: (v, pair[1]),
-        )
+            _start(skel.subskel, v, state, inst, _guarded(state, body_done))
+
+        _submit_condition(skel, current, state, inst, cond_done, {"iteration": iteration})
 
     evaluate_condition(value, 0)
-
-
-# ---------------------------------------------------------------------------
-# for
-
-
-def _start_for(skel: For, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
-    value = inst.emit(When.BEFORE, Where.SKELETON, value)
-    times = skel.times
-
-    def run_iteration(k: int, current: Any) -> None:
-        if k == times:
-            current = inst.emit(When.AFTER, Where.SKELETON, current)
-            cont(current)
-            return
-        current = inst.emit(When.BEFORE, Where.NESTED, current, iteration=k)
-
-        def iter_done(result: Any, k: int = k) -> None:
-            result = inst.emit(When.AFTER, Where.NESTED, result, iteration=k)
-            run_iteration(k + 1, result)
-
-        _start(skel.subskel, current, state, inst, _guarded(state, iter_done))
-
-    run_iteration(0, value)
-
-
-# ---------------------------------------------------------------------------
-# if
 
 
 def _start_if(skel: If, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
     def cond_done(pair) -> None:
         v, flag = pair
-        branch = skel.true_skel if flag else skel.false_skel
+        _start_last(skel.true_skel if flag else skel.false_skel, v, state, inst, cont)
 
-        def branch_done(result: Any) -> None:
-            result = inst.emit(When.AFTER, Where.SKELETON, result)
-            cont(result)
-
-        _start(branch, v, state, inst, _guarded(state, branch_done))
-
-    _submit_task(
-        state,
-        inst,
-        skel.condition,
-        value,
-        before_events=[
-            (When.BEFORE, Where.SKELETON, _NO_EXTRA),
-            (When.BEFORE, Where.CONDITION, _NO_EXTRA),
-        ],
-        after_events=[
-            (When.AFTER, Where.CONDITION, lambda pair: {"cond_result": pair[1]})
-        ],
-        continuation=cond_done,
-        body=ConditionBody(skel.condition),
-        event_payload=lambda pair: pair[0],
-        rebuild=lambda pair, v: (v, pair[1]),
-    )
-
-
-# ---------------------------------------------------------------------------
-# map
+    _submit_condition(skel, value, state, inst, cond_done, begins=True)
 
 
 def _start_map(skel: Map, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
-    def split_done(parts) -> None:
-        parts = list(parts)
-
-        def merge_ready(results) -> None:
-            _submit_task(
-                state,
-                inst,
-                skel.merge,
-                results,
-                before_events=[(When.BEFORE, Where.MERGE, _NO_EXTRA)],
-                after_events=[
-                    (When.AFTER, Where.MERGE, _NO_EXTRA),
-                    (When.AFTER, Where.SKELETON, _NO_EXTRA),
-                ],
-                continuation=cont,
-            )
-
-        barrier = Barrier(len(parts), _guarded(state, merge_ready))
-        batched = (
-            _fanout_markers(inst, parts, lambda j: {"child": j})
-            if not isinstance(skel.subskel, _INLINE_EMITTING)
-            else None
-        )
-        for j, part in enumerate(parts if batched is None else batched):
-            if batched is None:
-                part = inst.emit(When.BEFORE, Where.NESTED, part, child=j)
-
-            def child_done(result: Any, j: int = j) -> None:
-                result = inst.emit(When.AFTER, Where.NESTED, result, child=j)
-                barrier.arrive(j, result)
-
-            _start(skel.subskel, part, state, inst, _guarded(state, child_done))
-
-    _submit_task(
-        state,
-        inst,
-        skel.split,
-        value,
-        before_events=[
-            (When.BEFORE, Where.SKELETON, _NO_EXTRA),
-            (When.BEFORE, Where.SPLIT, _NO_EXTRA),
-        ],
-        after_events=[
-            (When.AFTER, Where.SPLIT, lambda parts: {"fs_card": len(parts)})
-        ],
-        continuation=split_done,
-    )
-
-
-# ---------------------------------------------------------------------------
-# fork
+    _fan_out(skel, value, state, inst, cont, skel.subskel, _start)
 
 
 def _start_fork(skel: Fork, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
-    def split_done(parts) -> None:
-        parts = list(parts)
-        if len(parts) != len(skel.subskels):
-            raise ExecutionError(
-                f"fork split produced {len(parts)} sub-problems for "
-                f"{len(skel.subskels)} nested skeletons"
-            )
-
-        def merge_ready(results) -> None:
-            _submit_task(
-                state,
-                inst,
-                skel.merge,
-                results,
-                before_events=[(When.BEFORE, Where.MERGE, _NO_EXTRA)],
-                after_events=[
-                    (When.AFTER, Where.MERGE, _NO_EXTRA),
-                    (When.AFTER, Where.SKELETON, _NO_EXTRA),
-                ],
-                continuation=cont,
-            )
-
-        barrier = Barrier(len(parts), _guarded(state, merge_ready))
-        batched = (
-            _fanout_markers(inst, parts, lambda j: {"child": j})
-            if not any(isinstance(s, _INLINE_EMITTING) for s in skel.subskels)
-            else None
-        )
-        for j, (sub, part) in enumerate(
-            zip(skel.subskels, parts if batched is None else batched)
-        ):
-            if batched is None:
-                part = inst.emit(When.BEFORE, Where.NESTED, part, child=j)
-
-            def child_done(result: Any, j: int = j) -> None:
-                result = inst.emit(When.AFTER, Where.NESTED, result, child=j)
-                barrier.arrive(j, result)
-
-            _start(sub, part, state, inst, _guarded(state, child_done))
-
-    _submit_task(
-        state,
-        inst,
-        skel.split,
-        value,
-        before_events=[
-            (When.BEFORE, Where.SKELETON, _NO_EXTRA),
-            (When.BEFORE, Where.SPLIT, _NO_EXTRA),
-        ],
-        after_events=[
-            (When.AFTER, Where.SPLIT, lambda parts: {"fs_card": len(parts)})
-        ],
-        continuation=split_done,
-    )
+    _fan_out(skel, value, state, inst, cont, skel.subskels, _start)
 
 
 # ---------------------------------------------------------------------------
@@ -573,119 +543,30 @@ def _start_fork(skel: Fork, value: Any, state: _ExecState, inst: _Instance, cont
 # unexplored part of the tree from |fc| (estimated depth) and |fs| (fan-out).
 
 
-def _start_dac(skel: DivideAndConquer, value: Any, state: _ExecState, inst: _Instance, cont: Continuation) -> None:
-    _start_dac_node(skel, value, state, inst, cont, depth=0)
-
-
-def _start_dac_node(
+def _start_dac(
     skel: DivideAndConquer,
     value: Any,
     state: _ExecState,
     inst: _Instance,
     cont: Continuation,
-    depth: int,
+    depth: int = 0,
 ) -> None:
+    extra = {"depth": depth}
+
+    def start_node(sub, part, state, parent, child_cont) -> None:
+        # Each sub-problem is a new dac *instance* one level deeper.  Its
+        # condition is a task (no inline emits), so the markers batch.
+        node = _Instance(sub, parent, state)
+        _start_dac(sub, part, state, node, child_cont, depth + 1)
+
     def cond_done(pair) -> None:
         v, divide = pair
         if divide:
-            _dac_divide(skel, v, state, inst, cont, depth)
+            _fan_out(skel, v, state, inst, cont, skel, start_node, extra, begins=False)
         else:
-            def leaf_done(result: Any) -> None:
-                result = inst.emit(When.AFTER, Where.SKELETON, result, depth=depth)
-                cont(result)
+            _start_last(skel.subskel, v, state, inst, cont, extra)
 
-            _start(skel.subskel, v, state, inst, _guarded(state, leaf_done))
-
-    _submit_task(
-        state,
-        inst,
-        skel.condition,
-        value,
-        before_events=[
-            (When.BEFORE, Where.SKELETON, lambda _v: {"depth": depth}),
-            (When.BEFORE, Where.CONDITION, lambda _v: {"depth": depth}),
-        ],
-        after_events=[
-            (
-                When.AFTER,
-                Where.CONDITION,
-                lambda pair: {"depth": depth, "cond_result": pair[1]},
-            )
-        ],
-        continuation=cond_done,
-        body=ConditionBody(skel.condition),
-        event_payload=lambda pair: pair[0],
-        rebuild=lambda pair, v: (v, pair[1]),
-    )
-
-
-def _dac_divide(
-    skel: DivideAndConquer,
-    value: Any,
-    state: _ExecState,
-    inst: _Instance,
-    cont: Continuation,
-    depth: int,
-) -> None:
-    def split_done(parts) -> None:
-        parts = list(parts)
-
-        def merge_ready(results) -> None:
-            _submit_task(
-                state,
-                inst,
-                skel.merge,
-                results,
-                before_events=[
-                    (When.BEFORE, Where.MERGE, lambda _v: {"depth": depth})
-                ],
-                after_events=[
-                    (When.AFTER, Where.MERGE, lambda _v: {"depth": depth}),
-                    (When.AFTER, Where.SKELETON, lambda _v: {"depth": depth}),
-                ],
-                continuation=cont,
-            )
-
-        barrier = Barrier(len(parts), _guarded(state, merge_ready))
-        # Child nodes start through a condition *task* (no inline emits),
-        # so the fan-out markers always batch.
-        batched = _fanout_markers(
-            inst, parts, lambda j: {"child": j, "depth": depth}
-        )
-        for j, part in enumerate(parts if batched is None else batched):
-            if batched is None:
-                part = inst.emit(
-                    When.BEFORE, Where.NESTED, part, child=j, depth=depth
-                )
-
-            def child_done(result: Any, j: int = j) -> None:
-                result = inst.emit(
-                    When.AFTER, Where.NESTED, result, child=j, depth=depth
-                )
-                barrier.arrive(j, result)
-
-            # Each sub-problem is a new dac *instance* one level deeper.
-            child_inst = _Instance(skel, inst, state)
-            _start_dac_node(
-                skel, part, state, child_inst,
-                _guarded(state, child_done), depth + 1,
-            )
-
-    _submit_task(
-        state,
-        inst,
-        skel.split,
-        value,
-        before_events=[(When.BEFORE, Where.SPLIT, lambda _v: {"depth": depth})],
-        after_events=[
-            (
-                When.AFTER,
-                Where.SPLIT,
-                lambda parts: {"depth": depth, "fs_card": len(parts)},
-            )
-        ],
-        continuation=split_done,
-    )
+    _submit_condition(skel, value, state, inst, cond_done, extra, begins=True)
 
 
 _STARTERS = {

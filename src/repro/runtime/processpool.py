@@ -11,13 +11,15 @@ Architecture (everything stateful stays in the parent process):
 * a FIFO queue of :class:`~repro.runtime.task.MuscleTask` objects, exactly
   like the thread pool's — continuations spawned during a task's epilogue
   are prepended depth-first; the queue/batching/retirement/share plumbing
-  shared with the thread pool lives in
+  of all three pools lives in
   :class:`~repro.runtime.poolbase._PoolPlatformBase`;
-* a **dispatcher thread** that pairs queued tasks with idle workers.  It
-  emits the BEFORE events (in-process, on behalf of the worker), snapshots
-  each task into a picklable :class:`~repro.runtime.task.TaskEnvelope`
-  and ships a *chunk* of envelopes per handoff — batching amortizes the
-  IPC cost for fine-grained Map/Farm tasks;
+* a **dispatcher thread** that pairs queued tasks with idle workers — the
+  one shared with the socket pool,
+  :class:`~repro.runtime.poolbase._ChunkedPoolBase`.  It emits the BEFORE
+  events (in-process, on behalf of the worker), snapshots each task into
+  a picklable :class:`~repro.runtime.task.TaskEnvelope` and ships a
+  *chunk* of envelopes per handoff — batching amortizes the IPC cost for
+  fine-grained Map/Farm tasks;
 * one **worker process** per LP unit, running a tiny loop: receive
   envelopes, run the muscle bodies, send back results (or exceptions),
   each tagged with the **worker-side start timestamp** of the body;
@@ -51,12 +53,12 @@ import pickle
 import threading
 import time
 from multiprocessing import connection as mpconnection
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import PlatformError, pickle_safe_exception
 from ..events.bus import EventBus
 from .clock import Clock, RealClock
-from .poolbase import _PoolPlatformBase
+from .poolbase import _ChunkedPoolBase
 from .task import MuscleTask, TaskEnvelope
 
 __all__ = ["ProcessPoolPlatform"]
@@ -170,7 +172,7 @@ class _WorkerHandle:
         self.sent_mono = 0.0  # time.monotonic() at the chunk handoff
 
 
-class ProcessPoolPlatform(_PoolPlatformBase):
+class ProcessPoolPlatform(_ChunkedPoolBase):
     """Real-process execution platform with a live-resizable worker pool.
 
     Parameters
@@ -203,14 +205,7 @@ class ProcessPoolPlatform(_PoolPlatformBase):
             bus=bus,
             clock=clock or RealClock(),
         )
-        if chunk_size < 1:
-            raise PlatformError(f"chunk_size must be >= 1, got {chunk_size}")
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._chunk_size = int(chunk_size)
-        self._init_pool()  # includes self._workers: id -> _WorkerHandle
+        self._init_chunked(chunk_size, start_method)  # self._workers: id -> _WorkerHandle
         self._retiring: Dict[int, _WorkerHandle] = {}
         # Self-pipe waking the collector when the worker set changes.
         self._wake_r, self._wake_w = multiprocessing.Pipe(duplex=False)
@@ -235,15 +230,6 @@ class ProcessPoolPlatform(_PoolPlatformBase):
 
     # -- Platform API ---------------------------------------------------------
 
-    def set_parallelism(self, n: int) -> int:
-        applied = super().set_parallelism(n)
-        with self._cv:
-            if not self._shutdown:
-                self.metrics.record(self.now(), self._active, applied)
-            # The dispatcher spawns/retires workers to match the new LP.
-            self._cv.notify_all()
-        return applied
-
     def shutdown(self) -> None:
         with self._cv:
             self._shutdown = True
@@ -263,14 +249,6 @@ class ProcessPoolPlatform(_PoolPlatformBase):
             if handle.process.is_alive():
                 handle.process.terminate()
             handle.process.join(timeout=1.0)
-
-    # -- introspection ---------------------------------------------------------
-
-    @property
-    def active_tasks(self) -> int:
-        """Number of workers with a chunk in flight."""
-        with self._cv:
-            return self._active
 
     # -- worker management -------------------------------------------------------
 
@@ -312,74 +290,16 @@ class ProcessPoolPlatform(_PoolPlatformBase):
             pass  # already dead; EOF reaches the collector either way
         self._wake_collector()
 
-    def _retire_surplus_idle_locked(self) -> None:
-        lp = self.get_parallelism()
-        for worker_id in sorted(self._workers, reverse=True):
-            handle = self._workers[worker_id]
-            if handle.busy is None and self._rank_locked(worker_id) >= lp:
-                self._retire_locked(handle)
-
     # -- dispatcher --------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cv:
-                if self._shutdown:
-                    for handle in list(self._workers.values()):
-                        if handle.busy is None:
-                            self._retire_locked(handle)
-                    return
-                self._spawn_missing_locked()
-                self._retire_surplus_idle_locked()
-                assignments = self._take_assignments_locked()
-                if not assignments:
-                    self._cv.wait()
-                    continue
-            for handle, tasks in assignments:
-                self._send_chunk(handle, tasks)
-
-    def _take_assignments_locked(self) -> List[Tuple[_WorkerHandle, List[MuscleTask]]]:
-        assignments: List[Tuple[_WorkerHandle, List[MuscleTask]]] = []
-        if not self._queue:
-            return assignments
-        lp = self.get_parallelism()
-        order = sorted(self._workers)
-        idle = [
-            wid
-            for rank, wid in enumerate(order)
-            if rank < lp and self._workers[wid].busy is None
-        ]
-        # With per-execution shares active, ship one task per handoff:
-        # chunking computes its batch depth from the raw queue, which can
-        # pack several capped executions' tasks onto one worker (serializing
-        # them) while other workers idle.  Multi-tenant workloads trade the
-        # IPC amortization for a correct parallel spread.
-        shared_mode = bool(self.get_shares())
-        for position, worker_id in enumerate(idle):
-            if not self._queue:
-                break
-            # Batch only when the queue is deeper than the remaining idle
-            # workers: fine-grained floods amortize IPC, coarse work still
-            # spreads one task per worker.
-            depth = max(1, len(self._queue) // (len(idle) - position))
-            take = 1 if shared_mode else min(self._chunk_size, depth)
-            tasks: List[MuscleTask] = []
-            while len(tasks) < take:
-                candidate = self._take_next_locked()
-                if candidate is None:
-                    break
-                # Counts toward the execution's worker share from pop to
-                # result (or failure), so chunking respects shares too.
-                self._exec_started_locked(candidate)
-                tasks.append(candidate)
-            if not tasks:
-                continue
-            handle = self._workers[worker_id]
-            handle.busy = tasks
-            self._active += 1
-            self.metrics.record(self.now(), self._active, lp)
-            assignments.append((handle, tasks))
-        return assignments
+    def _take_chunk_locked(
+        self, handle: _WorkerHandle, take: int
+    ) -> Optional[List[MuscleTask]]:
+        tasks = self._take_tasks_locked(take)
+        if not tasks:
+            return None
+        handle.busy = tasks
+        return tasks
 
     def _send_chunk(self, handle: _WorkerHandle, tasks: List[MuscleTask]) -> None:
         """Emit BEFORE events, envelope the chunk and ship it."""
@@ -411,10 +331,7 @@ class ProcessPoolPlatform(_PoolPlatformBase):
             for task in dropped:
                 self._exec_finished_locked(task)
             if not live:
-                handle.busy = None
-                self._active -= 1
-                self.metrics.record(self.now(), self._active, self.get_parallelism())
-                self._cv.notify_all()
+                self._chunk_done_locked(handle)
                 return
             handle.busy = live
             handle.remaining = len(live)
@@ -526,31 +443,8 @@ class ProcessPoolPlatform(_PoolPlatformBase):
             handle.remaining -= 1
             self._exec_finished_locked(task)
             if handle.remaining == 0:
-                handle.busy = None
-                self._active -= 1
-                self.metrics.record(self.now(), self._active, self.get_parallelism())
-                if handle.worker_id in self._workers and (
-                    self._shutdown
-                    or self._rank_locked(handle.worker_id) >= self.get_parallelism()
-                ):
-                    self._retire_locked(handle)
-                self._cv.notify_all()
+                self._chunk_done_locked(handle)
         if not ok:
             task.execution.fail(value)
             return
         self._finish_task(task, value, handle.worker_id, started_at)
-
-    def _finish_task(
-        self, task: MuscleTask, result, worker_id: int, started_at: float
-    ) -> None:
-        """AFTER events + continuation, in-process on behalf of the worker."""
-        task.started_at = started_at
-        self._local.worker_id = worker_id
-        try:
-            result = task.emit_after(result, worker_id)
-        except Exception as exc:
-            task.execution.fail(exc)
-            return
-        finally:
-            self._local.worker_id = None
-        self._run_continuation(task, result, worker_id)

@@ -9,16 +9,16 @@ layer above unchanged.
 Architecture — a managing-system master and managed-system workers:
 
 * the **master** (this class) owns the listening socket, the task queue
-  and all parent-side state.  It reuses the
-  :class:`~repro.runtime.poolbase._PoolPlatformBase` dispatcher seam: a
-  dispatcher thread pairs queued tasks with idle enrolled workers and
-  ships *chunks* of :class:`~repro.runtime.task.TaskEnvelope` blobs over
-  the binary data plane (worker-side batching: one round trip per chunk,
-  not per task); an I/O thread (selector-driven) accepts enrollments,
-  tracks heartbeats and pumps result frames back into AFTER events and
-  continuations on the in-process bus — so the analyzer,
-  ``PlanEngine`` and ``LPArbiter`` see exactly the event stream they see
-  on every other backend, per-task ``started_at`` included;
+  and all parent-side state.  It shares the process pool's dispatcher,
+  :class:`~repro.runtime.poolbase._ChunkedPoolBase`: a dispatcher thread
+  pairs queued tasks with idle enrolled workers and ships *chunks* of
+  :class:`~repro.runtime.task.TaskEnvelope` blobs over the binary data
+  plane (worker-side batching: one round trip per chunk, not per task),
+  lost workers' encoded blobs first; an I/O thread (selector-driven)
+  accepts enrollments, tracks heartbeats and pumps result frames back
+  into AFTER events and continuations on the in-process bus — so the
+  analyzer, ``PlanEngine`` and ``LPArbiter`` see exactly the event stream
+  they see on every other backend, per-task ``started_at`` included;
 * **workers** are separate OS processes that connect over TCP and speak
   the length-prefixed protocol of :mod:`~repro.runtime.remote.protocol`:
   a JSON control plane (ENROLL/HEARTBEAT/RETIRE/RESIZE) and a pickle
@@ -57,7 +57,7 @@ from ...errors import PlatformError, jsonable_error
 from ...events.bus import EventBus
 from ...obs.tracing import new_span_id as _span_id
 from ..clock import Clock, RealClock
-from ..poolbase import _PoolPlatformBase
+from ..poolbase import _ChunkedPoolBase
 from ..task import MuscleTask
 from . import protocol
 from .protocol import (
@@ -129,7 +129,7 @@ class _RemoteWorker:
         self.busy_seconds = 0.0  # worker-reported body time (introspection)
 
 
-class DistributedPlatform(_PoolPlatformBase):
+class DistributedPlatform(_ChunkedPoolBase):
     """Master of a real socket-distributed worker pool (see module docstring).
 
     Parameters
@@ -184,8 +184,7 @@ class DistributedPlatform(_PoolPlatformBase):
             bus=bus,
             clock=clock or RealClock(),
         )
-        if chunk_size < 1:
-            raise PlatformError(f"chunk_size must be >= 1, got {chunk_size}")
+        self._init_chunked(chunk_size, start_method)  # self._workers: id -> _RemoteWorker
         if rtt < 0:
             raise PlatformError(f"rtt must be non-negative, got {rtt}")
         if heartbeat_interval <= 0 or heartbeat_timeout <= heartbeat_interval:
@@ -193,13 +192,6 @@ class DistributedPlatform(_PoolPlatformBase):
                 "need 0 < heartbeat_interval < heartbeat_timeout, got "
                 f"{heartbeat_interval} / {heartbeat_timeout}"
             )
-        import multiprocessing
-
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
-        self._chunk_size = int(chunk_size)
         self._dispatch_delay = rtt / 2.0
         self._collect_delay = rtt / 2.0
         self._hb_interval = float(heartbeat_interval)
@@ -208,7 +200,6 @@ class DistributedPlatform(_PoolPlatformBase):
         self._enroll_timeout = float(enroll_timeout)
         self._worker_delays = tuple(worker_delays)
 
-        self._init_pool()  # self._workers: id -> _RemoteWorker (attached)
         self._enrolling: Dict[int, _RemoteWorker] = {}  # ENROLLed, no data plane yet
         self._retiring: Dict[int, _RemoteWorker] = {}
         self._pending: Dict[int, object] = {}  # pid -> spawned, not yet enrolled
@@ -242,14 +233,6 @@ class DistributedPlatform(_PoolPlatformBase):
         self._dispatcher.start()
 
     # -- Platform API ---------------------------------------------------------
-
-    def set_parallelism(self, n: int) -> int:
-        applied = super().set_parallelism(n)
-        with self._cv:
-            if not self._shutdown:
-                self.metrics.record(self.now(), self._active, applied)
-            self._cv.notify_all()
-        return applied
 
     def shutdown(self) -> None:
         with self._cv:
@@ -290,12 +273,6 @@ class DistributedPlatform(_PoolPlatformBase):
             pass
 
     # -- introspection ---------------------------------------------------------
-
-    @property
-    def active_tasks(self) -> int:
-        """Number of workers with a chunk in flight."""
-        with self._cv:
-            return self._active
 
     def worker_pids(self) -> Dict[int, Optional[int]]:
         """Worker id → OS pid of every enrolled worker (chaos-test hook)."""
@@ -358,23 +335,6 @@ class DistributedPlatform(_PoolPlatformBase):
 
     # -- dispatcher --------------------------------------------------------------
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._cv:
-                if self._shutdown:
-                    for worker in list(self._workers.values()):
-                        if worker.busy is None:
-                            self._retire_locked(worker)
-                    return
-                self._spawn_missing_locked()
-                self._retire_surplus_idle_locked()
-                assignments = self._take_assignments_locked()
-                if not assignments:
-                    self._cv.wait()
-                    continue
-            for worker, fresh, pairs in assignments:
-                self._send_chunk(worker, fresh, pairs)
-
     def _spawn_missing_locked(self) -> None:
         if not self._spawn_workers:
             return
@@ -408,13 +368,6 @@ class DistributedPlatform(_PoolPlatformBase):
                 pass  # already dead; EOF reaches the I/O loop either way
         self._wake_io()
 
-    def _retire_surplus_idle_locked(self) -> None:
-        lp = self.get_parallelism()
-        for worker_id in sorted(self._workers, reverse=True):
-            worker = self._workers[worker_id]
-            if worker.busy is None and self._rank_locked(worker_id) >= lp:
-                self._retire_locked(worker)
-
     def _take_requeued_locked(self) -> Optional[Tuple[MuscleTask, bytes]]:
         """Pop the first runnable re-dispatch pair, respecting shares."""
         skipped: List[Tuple[MuscleTask, bytes]] = []
@@ -432,62 +385,32 @@ class DistributedPlatform(_PoolPlatformBase):
             self._requeue.appendleft(skipped.pop())
         return found
 
-    def _take_assignments_locked(
-        self,
-    ) -> List[Tuple[_RemoteWorker, List[MuscleTask], List[Tuple[MuscleTask, bytes]]]]:
-        assignments: List[
-            Tuple[_RemoteWorker, List[MuscleTask], List[Tuple[MuscleTask, bytes]]]
-        ] = []
-        if not self._queue and not self._requeue:
-            return assignments
-        lp = self.get_parallelism()
-        order = sorted(self._workers)
-        idle = [
-            wid
-            for rank, wid in enumerate(order)
-            if rank < lp and self._workers[wid].busy is None
-        ]
-        # One task per handoff when per-execution shares are active — same
-        # trade as the process pool (correct parallel spread over IPC
-        # amortization for capped multi-tenant work).
-        shared_mode = bool(self.get_shares())
-        for position, worker_id in enumerate(idle):
-            backlog = len(self._queue) + len(self._requeue)
-            if not backlog:
+    def _backlog_locked(self) -> int:
+        return len(self._queue) + len(self._requeue)
+
+    def _take_chunk_locked(
+        self, worker: _RemoteWorker, take: int
+    ) -> Optional[Tuple[List[MuscleTask], List[Tuple[MuscleTask, bytes]]]]:
+        # Lost workers' tasks first: they are the oldest work and their
+        # envelopes are already encoded.
+        pairs: List[Tuple[MuscleTask, bytes]] = []
+        while len(pairs) < take:
+            pair = self._take_requeued_locked()
+            if pair is None:
                 break
-            depth = max(1, backlog // (len(idle) - position))
-            take = 1 if shared_mode else min(self._chunk_size, depth)
-            # Lost workers' tasks first: they are the oldest work and
-            # their envelopes are already encoded.
-            pairs: List[Tuple[MuscleTask, bytes]] = []
-            while len(pairs) < take:
-                pair = self._take_requeued_locked()
-                if pair is None:
-                    break
-                self._exec_started_locked(pair[0])
-                pairs.append(pair)
-            fresh: List[MuscleTask] = []
-            while len(pairs) + len(fresh) < take:
-                candidate = self._take_next_locked()
-                if candidate is None:
-                    break
-                self._exec_started_locked(candidate)
-                fresh.append(candidate)
-            if not pairs and not fresh:
-                continue
-            worker = self._workers[worker_id]
-            worker.busy = [task for task, _ in pairs] + fresh
-            worker.blobs = None  # not handed off yet
-            self._active += 1
-            self.metrics.record(self.now(), self._active, lp)
-            assignments.append((worker, fresh, pairs))
-        return assignments
+            self._exec_started_locked(pair[0])
+            pairs.append(pair)
+        fresh = self._take_tasks_locked(take - len(pairs))
+        if not pairs and not fresh:
+            return None
+        worker.busy = [task for task, _ in pairs] + fresh
+        worker.blobs = None  # not handed off yet
+        return fresh, pairs
 
     def _send_chunk(
         self,
         worker: _RemoteWorker,
-        fresh: List[MuscleTask],
-        pairs: List[Tuple[MuscleTask, bytes]],
+        payload: Tuple[List[MuscleTask], List[Tuple[MuscleTask, bytes]]],
     ) -> None:
         """Emit BEFORE events for fresh tasks, frame the chunk and ship it.
 
@@ -495,6 +418,7 @@ class DistributedPlatform(_PoolPlatformBase):
         handoff, so only their blobs ride along — a task never publishes
         BEFORE twice no matter how many workers die under it.
         """
+        fresh, pairs = payload
         live: List[MuscleTask] = [task for task, _ in pairs]
         blobs: List[bytes] = [blob for _, blob in pairs]
         dropped: List[MuscleTask] = []
@@ -526,10 +450,7 @@ class DistributedPlatform(_PoolPlatformBase):
             for task in dropped:
                 self._exec_finished_locked(task)
             if not live:
-                worker.busy = None
-                self._active -= 1
-                self.metrics.record(self.now(), self._active, self.get_parallelism())
-                self._cv.notify_all()
+                self._chunk_done_locked(worker)
                 return
             if worker.worker_id not in self._workers:
                 # Lost between assignment and handoff.  Everything live now
@@ -539,10 +460,7 @@ class DistributedPlatform(_PoolPlatformBase):
                     self._requeue.appendleft((task, blob))
                 for task in live:
                     self._exec_finished_locked(task)
-                worker.busy = None
-                self._active -= 1
-                self.metrics.record(self.now(), self._active, self.get_parallelism())
-                self._cv.notify_all()
+                self._chunk_done_locked(worker)
                 return
             worker.busy = live
             worker.blobs = blobs
@@ -863,34 +781,12 @@ class DistributedPlatform(_PoolPlatformBase):
                 finish.append((tasks[index], ok, value, started_at))
             for task in tasks:
                 self._exec_finished_locked(task)
-            self._active -= 1
-            self.metrics.record(self.now(), self._active, self.get_parallelism())
-            if worker.worker_id in self._workers and (
-                self._shutdown
-                or self._rank_locked(worker.worker_id) >= self.get_parallelism()
-            ):
-                self._retire_locked(worker)
-            self._cv.notify_all()
+            self._chunk_done_locked(worker)
         for task, ok, value, started_at in finish:
             if not ok:
                 task.execution.fail(value)
                 continue
             self._finish_task(task, value, worker.worker_id, started_at)
-
-    def _finish_task(
-        self, task: MuscleTask, result, worker_id: int, started_at: float
-    ) -> None:
-        """AFTER events + continuation, in-process on behalf of the worker."""
-        task.started_at = started_at
-        self._local.worker_id = worker_id
-        try:
-            result = task.emit_after(result, worker_id)
-        except Exception as exc:
-            task.execution.fail(exc)
-            return
-        finally:
-            self._local.worker_id = None
-        self._run_continuation(task, result, worker_id)
 
     # -- liveness -----------------------------------------------------------------
 
