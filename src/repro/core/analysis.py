@@ -46,7 +46,9 @@ from .planning.table import (
     CompiledSchedule,
     PlanTable,
     compiled_best_effort,
+    compiled_critical_path,
     compiled_pin,
+    compiled_schedule_pending,
 )
 from .qos import QoS
 from .statemachines import UNSUPPORTED_KINDS, MachineRegistry
@@ -72,28 +74,32 @@ class AnalysisReport:
     """One Monitor/Analyze outcome for one (set of) execution(s).
 
     Carries the projected ADG so planners can evaluate hypothetical LP
-    allocations (:meth:`wct_at`, :meth:`minimal_lp`) without paying the
-    projection again.
+    allocations (:meth:`wct_at`, :meth:`meets`, :meth:`minimal_lp`)
+    without paying the projection again.
 
     **Frozen at** ``(rev, time)``, the graph revision and the instant the
-    report was built at: the paper's four quantities — ``deadline``,
-    ``wct_current_lp``, ``wct_best_effort`` and ``optimal_lp`` — and all
-    that derives from them (``slack``, ``goal_at_risk``,
-    ``remaining_best_effort``, :meth:`lp_ceiling`).  The first two are
-    computed when the report is built.  The best-effort pair is derived
-    on first read and memoized; most reports are never asked for it.  A
-    report built with ``None`` for them keeps a snapshot of its plan
-    table instead (:meth:`~repro.core.planning.table.PlanTable.snapshot`:
-    the columns an in-place refresh rewrites are copied), so a read after
-    the graph moved still answers for the graph as it was.  Values passed
-    in are taken as they are.
+    report was built at: ``deadline`` and the paper's three derived
+    quantities — ``wct_current_lp``, ``wct_best_effort`` and
+    ``optimal_lp`` — and all that derives from them (``slack``,
+    ``goal_at_risk``, ``remaining_best_effort``, :meth:`lp_ceiling`).
+    The three are derived on first read and memoized; most reports are
+    never asked for them, since the controller decides by :meth:`meets`.
+    A report built with ``None`` for any of them keeps a snapshot of its
+    plan table (:meth:`~repro.core.planning.table.PlanTable.snapshot`:
+    the columns an in-place refresh rewrites are copied, about 25 B per
+    row).  A read while the graph stands uses the engine's kept plans,
+    checked and computed under the machine lock that a patch of the
+    graph holds (:meth:`~repro.core.planning.PlanEngine.projection`);
+    a read after the graph moved answers from the snapshot, for the
+    graph as it was.  Values passed in are taken as they are.
 
-    **Live**: :meth:`wct_at` and :meth:`minimal_lp` plan on ``adg`` as it
-    is when they are called.  Since the delta pipeline, a later analysis
-    may patch the same ADG object in place, so a held-over report
-    re-queried after newer events answers these from the newer actuals.
-    An analyzer hands the *same* report back for as long as nothing it
-    was derived from moved (see :meth:`ExecutionAnalyzer.analyze`).
+    **Live**: :meth:`wct_at`, :meth:`meets` and :meth:`minimal_lp` plan
+    on ``adg`` as it is when they are called.  Since the delta pipeline,
+    a later analysis may patch the same ADG object in place, so a
+    held-over report re-queried after newer events answers these from
+    the newer actuals.  An analyzer hands the *same* report back for as
+    long as nothing it was derived from moved (see
+    :meth:`ExecutionAnalyzer.analyze`).
     """
 
     __slots__ = (
@@ -101,11 +107,11 @@ class AnalysisReport:
         "execution_id",
         "deadline",
         "current_lp",
-        "wct_current_lp",
         "adg",
         "engine",
         "_wct",
         "_peak",
+        "_wct_current",
         "_rev",
         "_table",
         "_base",
@@ -130,18 +136,22 @@ class AnalysisReport:
         self.execution_id = execution_id
         self.deadline = deadline
         self.current_lp = current_lp
-        self.wct_current_lp = wct_current_lp
         self.adg = adg
         #: The planning engine that built this report: hypothetical
-        #: evaluations (:meth:`wct_at`, :meth:`minimal_lp`) pull the plans
-        #: it keeps on its record of ``adg`` instead of re-running
-        #: schedules from scratch.
+        #: evaluations (:meth:`wct_at`, :meth:`meets`, :meth:`minimal_lp`)
+        #: pull the plans it keeps on its record of ``adg`` instead of
+        #: re-running schedules from scratch.
         self.engine = engine
         self._wct = wct_best_effort
         self._peak = optimal_lp
+        self._wct_current = wct_current_lp
         self._rev = adg.rev
         self._table: Optional[PlanTable] = None
-        if wct_best_effort is None or optimal_lp is None:
+        if (
+            wct_best_effort is None
+            or optimal_lp is None
+            or (wct_current_lp is None and current_lp is not None)
+        ):
             self._table = engine.table(adg).snapshot()
         self._base: Optional[CompiledPinnedBase] = None
         self._schedule: Optional[CompiledSchedule] = None
@@ -151,19 +161,26 @@ class AnalysisReport:
         self._minimal: Dict = {}
         self._minimal_rev = -1
 
-    def _live(self) -> bool:
-        """True while the engine's plans of ``adg`` are this report's:
-        the graph has not moved and the engine keeps what it computes."""
-        return self.adg.rev == self._rev and self.engine.cache.maxsize > 0
+    def _kept(self, plan, *args):
+        """``plan(adg, time, *args)`` — one of the engine's kept plans —
+        while they are this report's: the graph has not moved and the
+        engine keeps what it computes; else ``None``, and the caller
+        derives the value from the table snapshot.  The check and the
+        call run under the machine lock, which a patch of the graph
+        holds, so no patch lands between the two."""
+        engine = self.engine
+        with engine.machines.lock:
+            if self.adg.rev == self._rev and engine.cache.maxsize > 0:
+                return plan(self.adg, self.time, *args)
+        return None
 
     def _pinned(self) -> CompiledPinnedBase:
         """The pinned base at ``(rev, time)`` — the engine's kept one,
-        which the minimal-LP scans share, while :meth:`_live`."""
+        which the minimal-LP scans share, while the graph stands."""
         base = self._base
         if base is None:
-            if self._live():
-                base = self.engine.pinned(self.adg, self.time)
-            else:
+            base = self._kept(self.engine.pinned)
+            if base is None:
                 base = compiled_pin(self._table, self.time)
             self._base = base
         return base
@@ -171,18 +188,40 @@ class AnalysisReport:
     def _best_effort(self) -> CompiledSchedule:
         """The best-effort schedule at ``(rev, time)``, derived once —
         the engine's kept plan, the one a minimal-LP scan reads its top
-        from, while :meth:`_live`."""
+        from, while the graph stands."""
         schedule = self._schedule
         if schedule is None:
-            if self._live():
-                schedule = self.engine.best_effort(self.adg, self.time)
-            else:
-                base = self._pinned()
-                schedule = compiled_best_effort(self._table, base)
-                if base.to_schedule:
-                    self.engine.cache.count_schedule_pass()
+            schedule = self._kept(self.engine.best_effort)
+            if schedule is None:
+                schedule = self._snapshot_pass(None)
             self._schedule = schedule
         return schedule
+
+    @property
+    def wct_current_lp(self) -> Optional[float]:
+        """WCT under the current LP (its limited-LP schedule); ``None``
+        for a report built without a current LP."""
+        wct = self._wct_current
+        if wct is None and self.current_lp is not None:
+            wct = self._kept(self.engine.wct_at, self.current_lp)
+            if wct is None:
+                wct = self._snapshot_pass(self.current_lp).wct
+            self._wct_current = wct
+        return wct
+
+    def _snapshot_pass(self, lp: Optional[int]) -> CompiledSchedule:
+        """The engine's pass at ``(rev, time)`` over the table snapshot:
+        the best-effort one for ``lp=None``, else the *lp*-worker frontier
+        pass (with a priority pair of its own), counted as the engine
+        counts its passes."""
+        table = self._table
+        base = self._pinned()
+        if base.to_schedule:
+            self.engine.cache.count_schedule_pass()
+        if lp is None:
+            return compiled_best_effort(table, base)
+        prio = compiled_critical_path(table)[1] if base.to_schedule else None
+        return compiled_schedule_pending(table, self.time, lp, base, prio)
 
     @property
     def wct_best_effort(self) -> float:
@@ -225,6 +264,14 @@ class AnalysisReport:
     def wct_at(self, lp: int) -> float:
         """Projected WCT under a hypothetical level of parallelism."""
         return self.engine.wct_at(self.adg, self.time, lp)
+
+    def meets(self, lp: int) -> bool:
+        """``wct_at(lp) <= deadline + EPS`` (the report needs a deadline):
+        ``False`` when the work bound ``time + W / lp`` misses it,
+        ``True`` when Graham's bound ``U(lp)`` meets it, and one frontier
+        pass only between the two (:meth:`~repro.core.planning.
+        PlanEngine.meets`)."""
+        return self.engine.meets(self.adg, self.time, self.deadline, lp)
 
     def minimal_lp(
         self, cap: Optional[int] = None, start_lp: int = 1
@@ -488,19 +535,15 @@ class ExecutionAnalyzer(Listener):
         adg: ADG,
         deadline: Optional[float],
     ) -> AnalysisReport:
-        """Derive the paper's quantities from (kept) plans of an ADG;
-        the best-effort pair only when read (see :class:`AnalysisReport`)."""
+        """A report at *now*: the paper's quantities are derived from
+        (kept) plans of *adg* only when read (see :class:`AnalysisReport`)."""
         return AnalysisReport(
             time=now,
             execution_id=self.execution_id,
             deadline=deadline,
             current_lp=current_lp,
             wct_best_effort=None,
-            wct_current_lp=(
-                self.plan.wct_at(adg, now, current_lp)
-                if current_lp is not None
-                else None
-            ),
+            wct_current_lp=None,
             optimal_lp=None,
             adg=adg,
             engine=self.plan,

@@ -7,14 +7,20 @@ A MAPE loop over the event stream of a running skeleton:
   consumes every event, updating estimators and the live execution state;
 * **Analyze** — on analysis points (AFTER events of muscles), once every
   muscle has at least one observation (or the estimators were
-  warm-initialized), project the ADG and compute (a) the best-effort WCT
-  and optimal LP, (b) the WCT achievable under the current LP;
+  warm-initialized), project the ADG into a report from which (a) the
+  best-effort WCT and optimal LP, (b) the WCT under the current LP are
+  derived when read;
 * **Plan** — compare against the QoS deadline: if the current LP misses
   it, pick a higher LP (policy below); if half the current LP would still
   meet it, halve (the paper: "first checks if the goal could be targeted
   using half of threads, if it can, it decreases the number of threads to
   the half" — which is why Skandium "does not reduce the LP as fast as it
-  increases it");
+  increases it").  **Bounds first**: both tests are
+  :meth:`~repro.core.analysis.AnalysisReport.meets`, where the work bound
+  rejects an LP, Graham's list-scheduling bound accepts one, and only an
+  LP between the two pays a schedule pass — the answer is the pass's
+  either way.  Exact WCTs are computed for the reason of an applied
+  change, and for a :class:`Decision`'s fields when they are read;
 * **Execute** — apply the new LP to the platform, live.
 
 Monitor and Analyze live in :class:`~repro.core.analysis.ExecutionAnalyzer`
@@ -37,7 +43,6 @@ Increase policies:
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..errors import QoSError
@@ -51,27 +56,117 @@ from .qos import QoS
 
 __all__ = ["Decision", "AutonomicController"]
 
-_EPS = 1e-9
+_UNREAD = object()
+
+#: The fields of a :class:`Decision`, in the order ``repr`` shows them.
+_FIELDS = (
+    "time",
+    "trigger",
+    "lp_before",
+    "lp_after",
+    "wct_best_effort",
+    "wct_current_lp",
+    "optimal_lp",
+    "deadline",
+    "action",
+    "reason",
+)
 
 
-@dataclass
 class Decision:
-    """One analysis outcome, for observability and the benches."""
+    """One analysis outcome, for observability and the benches.
 
-    time: float
-    trigger: str
-    lp_before: int
-    lp_after: int
-    wct_best_effort: float
-    wct_current_lp: float
-    optimal_lp: int
-    deadline: float
-    action: str  # "increase" | "decrease" | "hold" | "unreachable"
-    reason: str = ""
+    A value of ten fields: ``==`` compares them all and ``repr`` shows
+    them all.  ``time``, ``lp_before`` and ``deadline`` are the report's;
+    the three quantities the controller decides without —
+    ``wct_best_effort``, ``wct_current_lp`` and ``optimal_lp`` — are
+    derived on first read from the decision's
+    :class:`~repro.core.analysis.AnalysisReport`, at its ``(rev, time)``,
+    so they read the same however long after the decision they are
+    read.  Until all three have been read the decision retains that
+    report, and with it one plan table snapshot (about 25 B per row of
+    the projected graph); the third read drops it.
+    """
+
+    __slots__ = (
+        "time",
+        "trigger",
+        "lp_before",
+        "lp_after",
+        "deadline",
+        "action",
+        "reason",
+        "_report",
+        "_wct_best_effort",
+        "_wct_current_lp",
+        "_optimal_lp",
+    )
+
+    def __init__(
+        self,
+        report: AnalysisReport,
+        trigger: str,
+        lp_after: int,
+        action: str,  # "increase" | "decrease" | "hold" | "unreachable"
+        reason: str = "",
+    ):
+        self.time = report.time
+        self.trigger = trigger
+        self.lp_before = report.current_lp
+        self.lp_after = lp_after
+        self.deadline = report.deadline
+        self.action = action
+        self.reason = reason
+        self._report = report
+        self._wct_best_effort = self._wct_current_lp = self._optimal_lp = _UNREAD
+
+    def _derived(self, slot: str, name: str):
+        """The report's *name*, read once into *slot*; the report is
+        dropped once all three slots hold their value."""
+        value = getattr(self, slot)
+        if value is _UNREAD:
+            report = self._report
+            if report is None:  # another thread read the last one
+                return getattr(self, slot)
+            value = getattr(report, name)
+            setattr(self, slot, value)
+            if _UNREAD not in (
+                self._wct_best_effort, self._wct_current_lp, self._optimal_lp
+            ):
+                self._report = None
+        return value
+
+    @property
+    def wct_best_effort(self) -> float:
+        return self._derived("_wct_best_effort", "wct_best_effort")
+
+    @property
+    def wct_current_lp(self) -> float:
+        return self._derived("_wct_current_lp", "wct_current_lp")
+
+    @property
+    def optimal_lp(self) -> int:
+        return self._derived("_optimal_lp", "optimal_lp")
 
     @property
     def changed(self) -> bool:
         return self.lp_after != self.lp_before
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in _FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable, so unhashable
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={value!r}" for name, value in zip(_FIELDS, self._values())
+        )
+        return f"Decision({fields})"
 
 
 class AutonomicController(Listener):
@@ -226,6 +321,9 @@ class AutonomicController(Listener):
     def _plan_and_execute(self, report: AnalysisReport, trigger: Event) -> None:
         """Plan against the deadline and apply the LP change (if any).
 
+        Both tests are :meth:`AnalysisReport.meets`, which the work bound
+        and Graham's bound mostly decide without a schedule pass; an
+        exact WCT is computed only for the reason of an applied change.
         *trigger* is the analysis point itself: its label is formatted
         only here, for the recorded :class:`Decision` — most analysis
         points of a cold or finished execution never get this far.
@@ -235,16 +333,16 @@ class AutonomicController(Listener):
         lp_after = current_lp
         action = "hold"
         reason = ""
-        if report.wct_current_lp > deadline + _EPS:
+        if not report.meets(current_lp):
             # The current LP misses the goal: self-optimize upward.
             target = self._pick_increase(report)
             if target > current_lp:
-                lp_after = self.platform.set_parallelism(target)
-                action = "increase"
                 reason = (
                     f"limited-LP({current_lp}) WCT {report.wct_current_lp:.3f} "
                     f"misses deadline {deadline:.3f}"
                 )
+                lp_after = self.platform.set_parallelism(target)
+                action = "increase"
             else:
                 action = "unreachable"
                 reason = (
@@ -254,40 +352,33 @@ class AutonomicController(Listener):
         elif self.decrease_policy == "halving" and current_lp > 1:
             # Goal is safe: can we do it with half the threads?
             half = current_lp // 2
-            half_wct = report.wct_at(half)
-            if half_wct <= deadline + _EPS:
-                lp_after = self.platform.set_parallelism(half)
-                action = "decrease"
+            if report.meets(half):
                 reason = (
-                    f"limited-LP({half}) WCT {half_wct:.3f} still "
+                    f"limited-LP({half}) WCT {report.wct_at(half):.3f} still "
                     f"meets deadline {deadline:.3f}"
                 )
+                lp_after = self.platform.set_parallelism(half)
+                action = "decrease"
         self.decisions.append(
             Decision(
-                time=report.time,
+                report,
                 trigger=trigger.label,
-                lp_before=current_lp,
                 lp_after=lp_after,
-                wct_best_effort=report.wct_best_effort,
-                wct_current_lp=report.wct_current_lp,
-                optimal_lp=report.optimal_lp,
-                deadline=deadline,
                 action=action,
                 reason=reason,
             )
         )
 
     def _pick_increase(self, report: AnalysisReport) -> int:
-        cap = self._max_lp
-        ceiling = report.optimal_lp if cap is None else min(report.optimal_lp, cap)
         current_lp = report.current_lp
-        if self.increase_policy == "optimal":
-            return max(current_lp, ceiling)
-        found = report.minimal_lp(cap=cap, start_lp=current_lp + 1)
-        if found is not None:
-            return found
-        # Nothing meets the deadline: allocate the best-effort peak (the
-        # closest we can get), clamped by the cap.
+        if self.increase_policy == "minimal":
+            found = report.minimal_lp(cap=self._max_lp, start_lp=current_lp + 1)
+            if found is not None:
+                return found
+        # The optimal policy, or nothing meets the deadline: allocate the
+        # best-effort peak (the closest we can get), clamped by the cap.
+        cap = self._max_lp
+        ceiling = report.optimal_lp if cap is None else report.lp_ceiling(cap)
         return max(current_lp, ceiling)
 
     # -- reporting -----------------------------------------------------------------------

@@ -32,10 +32,12 @@ behind explicit invalidation:
   :mod:`repro.core.planning.table`).  The best-effort pass is a pass
   over the same pinned base, and nothing runs it unless a best-effort
   quantity is read (:class:`~repro.core.analysis.AnalysisReport` keeps
-  the base instead of the pass).  A minimal-LP scan mostly runs no
-  pass at all: it prunes an LP below the work bound, certifies one
-  above Graham's list-scheduling bound, and runs a frontier pass only
-  for an LP in the gap.  Its top is the best-effort peak, asked for
+  the base instead of the pass).  Whether one LP meets a deadline
+  (:meth:`PlanEngine.meets`, the controller's question) mostly costs no
+  pass at all: an LP below the work bound is rejected, one above
+  Graham's list-scheduling bound certified, and a frontier pass runs
+  only for an LP in the gap.  A minimal-LP scan tests each candidate
+  the same way.  Its top is the best-effort peak, asked for
   only once a candidate exceeds the pinned base's peak floor, a count
   read off the pin (:meth:`PlanEngine.minimal_lp`);
 * **admission arithmetic** schedules structural plans at ``start=0.0``,
@@ -630,6 +632,30 @@ class PlanEngine:
         """Projected WCT under *lp* workers."""
         return self.limited(adg, now, lp).wct
 
+    def meets(self, adg: ADG, now: float, deadline: float, lp: int) -> bool:
+        """``wct_at(adg, now, lp) <= deadline + EPS``, by the cheapest
+        test that can answer: the work bound ``now + W / lp`` (against
+        :meth:`~repro.core.planning.table.CompiledPinnedBase.
+        work_cutoff`) rejects, Graham's bound ``U(lp)`` (:meth:`~repro.
+        core.planning.table.CompiledPinnedBase.wct_bound`) accepts, and
+        only an LP in the gap between them pays a frontier pass
+        (:meth:`limited`).  Both bounds hold for the pass itself, so the
+        answer is the pass's.  :meth:`minimal_lp` tests each candidate
+        the same way, inline."""
+        token, table, rec = self._resolve(adg)
+        base = self._pinned_compiled(adg, now, token, table, rec)
+        work_end = now + base.pending_work(table) / lp
+        if work_end > base.work_cutoff(table, deadline):
+            return False  # below the work bound: no pass can fit
+        cp = None
+        if lp > 1 and base.to_schedule:
+            cp = self._critical_path_compiled(token, table, rec)[0]
+        limit = deadline + _EPS
+        return (
+            base.wct_bound(table, lp, cp) <= limit
+            or self.limited(adg, now, lp).wct <= limit
+        )
+
     def minimal_lp(
         self,
         adg: ADG,
@@ -641,18 +667,16 @@ class PlanEngine:
         """Smallest LP whose greedy schedule meets *deadline*, or ``None``.
 
         Same linear scan (and same answers) as :func:`~repro.core.
-        schedule.minimal_lp_greedy`, bracketed from both sides so that
-        most candidates cost no schedule pass.  Below, the work bound
-        ``now + W / lp`` (:meth:`~repro.core.planning.table.
-        CompiledPinnedBase.pending_work`) rejects an LP that cannot fit.
-        Above, Graham's list-scheduling bound ``U(lp)``
-        (:meth:`~repro.core.planning.table.CompiledPinnedBase.wct_bound`)
-        certifies an LP whose pass could only fit.  A frontier pass
-        (:meth:`limited`) runs only for an LP in the gap between the two.
-        Both bounds hold for the pass itself, so the first LP either
-        accepts is the first LP the pass accepts.  ``U(1)`` needs no
+        schedule.minimal_lp_greedy`, each candidate tested as
+        :meth:`meets` tests one LP: the work bound rejects an LP that
+        cannot fit, Graham's bound ``U(lp)`` certifies one whose pass
+        could only fit, and a frontier pass runs only for an LP in the
+        gap, so most candidates cost no schedule pass.  The test is
+        inlined, so a scan pays its setup once and no call per
+        candidate: on the many short scans of a storm that call costs a
+        measurable share of the arbiter's time.  ``U(1)`` needs no
         priority pair; it is requested once a candidate ``lp >= 2``
-        survives the prune.
+        survives the work bound.
 
         The scan's top, the optimal LP, is bounded from below by the
         pinned base's peak floor (``CompiledPinnedBase.peak_floor``: the
@@ -665,6 +689,8 @@ class PlanEngine:
         answer: Optional[int] = None
         base = self._pinned_compiled(adg, now, token, table, rec)
         pending_work = base.pending_work(table)
+        cutoff = base.work_cutoff(table, deadline)
+        limit = deadline + _EPS
         cp = None
         # The scan's top is max(optimal LP, 1), capped.  The peak floor is
         # at most the optimal LP, so up to it no candidate needs the peak.
@@ -682,14 +708,14 @@ class PlanEngine:
                     upper = min(upper, cap)
                 exact = True
                 continue
-            if now + pending_work / lp > deadline + _EPS:
+            if now + pending_work / lp > cutoff:
                 lp += 1
                 continue  # below the work bound: no pass can fit
             if lp > 1 and cp is None and base.to_schedule:
                 cp = self._critical_path_compiled(token, table, rec)[0]
             if (
-                base.wct_bound(table, lp, cp) <= deadline + _EPS
-                or self.limited(adg, now, lp).wct <= deadline + _EPS
+                base.wct_bound(table, lp, cp) <= limit
+                or self.limited(adg, now, lp).wct <= limit
             ):
                 answer = lp
                 break

@@ -351,8 +351,9 @@ class CompiledPinnedBase:
     def pending_work(self, table: "PlanTable") -> float:
         """Summed duration of the unpinned, worker-occupying activities of
         *table* (the one this base was pinned from, at the revision it
-        was pinned at) — the work bound of the minimal-LP scans, computed
-        once per base and shared by every scan at its ``(graph, now)``.
+        was pinned at) — the ``W`` of the work bound
+        (:meth:`work_cutoff`) and of :meth:`wct_bound`, computed once per
+        base and shared by every test at its ``(graph, now)``.
         """
         work = self._pending_work
         if work is None:
@@ -367,6 +368,41 @@ class CompiledPinnedBase:
             )
         return work
 
+    def work_cutoff(self, table: "PlanTable", deadline: float) -> float:
+        """The work bound's test, the lower twin of :meth:`wct_bound`: no
+        *lp*-worker frontier pass from this base
+        (:func:`compiled_schedule_pending`) meets ``deadline + EPS`` when
+        ``now + W/lp`` exceeds::
+
+            (deadline + EPS + n·EPS)·(1 + 4(n+2)·2⁻⁵²)
+
+        with ``W`` the pending work and ``n = table.n``.  One value per
+        deadline serves every *lp*, so the test costs what ``now + W/lp
+        > deadline + EPS`` alone would — which is not sound: its
+        rounding, and rows the pass starts up to ``EPS`` early, can put
+        ``now + W/lp`` a few ulps above the pass's WCT.
+
+        **Proof.**  Let ``F`` be the pass's WCT.  A pending row longer
+        than ``EPS`` holds a ``busy`` entry from its start until the pass
+        drops the entry, and the pass starts a row only while fewer than
+        ``lp`` entries are held, so the held intervals overlap at most
+        ``lp`` deep within ``[now, F]``.  An entry is dropped once the
+        cursor is within ``EPS`` of its end, so a row runs at most
+        ``EPS`` past its held interval, and ``Σ (end - start) <= lp·(F -
+        now) + n·EPS``.  Each end is one rounded addition ``start + d``,
+        short of the exact sum by at most ``2⁻⁵³·F``, so ``W <= lp·(F -
+        now) + n·EPS + n·2⁻⁵³·F``: ``F >= (now + W/lp - n·EPS/lp) / (1 +
+        n·2⁻⁵³/lp)``.  ``W`` is a sum of at most ``n`` non-negative
+        terms, and the test takes five more rounded operations, which
+        together stay far inside the relative margin of ``(8n + 16)·
+        2⁻⁵³``: when the computed ``now + W/lp`` exceeds the cutoff,
+        ``F > deadline + EPS``.  A negative *now* returns ``inf``.
+        """
+        if self.now < 0.0:
+            return float("inf")
+        n = table.n
+        return (deadline + _EPS + n * _EPS) * (1.0 + 4 * (n + 2) * 2.0**-52)
+
     def wct_bound(
         self, table: "PlanTable", lp: int, cp: Optional[array] = None
     ) -> float:
@@ -374,7 +410,7 @@ class CompiledPinnedBase:
         pass from this base (:func:`compiled_schedule_pending`) — Graham's
         list-scheduling bound (R. L. Graham, *Bounds on multiprocessing
         timing anomalies*, SIAM J. Appl. Math. 1969), the upper twin of
-        :meth:`pending_work`'s lower bound ``now + W / lp``.
+        the work bound (:meth:`work_cutoff`).
 
         With ``T0 = max(now, max(ends))``, ``W`` the pending work, ``C``
         the largest ``cp`` over the unpinned rows and ``n = table.n``::
@@ -1093,13 +1129,12 @@ def compiled_minimal_lp(
     computed here when not passed in) is shared across every candidate
     LP, so each scanned LP pays only its frontier pass — and most
     candidates don't even pay that: with *lp* workers the pending
-    worker-occupying work ``W`` cannot complete before ``now + W / lp``
-    (a pending activity longer than the scheduling epsilon only starts
-    while a worker is free and then occupies it until its end), so any
-    candidate whose work bound already misses the deadline is rejected
-    without running its schedule.  The bound is a true lower bound on
-    the greedy schedule's WCT, so the returned answer — first feasible
-    LP, its schedule, or ``None`` — is identical to the unpruned scan.
+    worker-occupying work ``W`` cannot complete much before ``now + W /
+    lp``, so any candidate whose work bound already misses the deadline
+    (:meth:`CompiledPinnedBase.work_cutoff`, which allows for rounding)
+    is rejected without running its schedule.  The bound is a true lower bound on the greedy schedule's
+    computed WCT, so the returned answer — first feasible LP, its
+    schedule, or ``None`` — is identical to the unpruned scan.
     """
     if base is None:
         base = compiled_pin(table, now)
@@ -1113,8 +1148,9 @@ def compiled_minimal_lp(
     if prio is None:
         _cp, prio = compiled_critical_path(table)
     pending_work = base.pending_work(table)
+    cutoff = base.work_cutoff(table, deadline)
     for lp in range(max(1, start_lp), upper + 1):
-        if now + pending_work / lp > deadline + _EPS:
+        if now + pending_work / lp > cutoff:
             continue  # work bound: no lp-worker greedy schedule can fit
         schedule = compiled_schedule_pending(table, now, lp, base, prio)
         if schedule.wct <= deadline + _EPS:

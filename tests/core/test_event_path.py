@@ -442,7 +442,8 @@ class TestSettledGraph:
             if seen == 3:
                 break
         report = analyzer.analyze(event.timestamp, current_lp=2)
-        assert report is not None and cache.stats.schedule_passes == 1
+        assert report is not None and report.wct_current_lp is not None
+        assert cache.stats.schedule_passes == 1
         assert report.wct_best_effort == best_effort_schedule(report.adg, event.timestamp).wct
         assert cache.stats.schedule_passes == 2
 

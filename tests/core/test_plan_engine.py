@@ -766,7 +766,7 @@ class TestSharedCache:
                 # Alternating current_lp keeps the analyzer's one-slot
                 # report memo missing, so every round reaches the store.
                 report = analyzer.analyze(0.0, current_lp=2 + i % 2)
-                assert report is not None
+                assert report is not None and report.wct_current_lp is not None
                 report.minimal_lp(cap=6)
             return cache.stats
 

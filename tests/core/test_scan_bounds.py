@@ -9,8 +9,9 @@ at constant cost and at a jittered one with zero-length and sub-epsilon
 muscles — ``U(lp)`` is checked against the compiled pass and the
 reference oracle for every ``lp`` in 1..8, including LPs below the number
 of running rows.  The scan's answers are checked against
-``minimal_lp_greedy`` at deadlines on and one float below every
-``wct(lp)``, at 4x and 0.5x the best-effort remaining time, and at *now*.
+``minimal_lp_greedy`` at deadlines on, one float below and EPS below
+every ``wct(lp)``, at 4x and 0.5x the best-effort remaining time, and at
+*now*; the work bound never rejects an LP at a deadline its pass meets.
 """
 
 import math
@@ -30,6 +31,7 @@ from repro.skeletons import Execute, Map, Merge, Pipe, Seq, Split
 from tests.conftest import build_program, program_descriptions
 
 LPS = range(1, 9)
+EPS = 1e-9
 
 
 def constant_sim():
@@ -88,11 +90,15 @@ class _BoundChecker(Listener):
                 oracle[lp] = limited_lp_schedule(adg, now, lp).wct
                 assert compiled == oracle[lp]
                 assert bound >= compiled, (lp, bound, compiled)
+                met = compiled - EPS  # the pass meets it when rounding allows
+                if compiled <= met + EPS:
+                    work = now + base.pending_work(table) / lp
+                    assert work <= base.work_cutoff(table, met), lp
                 self.below_running += lp < running
             remaining = engine.best_effort(adg, now).wct - now
             deadlines = [now + 4.0 * remaining, now + 0.5 * remaining, now]
             for wct in oracle.values():
-                deadlines += [wct, math.nextafter(wct, -math.inf)]
+                deadlines += [wct, math.nextafter(wct, -math.inf), wct - EPS]
             for deadline in deadlines:
                 found = minimal_lp_greedy(adg, now, deadline, max_lp=8)
                 expected = found[0] if found is not None else None
@@ -159,6 +165,21 @@ class TestBoundAboveThePass:
         run(program, 1, platform)
         assert checker.checked >= 12
         assert checker.below_running >= 1
+
+
+class TestWorkBoundBelowThePass:
+    def test_now_plus_w_over_lp_can_round_above_the_pass(self):
+        """A farm of three-stage loops: at now = 1.0 under the jittered
+        cost, ``now + W/1`` rounds to 3.1375 while the LP-1 pass ends at
+        3.1374999999999993, so at the deadline ``wct - EPS`` a work bound
+        without a rounding margin rejects the LP the pass accepts."""
+        desc = ("farm", ("for", 3, ("seq", 3)))
+        program = build_program(desc)
+        _analyzer, checker, platform = _checked_run(
+            program, _warm_snapshot(desc, jittered_sim), jittered_sim
+        )
+        run(program, 5, platform)
+        assert checker.checked >= 3
 
 
 def serial_engine(durations):
