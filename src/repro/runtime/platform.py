@@ -5,7 +5,9 @@ A :class:`Platform` owns
 * a :class:`~repro.runtime.clock.Clock` (real or virtual),
 * the :class:`~repro.events.bus.EventBus` events are published on,
 * an :class:`~repro.runtime.metrics.LPSeries` recording the active-thread
-  trajectory, and
+  trajectory,
+* the :class:`~repro.runtime.readyqueue.ReadyQueue` every backend
+  dispatches from, with the per-execution worker shares it honours, and
 * the *level of parallelism* (LP) — the paper's tunable knob.  The
   autonomic controller calls :meth:`set_parallelism` while a skeleton is
   running; platforms apply the change live.
@@ -28,6 +30,7 @@ from ..obs.tracing import Tracer
 from .clock import Clock
 from .futures import SkeletonFuture
 from .metrics import LPSeries
+from .readyqueue import ReadyQueue
 from .task import MuscleTask
 
 __all__ = ["Platform"]
@@ -70,6 +73,8 @@ class Platform:
         # them under its own scheduling lock (the pools' condition
         # variable; the simulator is single-threaded).
         self._exec_running: Dict[int, int] = {}
+        # The one ready queue (depth-first; reads the two maps above).
+        self._ready = ReadyQueue(self)
         # Instance indices are platform-scoped: unique across every
         # execution submitted to this platform (so tracking machines never
         # collide), deterministic for a fresh platform.
@@ -153,13 +158,6 @@ class Platform:
 
     # -- share accounting (caller-synchronized, see __init__) -------------------
 
-    def _share_allows(self, task: "MuscleTask") -> bool:
-        """True when *task*'s execution is below its worker share."""
-        share = self.share_of(task.execution.id)
-        if share is None:
-            return True
-        return self._exec_running.get(task.execution.id, 0) < share
-
     def _exec_started(self, task: "MuscleTask") -> None:
         """Count one in-flight task of the task's execution."""
         eid = task.execution.id
@@ -183,6 +181,11 @@ class Platform:
     def submit(self, task: MuscleTask) -> None:
         """Queue *task* for execution."""
         raise NotImplementedError
+
+    @property
+    def queued_tasks(self) -> int:
+        """Ready tasks waiting for a worker."""
+        return len(self._ready)
 
     def current_worker(self) -> Optional[int]:
         """Identifier of the worker running the calling code, if any."""

@@ -10,17 +10,15 @@ backends cannot drift apart:
 
 * **submit + thread-local continuation batching** — tasks spawned while a
   continuation runs are collected on the submitting thread and prepended
-  to the queue *in front* when the continuation ends (depth-first
-  scheduling, like the simulator and Skandium's work-first pool);
+  to the platform's :class:`~repro.runtime.readyqueue.ReadyQueue` when
+  the continuation ends (depth-first);
 * **seniority-rank graceful retirement** — when the LP shrinks, the
   workers whose seniority rank (position among live worker ids) is at or
   above the new target retire after their current work, never aborting a
   muscle mid-flight;
-* **per-execution share accounting** — on a shared multi-tenant platform
-  each execution may be capped to a worker share
-  (:meth:`~repro.runtime.platform.Platform.set_shares`); the queue pop
-  skips (but keeps) tasks whose execution is at its cap, and completions
-  notify the scheduler so capped work resumes the instant a slot frees.
+* **per-execution share accounting** — the in-flight counts the ready
+  queue's share checks read; completions notify the scheduler so capped
+  work resumes the instant a slot frees.
 
 :class:`_ChunkedPoolBase` adds the one dispatcher of the two backends
 whose workers are other processes: a dispatcher thread pairs queued tasks
@@ -28,7 +26,7 @@ with idle workers by seniority and ships each a *chunk* of task
 envelopes; the chunk's results come back on a backend-specific pump.
 
 Subclasses call :meth:`_init_pool` (or :meth:`_ChunkedPoolBase.
-_init_chunked`) from ``__init__`` and use the popping / accounting
+_init_chunked`) from ``__init__`` and use the taking / accounting
 helpers from their scheduling loops; everything here is guarded by the
 single condition variable ``self._cv``.
 """
@@ -37,8 +35,7 @@ from __future__ import annotations
 
 import multiprocessing
 import threading
-from collections import deque
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import PlatformError
 from .platform import Platform
@@ -53,8 +50,7 @@ class _PoolPlatformBase(Platform):
     # -- initialization ---------------------------------------------------------
 
     def _init_pool(self) -> None:
-        """Set up the queue, lock and worker table."""
-        self._queue: Deque[MuscleTask] = deque()
+        """Set up the lock and worker table."""
         self._cv = threading.Condition()
         self._workers: Dict[int, object] = {}
         self._next_worker_id = 0
@@ -69,12 +65,12 @@ class _PoolPlatformBase(Platform):
         if batch is not None:
             # Collected during a continuation and prepended when it ends:
             # depth-first scheduling, like the simulator (and Skandium).
-            batch.append(task)
+            batch.append((task, None))
             return
         with self._cv:
             if self._shutdown:
                 raise PlatformError("platform has been shut down")
-            self._queue.append(task)
+            self._ready.append(task)
             self._cv.notify_all()
 
     def current_worker(self) -> Optional[int]:
@@ -95,15 +91,7 @@ class _PoolPlatformBase(Platform):
     # -- share accounting --------------------------------------------------------
     #
     # The counters themselves live on the Platform base (shared with the
-    # simulator); these wrappers add the pool-specific synchronization.
-
-    def _share_allows_locked(self, task: MuscleTask) -> bool:
-        """True when *task*'s execution is below its worker share."""
-        return self._share_allows(task)
-
-    def _exec_started_locked(self, task: MuscleTask) -> None:
-        """Count one in-flight task of the task's execution."""
-        self._exec_started(task)
+    # simulator); this wrapper adds the pool-specific wakeup.
 
     def _exec_finished_locked(self, task: MuscleTask) -> None:
         """Release one in-flight slot; wake capped work waiting for it."""
@@ -123,27 +111,24 @@ class _PoolPlatformBase(Platform):
 
     # -- queue ------------------------------------------------------------------
 
-    def _take_next_locked(self) -> Optional[MuscleTask]:
-        """Pop the first runnable task, or ``None``.
+    def _take_locked(self, take: int) -> List[Tuple[MuscleTask, Any]]:
+        """Take up to *take* runnable ``(task, payload)`` entries off the
+        ready queue, in ready order.
 
-        Tasks of failed executions are dropped; tasks whose execution is
-        at its worker share are skipped *but kept* in their original
-        queue position, so they run as soon as a slot frees.
+        Each counts toward its execution's worker share from here to its
+        result (or failure), so chunking respects shares too.
         """
-        skipped = []
-        found: Optional[MuscleTask] = None
-        while self._queue:
-            candidate = self._queue.popleft()
-            if candidate.execution.failed:
-                continue
-            if not self._share_allows_locked(candidate):
-                skipped.append(candidate)
-                continue
-            found = candidate
-            break
-        while skipped:
-            self._queue.appendleft(skipped.pop())
-        return found
+        taken: List[Tuple[MuscleTask, Any]] = []
+
+        def start(task: MuscleTask, payload: Any) -> bool:
+            if len(taken) == take:
+                return False
+            self._exec_started(task)
+            taken.append((task, payload))
+            return True
+
+        self._ready.take(start)
+        return taken
 
     def _run_continuation(self, task: MuscleTask, result, worker_id: int) -> None:
         """Run the continuation, batch-prepending depth-first spawns.
@@ -162,16 +147,10 @@ class _PoolPlatformBase(Platform):
             batch, self._local.batch = self._local.batch, None
             if batch:
                 with self._cv:
-                    for spawned in reversed(batch):
-                        self._queue.appendleft(spawned)
+                    self._ready.prepend(batch)
                     self._cv.notify_all()
 
     # -- introspection ----------------------------------------------------------
-
-    @property
-    def queued_tasks(self) -> int:
-        with self._cv:
-            return len(self._queue)
 
     @property
     def active_tasks(self) -> int:
@@ -193,9 +172,9 @@ class _ChunkedPoolBase(_PoolPlatformBase):
 
     * ``_spawn_missing_locked()`` — start workers up to the LP;
     * ``_retire_locked(worker)`` — ask an idle worker to exit;
-    * ``_take_chunk_locked(worker, take)`` — pop up to *take* tasks into
-      ``worker.busy`` and return what ``_send_chunk`` ships (``None``:
-      nothing runnable);
+    * ``_take_chunk_locked(worker, take)`` — take up to *take* entries
+      (:meth:`_PoolPlatformBase._take_locked`) into ``worker.busy`` and
+      return what ``_send_chunk`` ships (``None``: nothing runnable);
     * ``_send_chunk(worker, payload)`` — outside the lock, emit the BEFORE
       events, encode the chunk and hand it off;
     * its own result pump, which calls :meth:`_chunk_done_locked` when a
@@ -249,14 +228,10 @@ class _ChunkedPoolBase(_PoolPlatformBase):
             if worker.busy is None and self._rank_locked(worker_id) >= lp:
                 self._retire_locked(worker)
 
-    def _backlog_locked(self) -> int:
-        """Tasks waiting for a worker."""
-        return len(self._queue)
-
     def _take_assignments_locked(self) -> List[Tuple[Any, Any]]:
         """Pair idle workers, by seniority, with the chunks they ship."""
         assignments: List[Tuple[Any, Any]] = []
-        if not self._backlog_locked():
+        if not self._ready:
             return assignments
         lp = self.get_parallelism()
         idle = [
@@ -271,7 +246,7 @@ class _ChunkedPoolBase(_PoolPlatformBase):
         # IPC amortization for a correct parallel spread.
         shared_mode = bool(self.get_shares())
         for position, worker_id in enumerate(idle):
-            backlog = self._backlog_locked()
+            backlog = len(self._ready)
             if not backlog:
                 break
             # Batch only when the backlog is deeper than the remaining idle
@@ -287,19 +262,6 @@ class _ChunkedPoolBase(_PoolPlatformBase):
             self.metrics.record(self.now(), self._active, lp)
             assignments.append((worker, payload))
         return assignments
-
-    def _take_tasks_locked(self, take: int) -> List[MuscleTask]:
-        """Pop up to *take* runnable tasks off the queue."""
-        tasks: List[MuscleTask] = []
-        while len(tasks) < take:
-            candidate = self._take_next_locked()
-            if candidate is None:
-                break
-            # Counts toward the execution's worker share from pop to
-            # result (or failure), so chunking respects shares too.
-            self._exec_started_locked(candidate)
-            tasks.append(candidate)
-        return tasks
 
     # -- results -----------------------------------------------------------------
 

@@ -8,9 +8,9 @@ parallelism, not just more threads contending for one lock.
 
 Architecture (everything stateful stays in the parent process):
 
-* a FIFO queue of :class:`~repro.runtime.task.MuscleTask` objects, exactly
-  like the thread pool's — continuations spawned during a task's epilogue
-  are prepended depth-first; the queue/batching/retirement/share plumbing
+* the depth-first ready queue of every backend
+  (:mod:`~repro.runtime.readyqueue`) — continuations spawned during a
+  task's epilogue are prepended; the batching/retirement/share plumbing
   of all three pools lives in
   :class:`~repro.runtime.poolbase._PoolPlatformBase`;
 * a **dispatcher thread** that pairs queued tasks with idle workers — the
@@ -295,7 +295,7 @@ class ProcessPoolPlatform(_ChunkedPoolBase):
     def _take_chunk_locked(
         self, handle: _WorkerHandle, take: int
     ) -> Optional[List[MuscleTask]]:
-        tasks = self._take_tasks_locked(take)
+        tasks = [task for task, _ in self._take_locked(take)]
         if not tasks:
             return None
         handle.busy = tasks

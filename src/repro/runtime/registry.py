@@ -151,7 +151,6 @@ def _build_simulated(spec: PlatformSpec) -> Platform:
         max_parallelism=spec.max_workers,
         bus=spec.bus,
         trace_tasks=sub.trace_tasks,
-        scheduling=sub.scheduling,
     )
 
 

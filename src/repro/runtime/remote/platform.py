@@ -13,8 +13,8 @@ Architecture — a managing-system master and managed-system workers:
   :class:`~repro.runtime.poolbase._ChunkedPoolBase`: a dispatcher thread
   pairs queued tasks with idle enrolled workers and ships *chunks* of
   :class:`~repro.runtime.task.TaskEnvelope` blobs over the binary data
-  plane (worker-side batching: one round trip per chunk, not per task),
-  lost workers' encoded blobs first; an I/O thread (selector-driven)
+  plane (worker-side batching: one round trip per chunk, not per task);
+  an I/O thread (selector-driven)
   accepts enrollments, tracks heartbeats and pumps result frames back
   into AFTER events and continuations on the in-process bus — so the
   analyzer, ``PlanEngine`` and ``LPArbiter`` see exactly the event stream
@@ -26,9 +26,10 @@ Architecture — a managing-system master and managed-system workers:
   for external processes to enroll (``spawn_workers=False``).
 
 Fault model: a worker that drops its connections or stops heartbeating
-past ``heartbeat_timeout`` is *lost* — its in-flight chunk is re-dispatched
-to surviving workers (envelope blobs are kept parent-side precisely so a
-re-send needs no second BEFORE event), the loss is surfaced as a
+past ``heartbeat_timeout`` is *lost* — its in-flight chunk goes back to
+the front of the ready queue and is re-dispatched to surviving workers
+(envelope blobs are kept parent-side, and queued with their tasks, precisely
+so a re-send needs no second BEFORE event), the loss is surfaced as a
 retirement in the worker set and metrics, and — in spawn mode — a
 replacement is spawned to restore the target LP.  Muscles must therefore
 be pure (they already must be for the process pool): a task whose result
@@ -50,8 +51,7 @@ import selectors
 import socket
 import threading
 import time
-from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ...errors import PlatformError, jsonable_error
 from ...events.bus import EventBus
@@ -203,7 +203,6 @@ class DistributedPlatform(_ChunkedPoolBase):
         self._enrolling: Dict[int, _RemoteWorker] = {}  # ENROLLed, no data plane yet
         self._retiring: Dict[int, _RemoteWorker] = {}
         self._pending: Dict[int, object] = {}  # pid -> spawned, not yet enrolled
-        self._requeue: Deque[Tuple[MuscleTask, bytes]] = deque()
         self._enroll_count = 0
         #: Workers declared lost (heartbeat timeout or dropped connection).
         self.lost_workers = 0
@@ -368,63 +367,38 @@ class DistributedPlatform(_ChunkedPoolBase):
                 pass  # already dead; EOF reaches the I/O loop either way
         self._wake_io()
 
-    def _take_requeued_locked(self) -> Optional[Tuple[MuscleTask, bytes]]:
-        """Pop the first runnable re-dispatch pair, respecting shares."""
-        skipped: List[Tuple[MuscleTask, bytes]] = []
-        found: Optional[Tuple[MuscleTask, bytes]] = None
-        while self._requeue:
-            task, blob = self._requeue.popleft()
-            if task.execution.failed:
-                continue
-            if not self._share_allows_locked(task):
-                skipped.append((task, blob))
-                continue
-            found = (task, blob)
-            break
-        while skipped:
-            self._requeue.appendleft(skipped.pop())
-        return found
-
-    def _backlog_locked(self) -> int:
-        return len(self._queue) + len(self._requeue)
-
     def _take_chunk_locked(
         self, worker: _RemoteWorker, take: int
-    ) -> Optional[Tuple[List[MuscleTask], List[Tuple[MuscleTask, bytes]]]]:
-        # Lost workers' tasks first: they are the oldest work and their
-        # envelopes are already encoded.
-        pairs: List[Tuple[MuscleTask, bytes]] = []
-        while len(pairs) < take:
-            pair = self._take_requeued_locked()
-            if pair is None:
-                break
-            self._exec_started_locked(pair[0])
-            pairs.append(pair)
-        fresh = self._take_tasks_locked(take - len(pairs))
-        if not pairs and not fresh:
+    ) -> Optional[List[Tuple[MuscleTask, Any]]]:
+        entries = self._take_locked(take)
+        if not entries:
             return None
-        worker.busy = [task for task, _ in pairs] + fresh
+        worker.busy = [task for task, _ in entries]
         worker.blobs = None  # not handed off yet
-        return fresh, pairs
+        return entries
 
     def _send_chunk(
         self,
         worker: _RemoteWorker,
-        payload: Tuple[List[MuscleTask], List[Tuple[MuscleTask, bytes]]],
+        entries: List[Tuple[MuscleTask, Any]],
     ) -> None:
         """Emit BEFORE events for fresh tasks, frame the chunk and ship it.
 
-        Re-dispatch pairs already emitted their BEFORE event at first
-        handoff, so only their blobs ride along — a task never publishes
-        BEFORE twice no matter how many workers die under it.
+        A re-dispatched task comes back with its encoded blob as payload:
+        it emitted its BEFORE event at first handoff, so only the blob
+        rides along — a task never publishes BEFORE twice no matter how
+        many workers die under it.
         """
-        fresh, pairs = payload
-        live: List[MuscleTask] = [task for task, _ in pairs]
-        blobs: List[bytes] = [blob for _, blob in pairs]
+        live: List[MuscleTask] = []
+        blobs: List[bytes] = []
         dropped: List[MuscleTask] = []
         self._local.worker_id = worker.worker_id
         try:
-            for task in fresh:
+            for task, blob in entries:
+                if blob is not None:
+                    live.append(task)
+                    blobs.append(blob)
+                    continue
                 if task.execution.failed:
                     dropped.append(task)
                     continue
@@ -455,9 +429,8 @@ class DistributedPlatform(_ChunkedPoolBase):
             if worker.worker_id not in self._workers:
                 # Lost between assignment and handoff.  Everything live now
                 # has a BEFORE event and an encoded envelope, so it all
-                # re-dispatches as pairs; shares release until then.
-                for task, blob in zip(reversed(live), reversed(blobs)):
-                    self._requeue.appendleft((task, blob))
+                # re-dispatches with its blob; shares release until then.
+                self._ready.prepend(list(zip(live, blobs)))
                 for task in live:
                     self._exec_finished_locked(task)
                 self._chunk_done_locked(worker)
@@ -833,11 +806,9 @@ class DistributedPlatform(_ChunkedPoolBase):
             elif worker_id in self._workers:
                 del self._workers[worker_id]
                 if worker.busy is not None and worker.blobs is not None:
-                    pairs = list(zip(worker.busy, worker.blobs))
-                    for task, _ in pairs:
+                    for task in worker.busy:
                         self._exec_finished_locked(task)
-                    for pair in reversed(pairs):
-                        self._requeue.appendleft(pair)
+                    self._ready.prepend(list(zip(worker.busy, worker.blobs)))
                     worker.busy = None
                     worker.blobs = None
                     self._active -= 1

@@ -34,7 +34,6 @@ class SimulatedSpec:
 
     cost_model: Any = None
     trace_tasks: bool = False
-    scheduling: str = "depth-first"
 
 
 @dataclass(frozen=True)

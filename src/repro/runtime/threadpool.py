@@ -1,7 +1,8 @@
 """Resizable thread-pool platform — real execution on OS threads.
 
 This is the Skandium-equivalent execution environment: a pool of worker
-threads pulling muscle tasks from a FIFO queue, whose size can be changed
+threads pulling muscle tasks from a depth-first ready queue
+(:mod:`~repro.runtime.readyqueue`), whose size can be changed
 *while skeletons execute* — the mechanism the autonomic controller drives.
 
 Growing spawns new daemon worker threads immediately; shrinking is
@@ -133,12 +134,11 @@ class ThreadPoolPlatform(_PoolPlatformBase):
                     self._workers.pop(worker_id, None)
                     self._cv.notify_all()
                     return None
-                task = self._take_next_locked()
-                if task is not None:
-                    self._exec_started_locked(task)
+                taken = self._take_locked(1)
+                if taken:
                     self._active += 1
                     self.metrics.record(self.now(), self._active, self.get_parallelism())
-                    return task
+                    return taken[0][0]
                 # Every state change that could satisfy this wait —
                 # enqueue, batch prepend, resize, share change, task
                 # completion, shutdown — notifies the condition variable,

@@ -1,22 +1,22 @@
 """The simulator's indexed ready queue dispatches in the order of one queue.
 
-:class:`~repro.runtime.simulator.SimulatedPlatform` keeps one deque of
-ready tasks per execution and starts, on each free core, the task with the
-smallest key among the executions below their worker share.  The oracle
-here is the dispatch it replaces, kept verbatim: a single deque scanned
-from the front on every dispatch, skipping the tasks of executions at
-their share and dropping those of failed executions as it passes them.
+:class:`~repro.runtime.simulator.SimulatedPlatform` takes its ready tasks
+from a :class:`~repro.runtime.readyqueue.ReadyQueue`: one deque of ready
+tasks per execution, and on each free core the task with the smallest key
+among the executions below their worker share.  The oracle is the same
+platform with its queue swapped for the one it replaced,
+``test_readyqueue.ScanQueue``: a single deque scanned from the front on
+every dispatch, skipping the tasks of executions at their share and
+dropping those of failed executions as it passes them.
 
-Generated scenarios run several executions on both platforms under
-depth-first and FIFO scheduling, with shares, share and LP changes and
-execution failures fired from listeners — at BEFORE events too, which
-land in the middle of a dispatch.  The task logs (start, end, core,
-label), the ready-queue length at every AFTER event and the outcomes
-must be identical.  Standard library only.
+Generated scenarios run several executions on both platforms, with shares,
+share and LP changes and execution failures fired from listeners — at
+BEFORE events too, which land in the middle of a dispatch.  The task logs
+(start, end, core, label), the ready-queue length at every AFTER event
+and the outcomes must be identical.  Standard library only.
 """
 
 import re
-from collections import deque
 
 import pytest
 from hypothesis import given, strategies as st
@@ -28,43 +28,15 @@ from repro.runtime.costmodel import CallableCostModel, ConstantCostModel
 from repro.runtime.interpreter import submit
 from repro.runtime.task import Execution
 from tests.conftest import build_program, program_descriptions
+from tests.runtime.test_readyqueue import ScanQueue
 
 
-class ScanOracle(SimulatedPlatform):
-    """The dispatch before the ready queue was indexed: one deque,
-    scanned from the front on every dispatch."""
-
-    def __init__(self, **kwargs):
-        super().__init__(**kwargs)
-        self._ready = deque()
-
-    def _append(self, task):
-        self._ready.append(task)
-
-    def _prepend(self, tasks):
-        for task in reversed(tasks):
-            self._ready.appendleft(task)
-
-    def _dispatch(self):
-        skipped = []
-        while self._ready:
-            task = self._ready.popleft()
-            if task.execution.failed:
-                continue
-            if not self._share_allows(task):
-                skipped.append(task)
-                continue
-            core = self._acquire_core()
-            if core is None:
-                skipped.append(task)
-                break
-            self._start_task(task, core)
-        while skipped:
-            self._ready.appendleft(skipped.pop())
-
-    @property
-    def pending_tasks(self):
-        return len(self._ready)
+def platform_with(oracle, **kwargs):
+    """A simulator; with *oracle*, dispatching from a :class:`ScanQueue`."""
+    platform = SimulatedPlatform(**kwargs)
+    if oracle:
+        platform._ready = ScanQueue(platform)
+    return platform
 
 
 def _value_cost(_muscle, value):
@@ -90,7 +62,7 @@ class Script(Listener):
         platform = self.platform
         when = event.when
         if when is When.AFTER:
-            self.pending.append(platform.pending_tasks)
+            self.pending.append(platform.queued_tasks)
         at = (when, self.seen[when])
         self.seen[when] += 1
         for kind, target, value in self.actions.get(at, ()):
@@ -116,14 +88,14 @@ def outcome(future):
         return ("failed", str(exc))
 
 
-def play(cls, scenario):
-    programs, values, shares, lp, scheduling, jitter, actions = scenario
-    platform = cls(
+def play(oracle, scenario):
+    programs, values, shares, lp, jitter, actions = scenario
+    platform = platform_with(
+        oracle,
         parallelism=lp,
         cost_model=CallableCostModel(_value_cost) if jitter else ConstantCostModel(1.0),
         max_parallelism=8,
         trace_tasks=True,
-        scheduling=scheduling,
     )
     executions = [Execution(platform.new_future()) for _ in programs]
     platform.set_shares(
@@ -141,7 +113,7 @@ def play(cls, scenario):
         (start, end, core, re.sub(r"#\d+$", "", label))
         for start, end, core, label in platform.task_log
     ]
-    return log, script.pending, platform.pending_tasks, outcomes
+    return log, script.pending, platform.queued_tasks, outcomes
 
 
 actions = st.lists(
@@ -161,7 +133,6 @@ scenarios = st.integers(1, 4).flatmap(
         st.lists(st.integers(0, 50), min_size=n, max_size=n),
         st.lists(st.one_of(st.none(), st.integers(1, 3)), min_size=n, max_size=n),
         st.integers(1, 4),
-        st.sampled_from(["depth-first", "fifo"]),
         st.booleans(),
         actions,
     )
@@ -171,49 +142,51 @@ scenarios = st.integers(1, 4).flatmap(
 class TestIndexedQueueKeepsTheScanOrder:
     @given(scenarios)
     def test_same_log_queue_and_outcomes(self, scenario):
-        assert play(SimulatedPlatform, scenario) == play(ScanOracle, scenario)
+        assert play(False, scenario) == play(True, scenario)
 
     @staticmethod
     def mid_dispatch(action):
-        """Two 4-wide maps on three cores, FIFO: the first at a share of
-        one, its leaves 3 s long, the second unlimited, its leaves 1 s.
-        When the second map's leaves become ready, the first map's three
-        waiting ones are queued ahead of them, passed at their share;
-        *action* fires at the second map's first leaf start, in the
-        middle of that dispatch.  The next event is the AFTER of a
-        1 s leaf, before any other dispatch."""
+        """Two 4-wide maps on two cores: the first at a share of one, its
+        leaves 3 s long, the second unlimited, its leaves 1 s, submitted
+        first.  At 1 s the second map's split completes and one of its
+        leaves takes the freed core; then the first map's split completes,
+        the pool grows to four cores and the first map's leaves are
+        prepended ahead of the second map's three waiting ones.  That
+        dispatch starts the first map's first leaf, passes the other
+        three at their share, and *action* fires at the second map's next
+        leaf start, in the middle of the dispatch.  The next event is the
+        AFTER of a 1 s leaf, before any other dispatch."""
         logs = []
-        for cls in (SimulatedPlatform, ScanOracle):
-            platform = cls(
-                parallelism=3,
+        for oracle in (False, True):
+            platform = platform_with(
+                oracle,
+                parallelism=2,
                 cost_model=CallableCostModel(
                     lambda muscle, _v: 3.0 if muscle.name == "leaf3" else 1.0
                 ),
                 max_parallelism=8,
                 trace_tasks=True,
-                scheduling="fifo",
             )
             first, second = (Execution(platform.new_future()) for _ in "ab")
             platform.set_shares({first.id: 1})
             pending = []
 
             class Fire(Listener):
-                fired = False
+                leaves = 0
 
                 def on_event(self, event):
                     if event.when is When.AFTER:
-                        pending.append(platform.pending_tasks)
-                    elif (
-                        not self.fired
-                        and event.execution_id == second.id
-                        and event.kind == "seq"
-                    ):
-                        self.fired = True
-                        action(platform, first)
+                        pending.append(platform.queued_tasks)
+                        if event.execution_id == first.id:
+                            platform.set_parallelism(4)
+                    elif event.execution_id == second.id and event.kind == "seq":
+                        self.leaves += 1
+                        if self.leaves == 2:
+                            action(platform, first)
                     return event.value
 
             platform.add_listener(Fire())
-            for leaf, execution in ((3, first), (1, second)):
+            for leaf, execution in ((1, second), (3, first)):
                 program = build_program(("map", 4, ("seq", leaf)))
                 submit(program, 1, platform, execution=execution)
             platform.drain()
@@ -223,12 +196,13 @@ class TestIndexedQueueKeepsTheScanOrder:
 
     def test_a_share_widened_mid_dispatch_waits_for_the_next_one(self):
         """The first map's passed leaves are behind the scan: the widened
-        share lets none of them start before the next dispatch."""
+        share lets none of them take the fourth core, which goes to the
+        second map's next leaf."""
         log, _pending, result = self.mid_dispatch(
             lambda platform, first: platform.set_shares({first.id: 3})
         )
         starts = [(start, label[-5:]) for start, _e, _c, label in log]
-        assert starts[2:5] == [(1.0, "leaf3"), (1.0, "leaf1"), (1.0, "leaf1")]
+        assert starts[3:6] == [(1.0, "leaf3"), (1.0, "leaf1"), (1.0, "leaf1")]
         assert (2.0, "leaf3") in starts and result[0] == "ok"
 
     def test_a_failure_mid_dispatch_keeps_what_the_scan_passed(self):
@@ -239,38 +213,34 @@ class TestIndexedQueueKeepsTheScanOrder:
             lambda platform, first: first.fail(RuntimeError("cancelled"))
         )
         assert result == ("failed", "cancelled")
-        assert 5 in pending
+        assert 4 in pending
 
     @pytest.mark.parametrize(
-        "staged, other, scheduling, grow, action",
+        "lp, grow, action",
         [
-            (("map", 2, ("pipe", (("seq", 1), ("map", 2, ("seq", 1))))),
-             ("map", 3, ("seq", 1)),
-             "depth-first", 0, (When.BEFORE, 22, "fail", 0, None)),
-            (("map", 3, ("pipe", (("seq", 2), ("map", 2, ("seq", 1))))),
-             ("map", 2, ("seq", 2)),
-             "fifo", 12, (When.BEFORE, 29, "share", 0, 3)),
+            (1, 0, (When.BEFORE, 22, "fail", 0, None)),
+            (2, 7, (When.BEFORE, 22, "share", 0, 3)),
         ],
         ids=["failed", "widened"],
     )
-    def test_a_passed_execution_is_scanned_again(
-        self, staged, other, scheduling, grow, action
-    ):
+    def test_a_passed_execution_is_scanned_again(self, lp, grow, action):
         """A two-stage map at a share of one is passed at its share, then
         failed, or given a larger share, by another execution's leaf
         start later in the same dispatch (the pool has just grown to
         three cores): the scan keeps the tasks it passed before and
         reaches those that follow."""
         scenario = (
-            [staged, other],
+            [
+                ("map", 2, ("pipe", (("seq", 1), ("map", 2, ("seq", 1))))),
+                ("map", 3, ("seq", 1)),
+            ],
             [1, 2],
             [1, None],
-            1,
-            scheduling,
+            lp,
             False,
             [(When.AFTER, grow, "lp", 0, 3), action],
         )
-        assert play(SimulatedPlatform, scenario) == play(ScanOracle, scenario)
+        assert play(False, scenario) == play(True, scenario)
 
     def test_share_capped_failed_and_widened_executions(self):
         """Non-vacuity: three wide maps under shares of one, one of them
@@ -282,7 +252,6 @@ class TestIndexedQueueKeepsTheScanOrder:
             [1, 2, 3],
             [1, 1, None],
             3,
-            "depth-first",
             True,
             [
                 (When.AFTER, 2, "share", 0, 2),
@@ -290,7 +259,7 @@ class TestIndexedQueueKeepsTheScanOrder:
                 (When.AFTER, 9, "share", 2, 1),
             ],
         )
-        log, pending, left, outcomes = play(SimulatedPlatform, scenario)
-        assert (log, pending, left, outcomes) == play(ScanOracle, scenario)
+        log, pending, left, outcomes = play(False, scenario)
+        assert (log, pending, left, outcomes) == play(True, scenario)
         assert outcomes[1][0] == "failed" and outcomes[0][0] == "ok"
         assert max(pending) >= 3 and left == 0

@@ -82,7 +82,8 @@ class TestSpecValidation:
 #: The keyword vocabulary ``make_platform(name, **kwargs)`` once accepted,
 #: mapped to where each knob lives now: a ``PlatformSpec`` field, a
 #: ``(sub-spec field, sub-spec class, field)`` triple, or ``None`` when
-#: the knob is gone with its backend.
+#: the knob is gone (with its backend, or, like ``scheduling``, with the
+#: one policy it switched to).
 LEGACY_KEYWORDS = {
     "parallelism": "workers",
     "workers": "workers",
@@ -97,7 +98,7 @@ LEGACY_KEYWORDS = {
     "clock": "clock",
     "cost_model": ("simulated", SimulatedSpec, "cost_model"),
     "trace_tasks": ("simulated", SimulatedSpec, "trace_tasks"),
-    "scheduling": ("simulated", SimulatedSpec, "scheduling"),
+    "scheduling": None,
     "worker_speeds": None,
     "start_method": ("processes", ProcessSpec, "start_method"),
     "heartbeat_interval": ("remote", RemoteSpec, "heartbeat_interval"),
@@ -149,20 +150,16 @@ class TestSpecKnobsReachThePlatform:
             kind="simulated",
             workers=2,
             max_workers=6,
-            simulated=SimulatedSpec(
-                cost_model=model, trace_tasks=True, scheduling="fifo"
-            ),
+            simulated=SimulatedSpec(cost_model=model, trace_tasks=True),
         )
         with make_platform(spec) as platform:
             assert isinstance(platform, SimulatedPlatform)
             assert (platform.get_parallelism(), platform.max_parallelism) == (2, 6)
             assert platform.cost_model is model
-            assert platform.scheduling == "fifo"
             assert platform.task_log == []
 
     def test_simulated_defaults(self):
         with make_platform("simulated") as platform:
-            assert platform.scheduling == "depth-first"
             assert platform.task_log is None
 
     def test_shared_bus_and_clock_reach_a_thread_pool(self):

@@ -129,10 +129,6 @@ class TestParallelismControl:
         run(wide_map(4), 0, plat)
         assert plat.metrics.peak_active() == 4
 
-    def test_scheduling_policy_validation(self):
-        with pytest.raises(PlatformError):
-            SimulatedPlatform(scheduling="random")
-
 
 class TestDepthFirst:
     def test_depth_first_finishes_first_branch_before_second(self):
@@ -149,21 +145,6 @@ class TestDepthFirst:
         first_merge = labels.index(("map@am", 1))
         second_split = labels.index(("map@bs", 2))
         assert first_merge < second_split
-
-    def test_fifo_policy_runs_siblings_first(self):
-        fs = Split(lambda v: [v, v + 1], name="fs")
-        inner = Map(Split(lambda v: [v, v], name="fs2"), Seq(lambda v: v), sum)
-        outer = Map(fs, inner, Merge(sum, name="fm"))
-        plat = SimulatedPlatform(
-            parallelism=1, cost_model=ConstantCostModel(1.0), scheduling="fifo"
-        )
-        rec = EventRecorder()
-        plat.add_listener(rec)
-        run(outer, 0, plat)
-        labels = [(e.label, e.index) for e in rec.events]
-        first_merge = labels.index(("map@am", 1))
-        second_split = labels.index(("map@bs", 2))
-        assert second_split < first_merge
 
 
 class TestShutdown:

@@ -1,10 +1,11 @@
-"""Settings the autonomic layer no longer has stay gone.
+"""Settings the library no longer has stay gone.
 
-Each keyword below once switched a behaviour off or throttled the loop,
-and no workload ever set it to anything but its default: the load gate
-and the backfill reservation are always on, ticks rebalance under the
-time throttle alone, and every analysis point analyzes the execution's
-unfinished roots.  Passing one — even at its old default — is a
+Each keyword below once switched a behaviour off, throttled the loop or
+picked an alternative policy, and no workload ever set it to anything
+but its default: the load gate and the backfill reservation are always
+on, ticks rebalance under the time throttle alone, every analysis point
+analyzes the execution's unfinished roots, and every backend dispatches
+depth-first.  Passing one — even at its old default — is a
 ``TypeError``, so a caller still relying on a removed switch fails
 loudly instead of silently getting the one remaining path.
 """
@@ -15,6 +16,7 @@ from repro.core.analysis import ExecutionAnalyzer
 from repro.core.controller import AutonomicController
 from repro.core.qos import QoS
 from repro.obs import BusInstrument, MetricsRegistry
+from repro.runtime import SimulatedPlatform, SimulatedSpec
 from repro.service import LPArbiter, SkeletonService
 from repro.service.admission import AdmissionController
 
@@ -36,6 +38,10 @@ RETIRED = [
      lambda kw: BusInstrument(MetricsRegistry(), **kw)),
     ("ExecutionAnalyzer.analyze", "roots", None,
      lambda kw: ExecutionAnalyzer().analyze(0.0, **kw)),
+    ("SimulatedPlatform", "scheduling", "depth-first",
+     lambda kw: SimulatedPlatform(**kw)),
+    ("SimulatedSpec", "scheduling", "depth-first",
+     lambda kw: SimulatedSpec(**kw)),
 ]
 
 
